@@ -14,7 +14,7 @@ from .analytics import RANK_KEYS, explain_pair, rank_pairs
 from .catalog import load_catalog
 from .errors import AttrScaleError, EmptyAnalysisError
 from .matrices import format_value
-from .pipeline import run_pipeline
+from .pipeline import ScaleBundle, run_pipeline
 from .snapshot import EXPORT_FORMATS, RunConfig, Snapshot, load_snapshot, write_outputs
 from .workload import WORKLOAD_FORMATS, SelectionSpec, build_usage_set, load_workload, select_queries
 
@@ -137,23 +137,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _pair_scores(snap: Snapshot, shared: set[str]) -> dict[tuple[str, str], float]:
+def _pair_scores(bundle: ScaleBundle, shared: set[str]) -> dict[tuple[str, str], float]:
     """nnsm-min score per unordered shared pair with at least one defined cell."""
-    names = snap.bundle.attributes
-    nnsm = snap.bundle.nnsm
-    scores: dict[tuple[str, str], float] = {}
-    for h in range(len(names)):
-        if names[h] not in shared:
-            continue
-        for k in range(h + 1, len(names)):
-            if names[k] not in shared:
-                continue
-            cells = [float(nnsm.values[h, k])] if nnsm.defined[h, k] else []
-            if nnsm.defined[k, h]:
-                cells.append(float(nnsm.values[k, h]))
-            if cells:
-                scores[tuple(sorted((names[h], names[k])))] = min(cells)
-    return scores
+    return {
+        tuple(sorted((e.a, e.b))): e.nnsm
+        for e in rank_pairs(bundle).entries
+        if e.a in shared and e.b in shared
+    }
 
 
 def _ranks(scores: dict[tuple[str, str], float]) -> dict[tuple[str, str], int]:
@@ -167,8 +157,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
     shared = set(old.bundle.attributes) & set(new.bundle.attributes)
     if not shared:
         raise AttrScaleError("snapshots have disjoint catalogs; nothing to compare")
-    old_scores = _pair_scores(old, shared)
-    new_scores = _pair_scores(new, shared)
+    old_scores = _pair_scores(old.bundle, shared)
+    new_scores = _pair_scores(new.bundle, shared)
     old_ranks, new_ranks = _ranks(old_scores), _ranks(new_scores)
     common = sorted(set(old_scores) & set(new_scores))
     added = sorted(set(new_scores) - set(old_scores))

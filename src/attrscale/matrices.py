@@ -79,10 +79,6 @@ class UsageMatrix:
             "cells": [[int(v) for v in row] for row in self.cells],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> UsageMatrix:
-        return cls(tuple(obj["query_ids"]), tuple(obj["attributes"]), np.array(obj["cells"], dtype=np.uint8))
-
 
 @dataclass(frozen=True, eq=False)
 class DependencyMatrix:
@@ -131,11 +127,6 @@ class DependencyMatrix:
             "counts": [[None if h == k else int(self.counts[h, k]) for k in range(n)] for h in range(n)],
             "total_measure": [int(v) for v in self.total_measure],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> DependencyMatrix:
-        raw = [[0 if v is None else v for v in row] for row in obj["counts"]]
-        return cls(tuple(obj["attributes"]), np.array(raw, dtype=np.int64), np.array(obj["total_measure"], dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,12 +180,6 @@ class MaskedRealMatrix:
             ],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> MaskedRealMatrix:
-        values = [[np.nan if v is None else v for v in row] for row in obj["values"]]
-        defined = [[v is not None for v in row] for row in obj["values"]]
-        return cls(obj["kind"], tuple(obj["attributes"]), np.array(values, dtype=np.float64), np.array(defined, dtype=bool))
-
 
 @dataclass(frozen=True, eq=False)
 class StatsTable:
@@ -244,12 +229,3 @@ class StatsTable:
             "variance": row(self.variance),
             "sd": row(self.sd),
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> StatsTable:
-        defined = np.array([v is not None for v in obj["sd"]], dtype=bool)
-
-        def row(values: list) -> np.ndarray:
-            return np.array([np.nan if v is None else v for v in values], dtype=np.float64)
-
-        return cls(tuple(obj["attributes"]), row(obj["mean"]), row(obj["variance"]), row(obj["sd"]), defined)

@@ -1,11 +1,12 @@
 """Run persistence: the single-file snapshot and the exported matrix files.
 
-A snapshot is a versioned, self-describing JSON container holding the run
-configuration (including any random seed), the usage set, every pipeline
-matrix at full precision, and the collected warnings, sealed with a content
-hash. Reloading a snapshot and re-exporting yields byte-identical files;
-display rounding only ever happens while rendering CSVs, never on the way
-into the snapshot.
+A snapshot is a versioned, self-describing JSON container holding the run's
+inputs: its configuration (including any random seed), the catalog, and the
+usage set, sealed with a content hash. Every pipeline matrix and warning
+derives from the usage set, so none is stored: loading reruns the pipeline.
+Counts are exact integers and every later stage is a fixed sequence of IEEE
+operations, so the rebuilt bundle is bit-identical to the original run's.
+Reloading a snapshot and re-exporting yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .catalog import AttributeCatalog
-from .errors import SnapshotError
-from .matrices import DependencyMatrix, MaskedRealMatrix, StatsTable, UsageMatrix
-from .pipeline import ScaleBundle
+from .errors import AttrScaleError, SnapshotError
+from .pipeline import ScaleBundle, run_pipeline
 from .workload import SelectionSpec, UsageSet
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # v1 also stored every stage; it is rejected, not read
 EXPORT_FORMATS = ("csv", "json", "both")
 MATRIX_BASENAMES = ("qaum", "adm", "pdm", "mvsd", "nsm", "nnsm")
 
@@ -42,8 +42,8 @@ class RunConfig:
     def __post_init__(self):
         if self.export_format not in EXPORT_FORMATS:
             raise SnapshotError(f"unknown export format {self.export_format!r}")
-        if not 0 <= self.precision <= 10:
-            raise SnapshotError(f"display precision must be in [0..10], got {self.precision}")
+        if isinstance(self.precision, bool) or not isinstance(self.precision, int) or not 0 <= self.precision <= 10:
+            raise SnapshotError(f"display precision must be an integer in [0..10], got {self.precision!r}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def _content_hash(payload: dict) -> str:
 
 
 def snapshot_to_obj(snap: Snapshot) -> dict:
-    """Full JSON form including the content hash."""
+    """Full JSON form of the run's inputs, including the content hash."""
     payload = {
         "format_version": snap.format_version,
         "generator": "attrscale",
@@ -85,15 +85,6 @@ def snapshot_to_obj(snap: Snapshot) -> dict:
             "dropped": list(snap.usage.dropped),
             "diagnostics": list(snap.usage.diagnostics),
         },
-        "bundle": {
-            "qaum": snap.bundle.qaum.to_json_obj(),
-            "adm": snap.bundle.adm.to_json_obj(),
-            "pdm": snap.bundle.pdm.to_json_obj(),
-            "mvsd": snap.bundle.mvsd.to_json_obj(),
-            "nsm": snap.bundle.nsm.to_json_obj(),
-            "nnsm": snap.bundle.nnsm.to_json_obj(),
-        },
-        "warnings": list(snap.bundle.warnings),
     }
     payload["content_hash"] = _content_hash(payload)
     return payload
@@ -108,7 +99,7 @@ def save_snapshot(snap: Snapshot, path: str | Path) -> None:
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
-    """Parse, verify the content hash, and rebuild every typed object."""
+    """Parse, verify the content hash, rebuild the inputs, and rerun the pipeline over them."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -145,17 +136,9 @@ def load_snapshot(path: str | Path) -> Snapshot:
             dropped=tuple(obj["usage"]["dropped"]),
             diagnostics=tuple(obj["usage"]["diagnostics"]),
         )
-        raw = obj["bundle"]
-        bundle = ScaleBundle(
-            qaum=UsageMatrix.from_json_obj(raw["qaum"]),
-            adm=DependencyMatrix.from_json_obj(raw["adm"]),
-            pdm=MaskedRealMatrix.from_json_obj(raw["pdm"]),
-            mvsd=StatsTable.from_json_obj(raw["mvsd"]),
-            nsm=MaskedRealMatrix.from_json_obj(raw["nsm"]),
-            nnsm=MaskedRealMatrix.from_json_obj(raw["nnsm"]),
-            warnings=tuple(obj["warnings"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        bundle = run_pipeline(usage)
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, AttrScaleError) as exc:
+        # a resealed edit can put any JSON value in any field
         raise SnapshotError(f"snapshot {path} is malformed: {exc}") from exc
     return Snapshot(config=config, usage=usage, bundle=bundle, format_version=version)
 
@@ -163,17 +146,10 @@ def load_snapshot(path: str | Path) -> Snapshot:
 def render_outputs(snap: Snapshot) -> dict[str, str]:
     """Every output file of a run as name -> content, deterministically."""
     bundle = snap.bundle
-    stages = {
-        "qaum": bundle.qaum,
-        "adm": bundle.adm,
-        "pdm": bundle.pdm,
-        "mvsd": bundle.mvsd,
-        "nsm": bundle.nsm,
-        "nnsm": bundle.nnsm,
-    }
     files: dict[str, str] = {}
     fmt = snap.config.export_format
-    for name, stage in stages.items():
+    for name in MATRIX_BASENAMES:
+        stage = getattr(bundle, name)
         if fmt in ("csv", "both"):
             files[f"{name}.csv"] = stage.to_csv(precision=snap.config.precision)
         if fmt in ("json", "both"):
@@ -189,7 +165,9 @@ def write_outputs(snap: Snapshot, out_dir: str | Path) -> list[Path]:
     """Write all outputs atomically: stage into a temp dir, rename on success.
 
     Nothing lands in out_dir unless every file rendered and wrote cleanly,
-    so a failing run leaves no partial outputs behind.
+    so a failing run leaves no partial outputs behind. Matrix files an
+    earlier run wrote in a format this run does not export are removed, so
+    the directory never mixes matrices from two runs.
     """
     out = Path(out_dir)
     files = render_outputs(snap)  # render first: any failure aborts before touching disk
@@ -203,6 +181,10 @@ def write_outputs(snap: Snapshot, out_dir: str | Path) -> list[Path]:
             target = out / name
             os.replace(staging / name, target)
             written.append(target)
+        for name in MATRIX_BASENAMES:
+            for ext in ("csv", "json"):
+                if f"{name}.{ext}" not in files:
+                    (out / f"{name}.{ext}").unlink(missing_ok=True)
         return written
     finally:
         shutil.rmtree(staging, ignore_errors=True)

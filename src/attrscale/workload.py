@@ -79,6 +79,8 @@ class UsageSet:
     def __post_init__(self):
         n = len(self.catalog)
         for qid, indices in self.queries:
+            if not isinstance(qid, str):
+                raise WorkloadFormatError(f"query id {qid!r} is not a string")
             if not indices:
                 raise WorkloadFormatError(f"query {qid!r} has an empty attribute set")
             if any(i < 0 or i >= n for i in indices):

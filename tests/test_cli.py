@@ -10,6 +10,7 @@ import pytest
 
 from attrscale import load_snapshot
 from attrscale.cli import EXIT_EMPTY_ANALYSIS, EXIT_INPUT_ERROR, EXIT_OK, main
+from attrscale.snapshot import MATRIX_BASENAMES, render_outputs
 
 
 def run_cli(capsys, *argv):
@@ -51,9 +52,16 @@ def test_analyze_sql_input_produces_same_bundle(capsys, data_dir, tmp_path):
         **{"--input": str(data_dir / "reference_workload_sql.jsonl"), "--input-format": "jsonl-sql"},
     )
     assert run_cli(capsys, *sql_args)[0] == EXIT_OK
-    bundle_a = json.loads((out_a / "snapshot.json").read_text())["bundle"]
-    bundle_b = json.loads((out_b / "snapshot.json").read_text())["bundle"]
-    assert bundle_a == bundle_b
+    for name in MATRIX_BASENAMES:
+        assert (out_a / f"{name}.json").read_bytes() == (out_b / f"{name}.json").read_bytes()
+    assert (out_a / "warnings.json").read_bytes() == (out_b / "warnings.json").read_bytes()
+
+
+def test_reloaded_snapshot_re_exports_every_file_byte_identically(capsys, data_dir, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(capsys, *analyze_args(data_dir, out))[0] == EXIT_OK
+    written = {p.name: p.read_text(encoding="utf-8") for p in out.iterdir()}
+    assert render_outputs(load_snapshot(out / "snapshot.json")) == written
 
 
 def test_analyze_format_csv_skips_json_matrices(capsys, data_dir, tmp_path):
@@ -63,6 +71,15 @@ def test_analyze_format_csv_skips_json_matrices(capsys, data_dir, tmp_path):
     names = {p.name for p in out.iterdir()}
     assert "pdm.csv" in names and "pdm.json" not in names
     assert {"snapshot.json", "warnings.json", "diagnostics.jsonl"} <= names
+
+
+def test_csv_rerun_removes_json_matrices_of_an_earlier_run(capsys, data_dir, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(capsys, *analyze_args(data_dir, out, **{"--format": "both"}))[0] == EXIT_OK
+    assert run_cli(capsys, *analyze_args(data_dir, out, **{"--format": "csv"}))[0] == EXIT_OK
+    names = {p.name for p in out.iterdir()}
+    assert not {f"{name}.json" for name in MATRIX_BASENAMES} & names
+    assert {f"{name}.csv" for name in MATRIX_BASENAMES} <= names
 
 
 def test_out_dir_env_default_and_flag_priority(capsys, data_dir, tmp_path, monkeypatch):

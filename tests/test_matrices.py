@@ -50,9 +50,7 @@ def test_usage_matrix_validation():
 def test_usage_matrix_csv_and_json():
     qaum = small_usage()
     assert qaum.to_csv() == "query,a,b,c\nq1,1,1,0\nq2,0,1,1\n"
-    again = UsageMatrix.from_json_obj(qaum.to_json_obj())
-    assert again.query_ids == qaum.query_ids
-    assert np.array_equal(again.cells, qaum.cells)
+    assert qaum.to_json_obj()["cells"] == [[1, 1, 0], [0, 1, 1]]
 
 
 def test_usage_matrix_is_immutable():
@@ -90,9 +88,6 @@ def test_dependency_matrix_csv_and_json():
     )
     obj = adm.to_json_obj()
     assert obj["counts"][0][0] is None and obj["counts"][0][1] == 2
-    again = DependencyMatrix.from_json_obj(obj)
-    assert np.array_equal(again.counts, adm.counts)
-    assert np.array_equal(again.total_measure, adm.total_measure)
 
 
 def masked(values, defined, kind="PDM"):
@@ -124,9 +119,6 @@ def test_masked_matrix_json_round_trip():
     obj = m.to_json_obj()
     assert obj["values"][0][0] is None
     assert obj["values"][0][1] == 1.0 / 3.0  # full precision, no display rounding
-    again = MaskedRealMatrix.from_json_obj(obj)
-    assert np.array_equal(again.defined, m.defined)
-    assert again.cell(0, 1) == m.cell(0, 1)
 
 
 def stats(defined=(True, True)):
@@ -156,6 +148,3 @@ def test_stats_table_json_round_trip():
     table = stats(defined=(True, False))
     obj = table.to_json_obj()
     assert obj["mean"] == [1.5, None]
-    again = StatsTable.from_json_obj(obj)
-    assert np.array_equal(again.defined, table.defined)
-    assert float(again.variance[0]) == 0.25

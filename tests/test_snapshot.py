@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -36,6 +37,8 @@ def test_config_validation(tmp_path):
         RunConfig("w", "jsonl-attrs", "c", SelectionSpec(), str(tmp_path), export_format="xml")
     with pytest.raises(SnapshotError, match="precision"):
         RunConfig("w", "jsonl-attrs", "c", SelectionSpec(), str(tmp_path), precision=11)
+    with pytest.raises(SnapshotError, match="precision"):
+        RunConfig("w", "jsonl-attrs", "c", SelectionSpec(), str(tmp_path), precision=2.0)
 
 
 def test_save_load_round_trip(snap, tmp_path):
@@ -65,16 +68,17 @@ def test_tampered_snapshot_fails_hash_check(snap, tmp_path):
     path = tmp_path / "snapshot.json"
     save_snapshot(snap, path)
     obj = json.loads(path.read_text())
-    obj["bundle"]["adm"]["total_measure"][0] += 1
+    obj["usage"]["queries"][0][1].append(9)
     path.write_text(json.dumps(obj))
     with pytest.raises(SnapshotError, match="content hash"):
         load_snapshot(path)
 
 
-def test_unsupported_version_rejected(snap, tmp_path):
+@pytest.mark.parametrize("version", [1, 99])
+def test_unsupported_version_rejected(snap, tmp_path, version):
     path = tmp_path / "snapshot.json"
     obj = snapshot_to_obj(snap)
-    obj["format_version"] = 99
+    obj["format_version"] = version
     path.write_text(json.dumps(obj))
     with pytest.raises(SnapshotError, match="format version"):
         load_snapshot(path)
@@ -88,6 +92,48 @@ def test_malformed_snapshot_with_valid_hash_rejected(snap, tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(SnapshotError, match="malformed"):
         load_snapshot(path)
+
+
+def test_snapshot_holds_only_the_run_inputs(snap):
+    assert sorted(snapshot_to_obj(snap)) == ["catalog", "config", "content_hash", "format_version", "generator", "usage"]
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, as key/index tuples from the root."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+FUZZ_VALUES = (
+    None, True, False, 0, -1, 7, 2**70, 0.5, float("inf"), float("nan"), "", "a1", "A1",
+    [], [0], [[]], ["q1", [0]], [[0, 1]], {}, {"mode": "all"},
+)
+
+
+def test_resealed_edits_raise_only_snapshot_error(snap, tmp_path):
+    rng = random.Random(20121206)
+    base = snapshot_to_obj(snap)
+    del base["content_hash"]
+    path = tmp_path / "snapshot.json"
+    for _ in range(400):
+        obj = json.loads(json.dumps(base))
+        target = rng.choice([p for p in _paths(obj) if p and p[0] != "format_version"])
+        parent = obj
+        for key in target[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and rng.random() < 0.2:
+            del parent[target[-1]]
+        else:
+            parent[target[-1]] = rng.choice(FUZZ_VALUES)
+        obj["content_hash"] = _content_hash(obj)
+        path.write_text(json.dumps(obj))
+        try:
+            loaded = load_snapshot(path)
+        except SnapshotError:
+            continue
+        render_outputs(loaded)  # an edit that loads must also export
 
 
 def test_unreadable_and_invalid_files(tmp_path):

@@ -223,6 +223,8 @@ def test_usage_set_validation(catalog):
         UsageSet(queries=(("q1", frozenset()),), catalog=catalog)
     with pytest.raises(WorkloadFormatError, match="outside the catalog"):
         UsageSet(queries=(("q1", frozenset({99})),), catalog=catalog)
+    with pytest.raises(WorkloadFormatError, match="not a string"):
+        UsageSet(queries=((7, frozenset({0})),), catalog=catalog)
 
 
 def test_catalog_loading(tmp_path):
