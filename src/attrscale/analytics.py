@@ -60,13 +60,9 @@ class AttributeGroup:
 
 
 def _index(bundle: ScaleBundle, name: str) -> int:
-    idx = bundle.qaum.attributes.index(name) if name in bundle.qaum.attributes else None
+    # case-insensitive, the catalog convention; the catalog rejects casefold duplicates
+    idx = {attr.casefold(): i for i, attr in enumerate(bundle.attributes)}.get(name.casefold())
     if idx is None:
-        # fall back to case-insensitive match, the catalog convention
-        folded = name.casefold()
-        for i, attr in enumerate(bundle.qaum.attributes):
-            if attr.casefold() == folded:
-                return i
         raise UnknownAttributeError(name)
     return idx
 

@@ -53,9 +53,6 @@ class AttributeCatalog:
                 table[suffix] = None if suffix in table else i
         return table
 
-    def lookup(self, folded_name: str) -> int | None:
-        return self._by_name.get(folded_name)
-
     def lookup_suffix(self, folded_name: str) -> int | None:
         return self._by_suffix.get(folded_name)
 

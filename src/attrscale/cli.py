@@ -1,7 +1,8 @@
 """Command-line front end: analyze, rank, explain, diff.
 
-Exit codes: 0 success (warnings allowed), 1 input/parse error, 2 empty
-analysis. One command per process; no state survives an invocation.
+Exit codes: 0 success (warnings allowed, or a reader that closed stdout
+early), 1 input/parse error, 2 empty analysis. One command per process; no
+state survives an invocation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from .analytics import RANK_KEYS, explain_pair, rank_pairs
 from .catalog import load_catalog
 from .errors import AttrScaleError, EmptyAnalysisError
-from .matrices import format_value
+from .matrices import UNDEFINED_CSV, format_value
 from .pipeline import ScaleBundle, run_pipeline
 from .snapshot import EXPORT_FORMATS, RunConfig, Snapshot, load_snapshot, write_outputs
 from .workload import WORKLOAD_FORMATS, SelectionSpec, build_usage_set, load_workload, select_queries
@@ -60,7 +61,7 @@ def _parse_selection(select: str, seed: int | None, threshold: float) -> Selecti
 
 
 def _fmt(value: float | None, precision: int) -> str:
-    return "#" if value is None else format_value(value, precision)
+    return UNDEFINED_CSV if value is None else format_value(value, precision)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -224,7 +225,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (e.g. `| head`); that is not an input error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the final flush cannot raise
+        return EXIT_OK
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -2,7 +2,7 @@
 
 All matrix types are immutable value objects over numpy storage. Cells that
 carry no value (the diagonal, zero co-occurrence, isolated attributes) are an
-explicit undefined state, rendered as the literal "#" in CSV and null in
+explicit undefined state, rendered as UNDEFINED_CSV in CSV and null in
 JSON, never as a magic number. JSON always serializes values at full double
 precision; CSV takes a display precision (decimal half-up, the convention the
 reference tables use).
@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from functools import partial
 
 import numpy as np
 
@@ -37,10 +39,22 @@ def format_value(value: float, precision: int | None) -> str:
     return str(Decimal(float(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
-def _csv_text(rows: list[list[str]]) -> str:
+def _rows(values: np.ndarray, defined: np.ndarray | None = None) -> list[list]:
+    """The grid as nested lists of Python numbers, None at undefined cells (the JSON form)."""
+    if defined is None:
+        return values.tolist()
+    cells = values.astype(object)
+    cells[~defined] = None
+    return cells.tolist()
+
+
+def _csv_text(header: list[str], labels: Iterable[str], rows: Iterable[list], fmt: Callable[..., str]) -> str:
+    """One CSV row per label: fmt renders each defined cell, None renders as UNDEFINED_CSV."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
+    writer.writerow(header)
+    for label, row in zip(labels, rows):
+        writer.writerow([label, *(UNDEFINED_CSV if v is None else fmt(v) for v in row)])
     return buf.getvalue()
 
 
@@ -66,17 +80,14 @@ class UsageMatrix:
 
     def to_csv(self, precision: int | None = None) -> str:
         del precision  # binary cells, nothing to round
-        rows = [["query", *self.attributes]]
-        for qid, row in zip(self.query_ids, self.cells):
-            rows.append([qid, *(str(int(v)) for v in row)])
-        return _csv_text(rows)
+        return _csv_text(["query", *self.attributes], self.query_ids, _rows(self.cells), str)
 
     def to_json_obj(self) -> dict:
         return {
             "kind": "QAUM",
             "query_ids": list(self.query_ids),
             "attributes": list(self.attributes),
-            "cells": [[int(v) for v in row] for row in self.cells],
+            "cells": _rows(self.cells),
         }
 
 
@@ -85,7 +96,7 @@ class DependencyMatrix:
     """n×n co-occurrence counts with per-row Total Measure.
 
     The diagonal is semantically undefined; it is stored as 0 and rendered
-    as "#". total_measure[h] is the row sum excluding the diagonal.
+    as undefined. total_measure[h] is the row sum excluding the diagonal.
     build_adm output is symmetric by construction; the constructor itself
     accepts asymmetric counts so externally published tables (which may
     carry printing errors) can be replayed through the later stages as-is.
@@ -111,27 +122,26 @@ class DependencyMatrix:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total_measure", tm)
 
+    def _count_rows(self) -> list[list]:
+        return _rows(self.counts, ~np.eye(len(self.attributes), dtype=bool))
+
     def to_csv(self, precision: int | None = None) -> str:
         del precision
-        rows = [["attribute", *self.attributes, "total_measure"]]
-        for h, name in enumerate(self.attributes):
-            cells = [UNDEFINED_CSV if h == k else str(int(self.counts[h, k])) for k in range(len(self.attributes))]
-            rows.append([name, *cells, str(int(self.total_measure[h]))])
-        return _csv_text(rows)
+        rows = [[*row, total] for row, total in zip(self._count_rows(), self.total_measure.tolist())]
+        return _csv_text(["attribute", *self.attributes, "total_measure"], self.attributes, rows, str)
 
     def to_json_obj(self) -> dict:
-        n = len(self.attributes)
         return {
             "kind": "ADM",
             "attributes": list(self.attributes),
-            "counts": [[None if h == k else int(self.counts[h, k]) for k in range(n)] for h in range(n)],
-            "total_measure": [int(v) for v in self.total_measure],
+            "counts": self._count_rows(),
+            "total_measure": self.total_measure.tolist(),
         }
 
 
 @dataclass(frozen=True, eq=False)
 class MaskedRealMatrix:
-    """n×n real matrix where each cell is either defined or "#"."""
+    """n×n real matrix where each cell is either defined or undefined (NaN in storage)."""
 
     kind: str  # PDM | NSM | NNSM
     attributes: tuple[str, ...]
@@ -161,23 +171,14 @@ class MaskedRealMatrix:
         return float(self.values[h, k]) if self.defined[h, k] else None
 
     def to_csv(self, precision: int | None = None) -> str:
-        rows = [["attribute", *self.attributes]]
-        for h, name in enumerate(self.attributes):
-            cells = [
-                format_value(self.values[h, k], precision) if self.defined[h, k] else UNDEFINED_CSV
-                for k in range(len(self.attributes))
-            ]
-            rows.append([name, *cells])
-        return _csv_text(rows)
+        fmt = partial(format_value, precision=precision)
+        return _csv_text(["attribute", *self.attributes], self.attributes, _rows(self.values, self.defined), fmt)
 
     def to_json_obj(self) -> dict:
-        n = len(self.attributes)
         return {
             "kind": self.kind,
             "attributes": list(self.attributes),
-            "values": [
-                [float(self.values[h, k]) if self.defined[h, k] else None for k in range(n)] for h in range(n)
-            ],
+            "values": _rows(self.values, self.defined),
         }
 
 
@@ -210,22 +211,14 @@ class StatsTable:
             object.__setattr__(self, field_name, arr)
         object.__setattr__(self, "defined", defined)
 
+    def _stat_rows(self) -> list[list]:
+        grid = np.stack([self.mean, self.variance, self.sd])
+        return _rows(grid, np.broadcast_to(self.defined, grid.shape))
+
     def to_csv(self, precision: int | None = None) -> str:
-        rows = [["statistic", *self.attributes]]
-        for label, arr in (("mean", self.mean), ("variance", self.variance), ("sd", self.sd)):
-            rows.append(
-                [label, *(format_value(v, precision) if d else UNDEFINED_CSV for v, d in zip(arr, self.defined))]
-            )
-        return _csv_text(rows)
+        fmt = partial(format_value, precision=precision)
+        return _csv_text(["statistic", *self.attributes], ("mean", "variance", "sd"), self._stat_rows(), fmt)
 
     def to_json_obj(self) -> dict:
-        def row(arr: np.ndarray) -> list:
-            return [float(v) if d else None for v, d in zip(arr, self.defined)]
-
-        return {
-            "kind": "MVSD",
-            "attributes": list(self.attributes),
-            "mean": row(self.mean),
-            "variance": row(self.variance),
-            "sd": row(self.sd),
-        }
+        mean, variance, sd = self._stat_rows()
+        return {"kind": "MVSD", "attributes": list(self.attributes), "mean": mean, "variance": variance, "sd": sd}

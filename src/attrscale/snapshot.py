@@ -162,12 +162,15 @@ def render_outputs(snap: Snapshot) -> dict[str, str]:
 
 
 def write_outputs(snap: Snapshot, out_dir: str | Path) -> list[Path]:
-    """Write all outputs atomically: stage into a temp dir, rename on success.
+    """Render every output, stage it in a temp dir inside out_dir, then move each file in.
 
-    Nothing lands in out_dir unless every file rendered and wrote cleanly,
-    so a failing run leaves no partial outputs behind. Matrix files an
-    earlier run wrote in a format this run does not export are removed, so
-    the directory never mixes matrices from two runs.
+    Everything is rendered before out_dir is touched and staged before any
+    file moves, so a failure while rendering or staging lands nothing. Each
+    file is then replaced atomically with os.replace, one at a time. The set
+    is not atomic: a process killed while the files move can leave files
+    from two runs, and one killed after staging began leaves its
+    `.attrscale-stage-*` directory behind. Matrix files an earlier run wrote
+    in a format this run does not export are removed.
     """
     out = Path(out_dir)
     files = render_outputs(snap)  # render first: any failure aborts before touching disk

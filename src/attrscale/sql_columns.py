@@ -135,7 +135,6 @@ def tokenize(sql: str) -> list[Token]:
 
 @dataclass
 class _Statement:
-    select_list: list[Token]
     scan_segments: list[list[Token]]  # select list, ON conditions, WHERE, GROUP BY, HAVING, ORDER BY
     alias_map: dict[str, str]  # casefolded alias or table name -> casefolded table name
     select_aliases: frozenset[str]  # output names minted by AS in the select list
@@ -221,7 +220,7 @@ def _shape(sql: str) -> _Statement:
             depth -= 1
         elif depth == 0 and tok.word() == "as" and pos + 1 < len(sel) and sel[pos + 1].kind in ("IDENT", "QIDENT"):
             select_aliases.add(sel[pos + 1].text.casefold())
-    return _Statement(clauses["select"], segments, alias_map, frozenset(select_aliases))
+    return _Statement(segments, alias_map, frozenset(select_aliases))
 
 
 def _parse_from(sql: str, tokens: list[Token]) -> tuple[dict[str, str], list[list[Token]]]:
@@ -365,11 +364,11 @@ def extract_attributes(
             idx = None
             if qual is not None:
                 table = stmt.alias_map.get(qual.casefold(), qual.casefold())
-                idx = catalog.lookup(folded)
+                idx = catalog.index_of(folded)
                 if idx is None:
-                    idx = catalog.lookup(f"{table}.{folded}")
+                    idx = catalog.index_of(f"{table}.{folded}")
             else:
-                idx = catalog.lookup(folded)
+                idx = catalog.index_of(folded)
                 if idx is None:
                     idx = catalog.lookup_suffix(folded)
                 if idx is None and folded in stmt.select_aliases:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 
@@ -285,6 +286,38 @@ def test_console_entry_point_help():
     )
     assert proc.returncode == 0
     assert "analyze" in proc.stdout and "diff" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["rank", "diff"])
+def test_closed_stdout_pipe_exits_0_without_error(capsys, tmp_path, command):
+    rng = random.Random(0)
+    names = [f"attr{i:02d}" for i in range(80)]
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("".join(name + "\n" for name in names))
+    workload = tmp_path / "wide.jsonl"
+    workload.write_text("".join(
+        json.dumps({"id": f"q{i}", "ts": i, "attrs": rng.sample(names, 20)}) + "\n" for i in range(200)
+    ))
+    out = tmp_path / "out"
+    base = ["analyze", "--input", str(workload), "--input-format", "jsonl-attrs", "--catalog", str(catalog)]
+    assert main(base + ["--out", str(out)]) == EXIT_OK
+    snap = str(out / "snapshot.json")
+    argv = ["rank", "--snapshot", snap, "--top", "5000"] if command == "rank" else ["diff", "--old", snap, "--new", snap]
+    capsys.readouterr()
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and len(stdout) > 64 * 1024  # more than a pipe buffer holds
+
+    # a reader that stops after one line, like `| head -1`; run apart so stdout is a real pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "attrscale.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert first == stdout.splitlines(keepends=True)[0].encode()
+    assert (code, stderr) == (EXIT_OK, b"")
 
 
 def test_precision_flag_controls_csv_rendering(capsys, data_dir, tmp_path):

@@ -112,6 +112,9 @@ def test_masked_matrix_canonicalizes_undefined():
 def test_masked_matrix_csv_precision_and_hash_mark():
     m = masked([[0, 0.125], [2.0 / 3.0, 0]], [[False, True], [True, False]])
     assert m.to_csv(precision=2) == "attribute,a,b\na,#,0.13\nb,0.67,#\n"
+    # a label holding the delimiter is quoted in the header and in its row
+    comma = MaskedRealMatrix("PDM", ("a,1", "b"), m.values, m.defined)
+    assert comma.to_csv(precision=2) == 'attribute,"a,1",b\n"a,1",#,0.13\nb,0.67,#\n'
 
 
 def test_masked_matrix_json_round_trip():
