@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AttrScaleError, DiagonalPairError, UnknownAttributeError
 from .pipeline import ScaleBundle
 
@@ -78,51 +80,45 @@ def rank_pairs(bundle: ScaleBundle, key: str = "nnsm-min") -> AffinityRanking:
         raise AttrScaleError(f"unknown ranking key {key!r}")
     names = bundle.attributes
     nnsm, nsm, adm = bundle.nnsm, bundle.nsm, bundle.adm
-    entries: list[RankedPair] = []
-    n = len(names)
     if key == "nnsm-row":
-        for h in range(n):
-            for k in range(n):
-                if h != k and nnsm.defined[h, k]:
-                    entries.append(
-                        RankedPair(names[h], names[k], float(nnsm.values[h, k]), float(nsm.values[h, k]), int(adm.counts[h, k]))
-                    )
+        h, k = np.nonzero(nnsm.defined)  # the diagonal is never defined
+        a, b, score = h, k, nnsm.values[h, k]
     else:
-        for h in range(n):
-            for k in range(h + 1, n):
-                if not nnsm.defined[h, k]:
-                    continue  # mask is symmetric for pipeline bundles
-                ab, ba = float(nnsm.values[h, k]), float(nnsm.values[k, h])
-                direction = (h, k) if ab <= ba else (k, h)
-                entries.append(
-                    RankedPair(
-                        names[direction[0]],
-                        names[direction[1]],
-                        min(ab, ba),
-                        float(nsm.values[direction[0], direction[1]]),
-                        int(adm.counts[h, k]),
-                    )
-                )
-    entries.sort(key=lambda e: (e.nnsm, e.a, e.b))
+        h, k = np.nonzero(np.triu(nnsm.defined, 1))  # mask is symmetric for pipeline bundles
+        ab, ba = nnsm.values[h, k], nnsm.values[k, h]
+        keep = ab <= ba  # the pair is named in the direction of its smaller cell
+        a, b = np.where(keep, h, k), np.where(keep, k, h)
+        score = np.where(ba < ab, ba, ab)  # Python min(ab, ba)
+    # Python sorts the names: numpy string sorts drop trailing NULs
+    name_rank = {name: pos for pos, name in enumerate(sorted(names))}
+    rank = np.array([name_rank[name] for name in names], dtype=np.int64)
+    order = np.lexsort((rank[b], rank[a], score))
+    entries = tuple(
+        RankedPair(names[x], names[y], s, t, c)
+        for x, y, s, t, c in zip(
+            a[order].tolist(),
+            b[order].tolist(),
+            score[order].tolist(),
+            nsm.values[a, b][order].tolist(),
+            adm.counts[h, k][order].tolist(),
+        )
+    )
     warnings: tuple[dict, ...] = ()
     if not entries:
         warnings = ({"code": "empty_ranking", "message": "every scale cell is undefined; nothing to rank"},)
-    return AffinityRanking(key=key, entries=tuple(entries), warnings=warnings)
+    return AffinityRanking(key=key, entries=entries, warnings=warnings)
 
 
 def strongest_partner(bundle: ScaleBundle, attribute: str) -> tuple[str, float]:
     """The defined partner with the smallest NNSM in the attribute's row."""
     h = _index(bundle, attribute)
     names = bundle.attributes
-    best: tuple[float, str] | None = None
-    for k in range(len(names)):
-        if bundle.nnsm.defined[h, k]:
-            cand = (float(bundle.nnsm.values[h, k]), names[k])
-            if best is None or cand < best:
-                best = cand
-    if best is None:
+    partners = np.flatnonzero(bundle.nnsm.defined[h])
+    if not partners.size:
         raise AttrScaleError(f"attribute {attribute!r} is isolated; its scale row is undefined")
-    return best[1], best[0]
+    row = bundle.nnsm.values[h, partners]
+    k = min(partners[row == row.min()].tolist(), key=names.__getitem__)  # equal values: smallest name
+    return names[k], float(bundle.nnsm.values[h, k])
 
 
 def _cohesion(bundle: ScaleBundle, members: list[int]) -> float | None:
@@ -153,21 +149,21 @@ def suggest_groups(bundle: ScaleBundle, cutoff: float, max_size: int) -> list[At
     names = bundle.attributes
     index_of = {name: i for i, name in enumerate(names)}
     ranking = rank_pairs(bundle, "nnsm-min")
-    available = set(range(len(names)))
+    linked = bundle.nnsm.defined | bundle.nnsm.defined.T
+    available = np.ones(len(names), dtype=bool)
     groups: list[AttributeGroup] = []
     for entry in ranking.entries:
         a, b = index_of[entry.a], index_of[entry.b]
-        if a not in available or b not in available:
+        if not (available[a] and available[b]):
             continue
         members = sorted((a, b))
         cohesion = _cohesion(bundle, members)
         if cohesion is None or cohesion > cutoff:
             continue
+        available[members] = False
         while len(members) < max_size:
             best: tuple[float, str, int] | None = None
-            for c in sorted(available - set(members)):
-                if not any(bundle.nnsm.defined[c, m] or bundle.nnsm.defined[m, c] for m in members):
-                    continue
+            for c in np.flatnonzero(available & linked[members].any(axis=0)).tolist():
                 grown = _cohesion(bundle, members + [c])
                 if grown is None or grown > cutoff:
                     continue
@@ -178,9 +174,9 @@ def suggest_groups(bundle: ScaleBundle, cutoff: float, max_size: int) -> list[At
                 break
             members.append(best[2])
             members.sort()
+            available[best[2]] = False
             cohesion = best[0]
         groups.append(AttributeGroup(attributes=tuple(names[i] for i in members), cohesion=cohesion))
-        available -= set(members)
     return groups
 
 
@@ -190,9 +186,7 @@ def explain_pair(bundle: ScaleBundle, a: str, b: str) -> PairExplanation:
     if h == k:
         raise DiagonalPairError(bundle.attributes[h])
     qaum = bundle.qaum
-    co_ids = tuple(
-        qid for qid, row in zip(qaum.query_ids, qaum.cells) if row[h] and row[k]
-    )
+    co_ids = tuple(qaum.query_ids[q] for q in np.flatnonzero(qaum.cells[:, h] & qaum.cells[:, k]).tolist())
     return PairExplanation(
         a=bundle.attributes[h],
         b=bundle.attributes[k],

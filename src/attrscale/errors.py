@@ -21,12 +21,16 @@ class WorkloadFormatError(AttrScaleError):
 class SqlSyntaxError(AttrScaleError):
     """A SQL statement could not be tokenized or shaped into clauses.
 
-    byte_offset points at the first byte (UTF-8) where parsing failed.
+    byte_offset points at the first byte (UTF-8) where parsing failed;
+    query_id names the workload query the statement came from, when known.
     """
 
-    def __init__(self, message: str, byte_offset: int):
-        super().__init__(f"byte {byte_offset}: {message}")
+    def __init__(self, message: str, byte_offset: int, query_id: str | None = None):
+        where = f"byte {byte_offset}: {message}"
+        super().__init__(where if query_id is None else f"query {query_id!r}: {where}")
+        self.reason = message
         self.byte_offset = byte_offset
+        self.query_id = query_id
 
 
 class UnsupportedSqlError(SqlSyntaxError):

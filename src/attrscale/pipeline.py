@@ -145,26 +145,21 @@ def compute_nnsm(nsm: MaskedRealMatrix, *, warnings: list[dict] | None = None) -
     """
     if nsm.kind != "NSM":
         raise ValueError("compute_nnsm expects an NSM matrix")
-    n = len(nsm.attributes)
-    filled = np.where(nsm.defined, nsm.values, -np.inf)
-    row_max = filled.max(axis=1) if n else np.zeros(0)
-    values = np.full_like(nsm.values, np.nan)
-    for h in range(n):
-        if not nsm.defined[h].any():
-            continue
-        if row_max[h] > 0.0:
-            # divide before scaling: v/max <= 1 exactly, so cells never exceed 10
-            values[h] = (nsm.values[h] / row_max[h]) * 10.0
-        else:
-            values[h] = 0.0
-            if warnings is not None:
-                warnings.append(
-                    {
-                        "code": "degenerate_tie",
-                        "attribute": nsm.attributes[h],
-                        "message": f"all defined scale cells of {nsm.attributes[h]!r} are zero; row normalized to zeros",
-                    }
-                )
+    row_max = np.where(nsm.defined, nsm.values, -np.inf).max(axis=1, initial=-np.inf)
+    has_cells, positive = nsm.defined.any(axis=1), row_max > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # divide before scaling: v/max <= 1 exactly, so cells never exceed 10
+        scaled = (nsm.values / row_max[:, None]) * 10.0
+    values = np.where(positive[:, None], scaled, np.where(has_cells, 0.0, np.nan)[:, None])
+    if warnings is not None:
+        warnings.extend(
+            {
+                "code": "degenerate_tie",
+                "attribute": nsm.attributes[h],
+                "message": f"all defined scale cells of {nsm.attributes[h]!r} are zero; row normalized to zeros",
+            }
+            for h in np.flatnonzero(has_cells & ~positive).tolist()
+        )
     return MaskedRealMatrix(kind="NNSM", attributes=nsm.attributes, values=values, defined=nsm.defined)
 
 

@@ -51,7 +51,6 @@ class Snapshot:
     config: RunConfig
     usage: UsageSet
     bundle: ScaleBundle
-    format_version: int = FORMAT_VERSION
 
 
 def _canonical_bytes(payload: dict) -> bytes:
@@ -65,7 +64,7 @@ def _content_hash(payload: dict) -> str:
 def snapshot_to_obj(snap: Snapshot) -> dict:
     """Full JSON form of the run's inputs, including the content hash."""
     payload = {
-        "format_version": snap.format_version,
+        "format_version": FORMAT_VERSION,
         "generator": "attrscale",
         "config": {
             "input_path": snap.config.input_path,
@@ -140,7 +139,7 @@ def load_snapshot(path: str | Path) -> Snapshot:
     except (KeyError, TypeError, ValueError, AttributeError, IndexError, AttrScaleError) as exc:
         # a resealed edit can put any JSON value in any field
         raise SnapshotError(f"snapshot {path} is malformed: {exc}") from exc
-    return Snapshot(config=config, usage=usage, bundle=bundle, format_version=version)
+    return Snapshot(config=config, usage=usage, bundle=bundle)
 
 
 def render_outputs(snap: Snapshot) -> dict[str, str]:

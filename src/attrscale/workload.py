@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import AttributeCatalog
-from .errors import EmptyAnalysisError, SelectionError, WorkloadFormatError
+from .errors import EmptyAnalysisError, SelectionError, SqlSyntaxError, WorkloadFormatError
 from .sql_columns import extract_attributes
 
 WORKLOAD_FORMATS = ("jsonl-attrs", "jsonl-sql")
@@ -174,7 +174,10 @@ def _record_indices(rec: QueryRecord, catalog: AttributeCatalog) -> tuple[set[in
             else:
                 indices.add(idx)
         return indices, unknown
-    return extract_attributes(rec.sql, catalog, diagnostics=unknown), unknown
+    try:
+        return extract_attributes(rec.sql, catalog, diagnostics=unknown), unknown
+    except SqlSyntaxError as exc:
+        raise type(exc)(exc.reason, exc.byte_offset, query_id=rec.id) from None
 
 
 def build_usage_set(

@@ -100,3 +100,16 @@ def oracle_rank_min(nnsm: list[list[float | None]], names: tuple[str, ...]):
             entries.append((score, names[a], names[b]))
     entries.sort()
     return entries
+
+
+def oracle_rank_row(nnsm: list[list[float | None]], names: tuple[str, ...]):
+    """Strongest-first directed cells: (score, a, b), ties broken by name pair."""
+    n = len(names)
+    entries = [
+        (nnsm[h][k], names[h], names[k])
+        for h in range(n)
+        for k in range(n)
+        if h != k and nnsm[h][k] is not None
+    ]
+    entries.sort()
+    return entries

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,15 @@ from attrscale import (
     AttrScaleError,
     DiagonalPairError,
     QueryRecord,
+    ScaleBundle,
     UnknownAttributeError,
+    UsageMatrix,
+    build_adm,
+    build_pdm,
     build_usage_set,
+    compute_mvsd,
+    compute_nnsm,
+    compute_nsm,
     explain_pair,
     rank_pairs,
     run_pipeline,
@@ -29,6 +38,21 @@ def bundle_of(*attr_sets, names):
     return run_pipeline(build_usage_set(records, catalog))
 
 
+def random_bundles(count: int, seed: int):
+    """Acceptance-8-style bundles: small, dense, tie-heavy; names c0..c19 sort unlike indices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 50), rng.randint(2, 20)
+        cells = np.array([[rng.random() < 0.35 for _ in range(n)] for _ in range(m)], dtype=np.uint8)
+        names = tuple(f"c{i}" for i in range(n))
+        qaum = UsageMatrix(query_ids=tuple(f"q{i}" for i in range(m)), attributes=names, cells=cells)
+        adm = build_adm(qaum)
+        pdm = build_pdm(adm)
+        mvsd = compute_mvsd(adm, pdm)
+        nsm = compute_nsm(adm, mvsd)
+        yield ScaleBundle(qaum=qaum, adm=adm, pdm=pdm, mvsd=mvsd, nsm=nsm, nnsm=compute_nnsm(nsm), warnings=())
+
+
 @pytest.fixture(scope="module")
 def grouping_bundle():
     # {p,q} x4, {p,r} x4, {q,r} x4, {p,s}: q,r are a perfect tie (both SD 0)
@@ -43,6 +67,29 @@ def test_rank_min_matches_full_scan(reference_bundle):
     ranking = rank_pairs(reference_bundle, "nnsm-min")
     assert [(e.nnsm, e.a, e.b) for e in ranking.entries] == expected
     assert ranking.warnings == ()
+
+
+def test_rankings_and_partners_match_oracles_on_random_bundles():
+    for bundle in random_bundles(300, seed=20260815):
+        names = bundle.attributes
+        n = len(names)
+        nnsm = [[bundle.nnsm.cell(h, k) for k in range(n)] for h in range(n)]
+        by_row = oracles.oracle_rank_row(nnsm, names)
+        for key, expected in (("nnsm-min", oracles.oracle_rank_min(nnsm, names)), ("nnsm-row", by_row)):
+            entries = rank_pairs(bundle, key).entries
+            assert [(e.nnsm, e.a, e.b) for e in entries] == expected
+            for e in entries:
+                h, k = names.index(e.a), names.index(e.b)
+                assert type(e.nnsm) is float and type(e.nsm) is float and type(e.adm) is int
+                assert e.nsm == bundle.nsm.cell(h, k)
+                assert e.adm == int(bundle.adm.counts[h, k])
+        for name in names:
+            head = next(((b, score) for score, a, b in by_row if a == name), None)
+            if head is None:
+                with pytest.raises(AttrScaleError, match="isolated"):
+                    strongest_partner(bundle, name)
+            else:
+                assert strongest_partner(bundle, name) == head
 
 
 def test_rank_min_scores_each_pair_once(reference_bundle):
@@ -152,6 +199,30 @@ def test_suggest_groups_max_size_bounds_growth(grouping_bundle):
 
 def test_suggest_groups_is_deterministic(grouping_bundle):
     assert suggest_groups(grouping_bundle, 5.0, 3) == suggest_groups(grouping_bundle, 5.0, 3)
+
+
+def test_suggest_groups_pinned_on_a_seeded_synthetic_bundle():
+    rng = np.random.default_rng(7)
+    used = rng.random((400, 40)) < 0.05
+    names = tuple(f"c{i}" for i in range(40))
+    records = [
+        QueryRecord(id=f"q{q}", attrs=tuple(names[i] for i in np.flatnonzero(row)) or (names[q % 40],))
+        for q, row in enumerate(used)
+    ]
+    bundle = run_pipeline(build_usage_set(records, AttributeCatalog(names)))
+    groups = suggest_groups(bundle, 3.0, 4)
+    assert [(g.attributes, g.cohesion) for g in groups] == [
+        (("c19", "c20", "c25", "c32"), 0.286891796738202),
+        (("c9", "c10", "c16", "c23"), 0.21255412637229895),
+        (("c12", "c24", "c26", "c37"), 0.12032467687382495),
+        (("c6", "c22", "c27", "c29"), 0.12960494143603488),
+        (("c5", "c7", "c28", "c30"), 0.3626833726207173),
+        (("c14", "c31", "c34", "c39"), 0.1683830798399414),
+        (("c13", "c33", "c35", "c36"), 1.6930054634693514),
+        (("c11", "c15", "c18", "c38"), 0.9377933762939729),
+        (("c0", "c1", "c3", "c8"), 1.1485377406249235),
+        (("c2", "c17"), 1.1307346230160173),
+    ]
 
 
 def test_suggest_groups_validation(reference_bundle):

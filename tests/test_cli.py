@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import attrscale
 from attrscale import load_snapshot
 from attrscale.cli import EXIT_EMPTY_ANALYSIS, EXIT_INPUT_ERROR, EXIT_OK, main
 from attrscale.snapshot import MATRIX_BASENAMES, render_outputs
+
+# child processes import the same attrscale as this one, whether installed or not
+PACKAGE_ROOT = str(Path(attrscale.__file__).parents[1])
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))}
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +145,17 @@ def test_analyze_input_errors_exit_1(capsys, data_dir, tmp_path, overrides, frag
     assert code == EXIT_INPUT_ERROR
     assert fragment in stderr
     assert not (tmp_path / "out").exists()  # failed runs leave no outputs
+
+
+def test_sql_error_names_the_query(capsys, tmp_path):
+    (tmp_path / "catalog.txt").write_text("a\nb\n", encoding="utf-8")
+    lines = [{"id": "q1", "sql": "select a, b from t"}, {"id": "q2", "sql": "select (a from t"}]
+    (tmp_path / "w.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+    argv = ["analyze", "--input", str(tmp_path / "w.jsonl"), "--input-format", "jsonl-sql"]
+    code, _, stderr = run_cli(capsys, *argv, "--catalog", str(tmp_path / "catalog.txt"), "--out", str(tmp_path / "out"))
+    assert code == EXIT_INPUT_ERROR
+    assert stderr == "error: query 'q2': byte 15: unbalanced parenthesis\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_threshold_removing_everything_exits_2(capsys, data_dir, tmp_path):
@@ -282,7 +300,7 @@ def test_diff_disjoint_catalogs_exit_1(capsys, data_dir, tmp_path):
 
 def test_console_entry_point_help():
     proc = subprocess.run(
-        [sys.executable, "-m", "attrscale.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "attrscale.cli", "--help"], capture_output=True, text=True, env=CHILD_ENV
     )
     assert proc.returncode == 0
     assert "analyze" in proc.stdout and "diff" in proc.stdout
@@ -309,7 +327,7 @@ def test_closed_stdout_pipe_exits_0_without_error(capsys, tmp_path, command):
 
     # a reader that stops after one line, like `| head -1`; run apart so stdout is a real pipe
     proc = subprocess.Popen(
-        [sys.executable, "-m", "attrscale.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        [sys.executable, "-m", "attrscale.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV
     )
     first = proc.stdout.readline()
     proc.stdout.close()

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from attrscale import AttributeCatalog, SqlSyntaxError, UnsupportedSqlError, extract_attributes
+from attrscale import AttributeCatalog, AttrScaleError, SqlSyntaxError, UnsupportedSqlError, extract_attributes
 from attrscale.sql_columns import tokenize
 
 from reference_tables import USAGE_ROWS
@@ -164,3 +165,54 @@ def test_tokenize_positions_and_kinds():
     assert kinds == ["IDENT", "IDENT", "DOT", "IDENT", "COMMA", "STRING", "IDENT", "IDENT"]
     assert tokens[5].text == "'x''y'"
     assert tokens[0].offset == 0 and tokens[1].offset == 7
+
+
+FUZZ_WORDS = (
+    "SELECT", "DISTINCT", "FROM", "WHERE", "GROUP BY", "GROUP", "BY", "HAVING", "ORDER BY", "ASC",
+    "LIMIT", "OFFSET", "JOIN", "LEFT JOIN", "INNER JOIN", "RIGHT", "CROSS", "ON", "AS", "AND", "OR",
+    "NOT", "IN", "IS NULL", "BETWEEN", "CASE", "WHEN", "THEN", "ELSE", "END", "CAST", "UNION", "WITH",
+    "a1", "A2", "t", "u", "s.t", "t.a3", "x.a4", "t.*", "*", "count", "mystery", '"a5"', '"a""b"',
+    "(", ")", ",", ".", ";", "=", "<>", "+", "-", "/", "||", "1", "2.5", "'x'", "'it''s'", "/* c */", "-- c\n",
+)
+FUZZ_NOISE = ("?", "$1", "@x", "::", "'open", "/* open", '"open', "`a6`", "[a7]", "caffè", "é.ß", "\\")
+
+
+def fuzz_statements(rng: random.Random) -> list[str]:
+    def words(count, noise=0.05):
+        return [rng.choice(FUZZ_NOISE if rng.random() < noise else FUZZ_WORDS) for _ in range(count)]
+
+    def mutated(sql):
+        parts = sql.split(" ")
+        for _ in range(rng.randint(0, 2)):  # drop, repeat, or put a word before one part
+            pos = rng.randrange(len(parts))
+            parts[pos:pos + 1] = rng.choice(([], [parts[pos]] * 2, [*words(1, 0.2), parts[pos]]))
+        return " ".join(parts)
+
+    statements = ["SELECT " + " ".join(words(rng.randint(1, 14))) for _ in range(2000)]
+    columns = ("a1", "t.a2", "count(a3)", "u.a4 AS z", "*", "a5 + 1", "mystery")
+    joins = ("", " JOIN u ON t.a1 = u.a2", " LEFT JOIN s.u AS v ON a6 = v.a7")
+    clauses = (" WHERE a8 IN (1, 2)", " GROUP BY a9 HAVING count(*) > 1", " ORDER BY z DESC", " LIMIT 5")
+    for _ in range(1500):
+        cols = ", ".join(rng.sample(columns, rng.randint(1, 3)))
+        join = rng.choice(joins)
+        tail = "".join(rng.sample(clauses, rng.randint(0, 2)))
+        statements.append(mutated(f"SELECT {cols} FROM t{join}{tail}"))
+    statements += [" ".join(words(rng.randint(1, 10), 0.1)) for _ in range(500)]
+    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789 _.,;()*'\"=<>!+-/%|\nß€"
+    statements += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40))) for _ in range(1000)]
+    return statements
+
+
+def test_fuzzed_statements_raise_only_package_errors(catalog):
+    # seeded: near-SQL built from fragments plus raw character soup; any other
+    # exception type escaping extract_attributes would reach the user as a traceback
+    parsed = rejected = 0
+    for sql in fuzz_statements(random.Random(424242)):
+        try:
+            found = extract_attributes(sql, catalog, diagnostics=[])
+        except AttrScaleError:
+            rejected += 1
+        else:
+            assert found <= set(range(len(catalog)))
+            parsed += 1
+    assert parsed > 1000 and rejected > 1000

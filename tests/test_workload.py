@@ -10,6 +10,8 @@ from attrscale import (
     QueryRecord,
     SelectionError,
     SelectionSpec,
+    SqlSyntaxError,
+    UnsupportedSqlError,
     UsageSet,
     WorkloadFormatError,
     build_usage_set,
@@ -210,6 +212,16 @@ def test_unknown_attrs_become_diagnostics(catalog):
     usage = build_usage_set(recs, catalog)
     assert usage.queries == (("q1", frozenset({0})),)
     assert usage.diagnostics == ({"query_id": "q1", "unknown_identifiers": ["mystery"]},)
+
+
+def test_sql_errors_name_their_query(catalog):
+    good = QueryRecord(id="q1", sql="select a1 from t")
+    with pytest.raises(SqlSyntaxError) as exc_info:
+        build_usage_set([good, QueryRecord(id="q2", sql="select (a1 from t")], catalog)
+    assert str(exc_info.value) == "query 'q2': byte 16: unbalanced parenthesis"
+    assert (exc_info.value.query_id, exc_info.value.byte_offset) == ("q2", 16)
+    with pytest.raises(UnsupportedSqlError, match="^query 'q3': byte 17: .*UNION"):
+        build_usage_set([good, QueryRecord(id="q3", sql="select a1 from t union select a2 from t")], catalog)
 
 
 def test_attrs_names_are_case_insensitive(catalog):
