@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import AttrScaleError
 from .matrices import DependencyMatrix, MaskedRealMatrix, StatsTable, UsageMatrix
 from .workload import UsageSet
 
@@ -105,7 +106,7 @@ def compute_mvsd(adm: DependencyMatrix, pdm: MaskedRealMatrix) -> StatsTable:
     Fully undefined rows yield undefined statistics.
     """
     if pdm.kind != "PDM" or pdm.attributes != adm.attributes:
-        raise ValueError("pdm must be derived from adm")
+        raise AttrScaleError("pdm must be derived from adm")
     x = adm.counts.astype(np.float64)
     p = np.where(pdm.defined, pdm.values, 0.0)
     mean = (p * x).sum(axis=1)
@@ -144,7 +145,7 @@ def compute_nnsm(nsm: MaskedRealMatrix, *, warnings: list[dict] | None = None) -
     rows stay undefined. Uses full-precision inputs, never displayed values.
     """
     if nsm.kind != "NSM":
-        raise ValueError("compute_nnsm expects an NSM matrix")
+        raise AttrScaleError("compute_nnsm expects an NSM matrix")
     row_max = np.where(nsm.defined, nsm.values, -np.inf).max(axis=1, initial=-np.inf)
     has_cells, positive = nsm.defined.any(axis=1), row_max > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -16,7 +16,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .catalog import AttributeCatalog
@@ -61,20 +61,19 @@ def _content_hash(payload: dict) -> str:
     return "sha256:" + hashlib.sha256(_canonical_bytes(payload)).hexdigest()
 
 
+def _from_fields(cls, obj: dict):
+    """cls built from a JSON object holding exactly its fields: a missing key must not load as its default."""
+    if set(obj) != {f.name for f in fields(cls)}:
+        raise SnapshotError(f"config does not hold exactly the {cls.__name__} fields")
+    return cls(**obj)
+
+
 def snapshot_to_obj(snap: Snapshot) -> dict:
     """Full JSON form of the run's inputs, including the content hash."""
     payload = {
         "format_version": FORMAT_VERSION,
         "generator": "attrscale",
-        "config": {
-            "input_path": snap.config.input_path,
-            "input_format": snap.config.input_format,
-            "catalog_path": snap.config.catalog_path,
-            "selection": asdict(snap.config.selection),
-            "out_dir": snap.config.out_dir,
-            "export_format": snap.config.export_format,
-            "precision": snap.config.precision,
-        },
+        "config": asdict(snap.config),
         "catalog": {
             "attributes": list(snap.usage.catalog.attributes),
             "database_attribute_count": snap.usage.catalog.database_attribute_count,
@@ -90,7 +89,8 @@ def snapshot_to_obj(snap: Snapshot) -> dict:
 
 
 def snapshot_to_text(snap: Snapshot) -> str:
-    return json.dumps(snapshot_to_obj(snap), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """The snapshot file: its canonical (hashed) encoding plus a newline; whitespace is not part of the format."""
+    return _canonical_bytes(snapshot_to_obj(snap)).decode("ascii") + "\n"
 
 
 def save_snapshot(snap: Snapshot, path: str | Path) -> None:
@@ -116,15 +116,7 @@ def load_snapshot(path: str | Path) -> Snapshot:
         raise SnapshotError(f"snapshot {path} failed its content hash check (corrupt or edited)")
     try:
         cfg = obj["config"]
-        config = RunConfig(
-            input_path=cfg["input_path"],
-            input_format=cfg["input_format"],
-            catalog_path=cfg["catalog_path"],
-            selection=SelectionSpec(**cfg["selection"]),
-            out_dir=cfg["out_dir"],
-            export_format=cfg["export_format"],
-            precision=cfg["precision"],
-        )
+        config = _from_fields(RunConfig, {**cfg, "selection": _from_fields(SelectionSpec, cfg["selection"])})
         catalog = AttributeCatalog(
             attributes=tuple(obj["catalog"]["attributes"]),
             database_attribute_count=obj["catalog"]["database_attribute_count"],

@@ -7,7 +7,10 @@ set operators and non-SELECT statements are rejected as unsupported.
 The extractor does not build an AST. It tokenizes, splits the statement into
 top-level clauses, resolves table aliases, then scans the column-bearing
 clauses (select list, WHERE, GROUP BY, HAVING, ORDER BY, join ON conditions)
-for identifiers. Matching against the attribute catalog happens after alias
+for identifiers. `tokenize` is the only code that counts parentheses: it
+stamps each token with its paren depth once, and every later scan reads that
+depth. The clause keywords and their required order are one tuple,
+`_CLAUSE_ORDER`. Matching against the attribute catalog happens after alias
 resolution and case-folding; identifiers that match nothing are reported as
 diagnostics, never as errors.
 """
@@ -29,13 +32,14 @@ _EXPR_WORDS = frozenset("""
     decimal real float double precision boolean date timestamp time
 """.split())
 
-_CLAUSE_STARTERS = frozenset(["from", "where", "group", "having", "order", "limit", "offset"])
+_CLAUSE_ORDER = ("from", "where", "group", "having", "order", "limit", "offset")
 _SET_OPS = frozenset(["union", "intersect", "except"])
 _JOIN_WORDS = frozenset(["join", "inner", "left", "right", "full", "cross", "outer"])
 
 _WORD_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _WORD_BODY = _WORD_START | frozenset("0123456789$")
 _OP_CHARS = frozenset("=<>!+-/%^&|~")
+_PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", "*": "STAR", ";": "SEMI"}
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,7 @@ class Token:
     kind: str  # IDENT QIDENT NUMBER STRING OP LPAREN RPAREN COMMA DOT STAR SEMI
     text: str
     offset: int  # character offset into the statement
+    depth: int  # paren depth after this token: "(" carries the inner level, ")" the outer
 
     def word(self) -> str | None:
         """Casefolded text when this token is a bare (unquoted) identifier."""
@@ -56,7 +61,7 @@ def _byte_offset(sql: str, pos: int) -> int:
 def tokenize(sql: str) -> list[Token]:
     """Token stream for one statement; comments and whitespace are dropped."""
     tokens: list[Token] = []
-    i, limit = 0, len(sql)
+    i, limit, depth = 0, len(sql), 0
     while i < limit:
         ch = sql[i]
         if ch.isspace():
@@ -82,21 +87,21 @@ def tokenize(sql: str) -> list[Token]:
                     j += 2
                     continue
                 break
-            tokens.append(Token("STRING", sql[i : j + 1], i))
+            tokens.append(Token("STRING", sql[i : j + 1], i, depth))
             i = j + 1
             continue
         if ch in ('"', "`"):
             j = sql.find(ch, i + 1)
             if j < 0:
                 raise SqlSyntaxError("unterminated quoted identifier", _byte_offset(sql, i))
-            tokens.append(Token("QIDENT", sql[i + 1 : j], i))
+            tokens.append(Token("QIDENT", sql[i + 1 : j], i, depth))
             i = j + 1
             continue
         if ch in _WORD_START:
             j = i + 1
             while j < limit and sql[j] in _WORD_BODY:
                 j += 1
-            tokens.append(Token("IDENT", sql[i:j], i))
+            tokens.append(Token("IDENT", sql[i:j], i, depth))
             i = j
             continue
         if ch.isdigit():
@@ -105,31 +110,24 @@ def tokenize(sql: str) -> list[Token]:
                 if sql[j] in "eE" and j + 1 < limit and sql[j + 1] in "+-":
                     j += 1
                 j += 1
-            tokens.append(Token("NUMBER", sql[i:j], i))
+            tokens.append(Token("NUMBER", sql[i:j], i, depth))
             i = j
             continue
-        if ch == "(":
-            tokens.append(Token("LPAREN", ch, i))
-        elif ch == ")":
-            tokens.append(Token("RPAREN", ch, i))
-        elif ch == ",":
-            tokens.append(Token("COMMA", ch, i))
-        elif ch == ".":
-            tokens.append(Token("DOT", ch, i))
-        elif ch == "*":
-            tokens.append(Token("STAR", ch, i))
-        elif ch == ";":
-            tokens.append(Token("SEMI", ch, i))
-        elif ch in _OP_CHARS:
-            j = i + 1
-            while j < limit and sql[j] in _OP_CHARS:
-                j += 1
-            tokens.append(Token("OP", sql[i:j], i))
-            i = j
+        if ch in _PUNCT:
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            tokens.append(Token(_PUNCT[ch], ch, i, depth))
+            i += 1
             continue
-        else:
+        if ch not in _OP_CHARS:
             raise SqlSyntaxError(f"unexpected character {ch!r}", _byte_offset(sql, i))
-        i += 1
+        j = i + 1
+        while j < limit and sql[j] in _OP_CHARS:
+            j += 1
+        tokens.append(Token("OP", sql[i:j], i, depth))
+        i = j
     return tokens
 
 
@@ -150,77 +148,53 @@ def _shape(sql: str) -> _Statement:
     if head != "select":
         raise UnsupportedSqlError("only SELECT statements are supported", _byte_offset(sql, tokens[0].offset))
 
-    # One statement per string; a trailing semicolon is the only thing allowed after the tail.
-    for pos, tok in enumerate(tokens):
-        if tok.kind == "SEMI" and any(t.kind != "SEMI" for t in tokens[pos + 1 :]):
-            raise UnsupportedSqlError("multiple statements are not supported", _byte_offset(sql, tokens[pos].offset))
-    while tokens and tokens[-1].kind == "SEMI":
-        tokens = tokens[:-1]
+    # One statement per string; trailing semicolons are the only thing allowed after the tail.
+    end = len(tokens)
+    while tokens[end - 1].kind == "SEMI":
+        end -= 1
+    tokens = tokens[:end]
+    for tok in tokens:
+        if tok.kind == "SEMI":
+            raise UnsupportedSqlError("multiple statements are not supported", _byte_offset(sql, tok.offset))
 
-    depth = 0
     for pos, tok in enumerate(tokens):
-        if tok.kind == "LPAREN":
-            depth += 1
-        elif tok.kind == "RPAREN":
-            depth -= 1
-            if depth < 0:
-                raise SqlSyntaxError("unbalanced parenthesis", _byte_offset(sql, tok.offset))
+        if tok.depth < 0:
+            raise SqlSyntaxError("unbalanced parenthesis", _byte_offset(sql, tok.offset))
         word = tok.word()
         if word == "select" and pos > 0:
             raise UnsupportedSqlError("subqueries are not supported", _byte_offset(sql, tok.offset))
-        if word in _SET_OPS and depth == 0:
+        if word in _SET_OPS and tok.depth == 0:
             raise UnsupportedSqlError(f"set operator {word.upper()} is not supported", _byte_offset(sql, tok.offset))
-    if depth != 0:
+    if tokens[-1].depth != 0:
         raise SqlSyntaxError("unbalanced parenthesis", _byte_offset(sql, tokens[-1].offset))
 
     # Clause boundaries exist only at paren depth zero.
     bounds: list[tuple[str, int]] = []
-    depth = 0
     for pos, tok in enumerate(tokens):
-        if tok.kind == "LPAREN":
-            depth += 1
-        elif tok.kind == "RPAREN":
-            depth -= 1
-        elif depth == 0:
-            word = tok.word()
-            if word in _CLAUSE_STARTERS:
-                if word in ("group", "order"):
-                    nxt = tokens[pos + 1].word() if pos + 1 < len(tokens) else None
-                    if nxt != "by":
-                        raise SqlSyntaxError(f"{word.upper()} must be followed by BY", _byte_offset(sql, tok.offset))
-                bounds.append((word, pos))
-    clauses: dict[str, list[Token]] = {}
-    clause_rank = {"from": 0, "where": 1, "group": 2, "having": 3, "order": 4, "limit": 5, "offset": 6}
-    last_rank = -1
-    for name, pos in bounds:
-        if clause_rank[name] <= last_rank:
+        word = tok.word()
+        if tok.depth == 0 and word in _CLAUSE_ORDER:
+            if word in ("group", "order") and (tokens[pos + 1].word() if pos + 1 < len(tokens) else None) != "by":
+                raise SqlSyntaxError(f"{word.upper()} must be followed by BY", _byte_offset(sql, tok.offset))
+            bounds.append((word, pos))
+    for (before, _), (name, pos) in zip(bounds, bounds[1:]):
+        if _CLAUSE_ORDER.index(name) <= _CLAUSE_ORDER.index(before):
             raise SqlSyntaxError(f"clause {name.upper()} misplaced", _byte_offset(sql, tokens[pos].offset))
-        last_rank = clause_rank[name]
-    cuts = bounds + [("end", len(tokens))]
-    clauses["select"] = tokens[1 : cuts[0][1]]
-    for idx in range(len(bounds)):
-        name, start = bounds[idx]
-        body_start = start + (2 if name in ("group", "order") else 1)
-        clauses[name] = tokens[body_start : cuts[idx + 1][1]]
+    cuts = [*bounds, ("end", len(tokens))]
+    clauses = {"select": tokens[1 : cuts[0][1]]}
+    for (name, start), (_, stop) in zip(bounds, cuts[1:]):
+        clauses[name] = tokens[start + (2 if name in ("group", "order") else 1) : stop]
 
     alias_map, on_segments = _parse_from(sql, clauses.get("from", []))
-    segments = [clauses["select"], *on_segments]
-    for name in ("where", "group", "having", "order"):
-        if name in clauses:
-            segments.append(clauses[name])
+    tail = [clauses[name] for name in ("where", "group", "having", "order") if name in clauses]
 
     # Output names minted by AS may legally reappear in GROUP/ORDER BY.
-    select_aliases = set()
-    depth = 0
     sel = clauses["select"]
-    for pos, tok in enumerate(sel):
-        if tok.kind == "LPAREN":
-            depth += 1
-        elif tok.kind == "RPAREN":
-            depth -= 1
-        elif depth == 0 and tok.word() == "as" and pos + 1 < len(sel) and sel[pos + 1].kind in ("IDENT", "QIDENT"):
-            select_aliases.add(sel[pos + 1].text.casefold())
-    return _Statement(segments, alias_map, frozenset(select_aliases))
+    select_aliases = frozenset(
+        nxt.text.casefold()
+        for tok, nxt in zip(sel, sel[1:])
+        if tok.depth == 0 and tok.word() == "as" and nxt.kind in ("IDENT", "QIDENT")
+    )
+    return _Statement([sel, *on_segments, *tail], alias_map, select_aliases)
 
 
 def _parse_from(sql: str, tokens: list[Token]) -> tuple[dict[str, str], list[list[Token]]]:
@@ -276,14 +250,10 @@ def _parse_from(sql: str, tokens: list[Token]) -> tuple[dict[str, str], list[lis
             if i < len(tokens) and tokens[i].word() == "on":
                 i += 1
                 start = i
-                depth = 0
+                # FROM sits at depth zero, so ON ends at the first depth-zero join word or comma
                 while i < len(tokens):
                     t = tokens[i]
-                    if t.kind == "LPAREN":
-                        depth += 1
-                    elif t.kind == "RPAREN":
-                        depth -= 1
-                    elif depth == 0 and (t.word() in _JOIN_WORDS or t.kind == "COMMA"):
+                    if t.depth == 0 and (t.word() in _JOIN_WORDS or t.kind == "COMMA"):
                         break
                     i += 1
                 on_segments.append(tokens[start:i])
@@ -350,19 +320,13 @@ def extract_attributes(
     """
     stmt = _shape(sql)
     found: set[int] = set()
-    unknown: list[str] = []
-    seen_unknown: set[str] = set()
+    unknown: dict[str, None] = {}  # insertion-ordered set: each identifier once, first sighting first
     for segment in stmt.scan_segments:
         for qual, name in _scan_refs(segment):
-            display = name if qual is None else f"{qual}.{name}"
-            if name == "*":
-                if display not in seen_unknown:
-                    seen_unknown.add(display)
-                    unknown.append(display)
-                continue
             folded = name.casefold()
-            idx = None
-            if qual is not None:
+            if name == "*":
+                idx = None
+            elif qual is not None:
                 table = stmt.alias_map.get(qual.casefold(), qual.casefold())
                 idx = catalog.index_of(folded)
                 if idx is None:
@@ -374,9 +338,7 @@ def extract_attributes(
                 if idx is None and folded in stmt.select_aliases:
                     continue  # references an output column, not a base attribute
             if idx is None:
-                if display not in seen_unknown:
-                    seen_unknown.add(display)
-                    unknown.append(display)
+                unknown[name if qual is None else f"{qual}.{name}"] = None
             else:
                 found.add(idx)
     if diagnostics is not None:

@@ -162,18 +162,11 @@ def select_queries(records: list[QueryRecord], spec: SelectionSpec) -> list[Quer
 
 
 def _record_indices(rec: QueryRecord, catalog: AttributeCatalog) -> tuple[set[int], list[str]]:
-    """Attribute indices referenced by one record, plus unknown identifiers."""
-    unknown: list[str] = []
+    """Attribute indices referenced by one record, plus unknown identifiers (each once, in order)."""
     if rec.attrs is not None:
-        indices: set[int] = set()
-        for name in rec.attrs:
-            idx = catalog.index_of(name)
-            if idx is None:
-                if name not in unknown:
-                    unknown.append(name)
-            else:
-                indices.add(idx)
-        return indices, unknown
+        resolved = {name: catalog.index_of(name) for name in rec.attrs}  # insertion-ordered, one entry per name
+        return {i for i in resolved.values() if i is not None}, [name for name, i in resolved.items() if i is None]
+    unknown: list[str] = []
     try:
         return extract_attributes(rec.sql, catalog, diagnostics=unknown), unknown
     except SqlSyntaxError as exc:

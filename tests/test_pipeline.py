@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from attrscale import (
+    AttrScaleError,
     AttributeCatalog,
     QueryRecord,
     UsageMatrix,
@@ -148,12 +149,12 @@ def test_single_query_workload_runs_end_to_end():
 
 
 def test_compute_nnsm_rejects_wrong_kind(reference_bundle):
-    with pytest.raises(ValueError, match="expects an NSM"):
+    with pytest.raises(AttrScaleError, match="expects an NSM"):
         compute_nnsm(reference_bundle.pdm)
 
 
 def test_compute_mvsd_rejects_mismatched_pdm(reference_bundle):
-    with pytest.raises(ValueError, match="derived from"):
+    with pytest.raises(AttrScaleError, match="derived from"):
         compute_mvsd(reference_bundle.adm, reference_bundle.nsm)
 
 

@@ -98,6 +98,27 @@ def test_snapshot_holds_only_the_run_inputs(snap):
     assert sorted(snapshot_to_obj(snap)) == ["catalog", "config", "content_hash", "format_version", "generator", "usage"]
 
 
+def test_indented_files_load_and_config_keys_must_match(snap, tmp_path):
+    # whitespace is not part of the format: an indented v2 file loads like the compact one
+    path = tmp_path / "snapshot.json"
+    obj = snapshot_to_obj(snap)
+    assert snapshot_to_text(snap) == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2))
+    assert load_snapshot(path).config == snap.config
+    # a resealed config missing a defaulted field, or carrying an extra one, is rejected
+    config = snapshot_to_obj(snap)["config"]
+    edits = [{**config, "extra": 1}, {**config, "selection": {**config["selection"], "extra": 1}}]
+    edits += [{k: v for k, v in config.items() if k != key} for key in ("precision", "export_format")]
+    edits += [{**config, "selection": {k: v for k, v in config["selection"].items() if k != "usage_threshold"}}]
+    for edited in edits:
+        del obj["content_hash"]
+        obj["config"] = edited
+        obj["content_hash"] = _content_hash(obj)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SnapshotError, match="(RunConfig|SelectionSpec) fields"):
+            load_snapshot(path)
+
+
 def _paths(node, path=()):
     """Every position in a JSON tree, as key/index tuples from the root."""
     yield path

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -85,6 +86,14 @@ def test_select_alias_reference_suppressed(catalog):
     assert diags == []
 
 
+def test_nested_parens_neither_end_an_on_condition_nor_mint_an_alias(catalog):
+    sql = "SELECT a1 FROM t JOIN u ON COALESCE(t.a2, (u.a3)) = 1 JOIN v ON a4 = v.a5"
+    assert names_of(sql, catalog) == {"a1", "a2", "a3", "a4", "a5"}
+    diags: list[str] = []
+    assert names_of("SELECT CAST(a1 AS mytype) FROM t ORDER BY mytype", catalog, diags) == {"a1"}
+    assert diags == ["mytype"]  # AS inside parens names no output column
+
+
 def test_string_literals_ignored(catalog):
     sql = "SELECT a1 FROM t WHERE a2 = 'it''s a5' AND a3 = 'x'"
     assert names_of(sql, catalog) == {"a1", "a2", "a3"}
@@ -165,6 +174,8 @@ def test_tokenize_positions_and_kinds():
     assert kinds == ["IDENT", "IDENT", "DOT", "IDENT", "COMMA", "STRING", "IDENT", "IDENT"]
     assert tokens[5].text == "'x''y'"
     assert tokens[0].offset == 0 and tokens[1].offset == 7
+    # depth after each token: "(" carries the inner level, ")" the outer one
+    assert [t.depth for t in tokenize("f((a), b)) x")] == [0, 1, 2, 2, 1, 1, 1, 0, -1, -1]
 
 
 FUZZ_WORDS = (
@@ -203,16 +214,28 @@ def fuzz_statements(rng: random.Random) -> list[str]:
     return statements
 
 
+# SHA-256 over every fuzz outcome below, recorded before the paren-depth refactor
+FUZZ_OUTCOME_DIGEST = "b52623ee7de991fb376dae1e5789238db96accc67311f1ef8958176d6ff1da29"
+
+
 def test_fuzzed_statements_raise_only_package_errors(catalog):
     # seeded: near-SQL built from fragments plus raw character soup; any other
-    # exception type escaping extract_attributes would reach the user as a traceback
+    # exception type escaping extract_attributes would reach the user as a traceback.
+    # Each outcome (indices and diagnostics, or error class, message and byte
+    # offset) is folded into one digest, pinning the extractor's whole behaviour.
+    digest = hashlib.sha256()
     parsed = rejected = 0
     for sql in fuzz_statements(random.Random(424242)):
+        diagnostics: list[str] = []
         try:
-            found = extract_attributes(sql, catalog, diagnostics=[])
-        except AttrScaleError:
+            found = extract_attributes(sql, catalog, diagnostics=diagnostics)
+        except AttrScaleError as exc:
+            outcome = [type(exc).__name__, str(exc), getattr(exc, "byte_offset", None)]
             rejected += 1
         else:
             assert found <= set(range(len(catalog)))
+            outcome = [sorted(found), diagnostics]
             parsed += 1
+        digest.update(json.dumps(outcome).encode("ascii") + b"\n")
     assert parsed > 1000 and rejected > 1000
+    assert digest.hexdigest() == FUZZ_OUTCOME_DIGEST
