@@ -73,7 +73,8 @@ def rank_pairs(bundle: ScaleBundle, key: str = "nnsm-min") -> AffinityRanking:
     """Rank defined cells ascending: the strongest dependencies come first.
 
     nnsm-min scores each unordered pair once by the smaller of its two
-    directed values; nnsm-row lists directed cells as-is. Ties break
+    directed values, or by its one defined value, and names it in that
+    direction; nnsm-row lists directed cells as-is. Ties break
     lexicographically by attribute-name pair, so output is total and stable.
     """
     if key not in RANK_KEYS:
@@ -84,8 +85,9 @@ def rank_pairs(bundle: ScaleBundle, key: str = "nnsm-min") -> AffinityRanking:
         h, k = np.nonzero(nnsm.defined)  # the diagonal is never defined
         a, b, score = h, k, nnsm.values[h, k]
     else:
-        h, k = np.nonzero(np.triu(nnsm.defined, 1))  # mask is symmetric for pipeline bundles
-        ab, ba = nnsm.values[h, k], nnsm.values[k, h]
+        h, k = np.nonzero(np.triu(nnsm.defined | nnsm.defined.T, 1))  # a replayed ADM may define one direction
+        filled = np.where(nnsm.defined, nnsm.values, np.inf)  # an undefined direction never wins
+        ab, ba = filled[h, k], filled[k, h]
         keep = ab <= ba  # the pair is named in the direction of its smaller cell
         a, b = np.where(keep, h, k), np.where(keep, k, h)
         score = np.where(ba < ab, ba, ab)  # Python min(ab, ba)
@@ -100,7 +102,7 @@ def rank_pairs(bundle: ScaleBundle, key: str = "nnsm-min") -> AffinityRanking:
             b[order].tolist(),
             score[order].tolist(),
             nsm.values[a, b][order].tolist(),
-            adm.counts[h, k][order].tolist(),
+            adm.counts[a, b][order].tolist(),
         )
     )
     warnings: tuple[dict, ...] = ()

@@ -6,6 +6,9 @@ explicit undefined state, rendered as UNDEFINED_CSV in CSV and null in
 JSON, never as a magic number. JSON always serializes values at full double
 precision; CSV takes a display precision (decimal half-up, the convention the
 reference tables use).
+
+_frozen is the one intake path from caller input to stored arrays: every
+constructor hands it each array to convert, shape-check and freeze.
 """
 
 from __future__ import annotations
@@ -25,8 +28,27 @@ UNDEFINED_CSV = "#"
 SCALE_KINDS = ("PDM", "NSM", "NNSM")
 
 
-def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
-    out = np.array(arr, dtype=dtype, copy=True)
+def _frozen(arr, dtype, shape: tuple[int, ...], defined: np.ndarray | None = None) -> np.ndarray:
+    """A read-only copy of arr as dtype with the labels' shape, else AttrScaleError.
+
+    A cast that changes a value is refused (compared only when the input dtype
+    differs, so pipeline arrays pay for the copy alone). Given a defined mask,
+    undefined cells are stored as NaN and every defined cell must be finite.
+    """
+    try:
+        src = np.asarray(arr)
+        out = src.astype(dtype)
+        lossy = src.dtype != out.dtype and not np.array_equal(out, src, equal_nan=True)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise AttrScaleError(f"cannot store input as {np.dtype(dtype)}: {exc}") from exc
+    if lossy:
+        raise AttrScaleError(f"casting {src.dtype} input to {out.dtype} would change its values")
+    if out.shape != shape:
+        raise AttrScaleError(f"array shape {out.shape} does not match its labels {shape}")
+    if defined is not None:
+        out[~defined] = np.nan  # canonical storage for undefined cells
+        if not np.all(np.isfinite(out[defined])):
+            raise AttrScaleError("defined cells must be finite")
     out.setflags(write=False)
     return out
 
@@ -67,9 +89,7 @@ class UsageMatrix:
     cells: np.ndarray  # uint8, shape (m, n)
 
     def __post_init__(self):
-        cells = _frozen(self.cells, np.uint8)
-        if cells.shape != (len(self.query_ids), len(self.attributes)):
-            raise AttrScaleError("usage matrix shape does not match its labels")
+        cells = _frozen(self.cells, np.uint8, (len(self.query_ids), len(self.attributes)))
         if cells.size and cells.max() > 1:
             raise AttrScaleError("usage matrix cells must be 0 or 1")
         object.__setattr__(self, "cells", cells)
@@ -107,11 +127,9 @@ class DependencyMatrix:
     total_measure: np.ndarray  # int64, shape (n,)
 
     def __post_init__(self):
-        counts = _frozen(self.counts, np.int64)
-        tm = _frozen(self.total_measure, np.int64)
         n = len(self.attributes)
-        if counts.shape != (n, n) or tm.shape != (n,):
-            raise AttrScaleError("dependency matrix shape does not match its labels")
+        counts = _frozen(self.counts, np.int64, (n, n))
+        tm = _frozen(self.total_measure, np.int64, (n,))
         if counts.size:
             if counts.min() < 0:
                 raise AttrScaleError("dependency counts must be non-negative")
@@ -151,20 +169,11 @@ class MaskedRealMatrix:
     def __post_init__(self):
         if self.kind not in SCALE_KINDS:
             raise AttrScaleError(f"unknown matrix kind {self.kind!r}")
-        defined = _frozen(self.defined, bool)
-        n = len(self.attributes)
-        if defined.shape != (n, n):
-            raise AttrScaleError("matrix shape does not match its labels")
+        shape = (len(self.attributes),) * 2
+        defined = _frozen(self.defined, bool, shape)
         if np.any(np.diagonal(defined)):
             raise AttrScaleError("diagonal cells must stay undefined")
-        values = np.array(self.values, dtype=np.float64, copy=True)
-        if values.shape != (n, n):
-            raise AttrScaleError("matrix shape does not match its labels")
-        values[~defined] = np.nan  # canonical storage for undefined cells
-        if not np.all(np.isfinite(values[defined])):
-            raise AttrScaleError("defined cells must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(self.values, np.float64, shape, defined))
         object.__setattr__(self, "defined", defined)
 
     def cell(self, h: int, k: int) -> float | None:
@@ -193,23 +202,14 @@ class StatsTable:
     defined: np.ndarray  # bool per attribute; False for isolated attributes
 
     def __post_init__(self):
-        defined = _frozen(self.defined, bool)
-        n = len(self.attributes)
-        rows = {}
-        for field_name in ("mean", "variance", "sd"):
-            arr = np.array(getattr(self, field_name), dtype=np.float64, copy=True)
-            if arr.shape != (n,):
-                raise AttrScaleError("stats table shape does not match its labels")
-            arr[~defined] = np.nan
-            arr.setflags(write=False)
-            rows[field_name] = arr
-        if defined.shape != (n,):
-            raise AttrScaleError("stats table shape does not match its labels")
-        if np.any(rows["variance"][defined] < 0):
-            raise AttrScaleError("variance must be non-negative")
-        for field_name, arr in rows.items():
-            object.__setattr__(self, field_name, arr)
+        shape = (len(self.attributes),)
+        defined = _frozen(self.defined, bool, shape)
+        object.__setattr__(self, "mean", _frozen(self.mean, np.float64, shape, defined))
+        object.__setattr__(self, "variance", _frozen(self.variance, np.float64, shape, defined))
+        object.__setattr__(self, "sd", _frozen(self.sd, np.float64, shape, defined))
         object.__setattr__(self, "defined", defined)
+        if np.any(self.variance[defined] < 0):
+            raise AttrScaleError("variance must be non-negative")
 
     def _stat_rows(self) -> list[list]:
         grid = np.stack([self.mean, self.variance, self.sd])

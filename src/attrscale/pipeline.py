@@ -84,18 +84,13 @@ def build_pdm(adm: DependencyMatrix, *, warnings: list[dict] | None = None) -> M
     Diagonal and zero-count cells are undefined. A row with total measure 0
     (isolated attribute) is fully undefined and recorded as a warning.
     """
-    n = len(adm.attributes)
     tm = adm.total_measure.astype(np.float64)
-    defined = adm.counts > 0
-    np.fill_diagonal(defined, False)
-    defined &= (adm.total_measure > 0)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         values = adm.counts.astype(np.float64) / tm[:, None]
     if warnings is not None:
-        for h in range(n):
-            if adm.total_measure[h] == 0:
-                warnings.append(_isolated_warning(adm.attributes[h]))
-    return MaskedRealMatrix(kind="PDM", attributes=adm.attributes, values=values, defined=defined)
+        warnings.extend(_isolated_warning(adm.attributes[h]) for h in np.flatnonzero(adm.total_measure == 0).tolist())
+    # DependencyMatrix keeps the diagonal 0 and total measure as the row sum: a positive count is the whole mask
+    return MaskedRealMatrix(kind="PDM", attributes=adm.attributes, values=values, defined=adm.counts > 0)
 
 
 def compute_mvsd(adm: DependencyMatrix, pdm: MaskedRealMatrix) -> StatsTable:
@@ -126,12 +121,8 @@ def compute_nsm(adm: DependencyMatrix, stats: StatsTable) -> MaskedRealMatrix:
     Defined exactly where the probability matrix is defined (off-diagonal,
     positive count, both row statistics available). Lower = stronger.
     """
-    defined = adm.counts > 0
-    np.fill_diagonal(defined, False)
-    defined &= (adm.total_measure > 0)[:, None]
-    defined &= stats.defined[:, None] & stats.defined[None, :]
-    sd = np.where(stats.defined, stats.sd, 0.0)
-    gap = np.abs(sd[:, None] - sd[None, :])
+    defined = (adm.counts > 0) & stats.defined[:, None] & stats.defined[None, :]
+    gap = np.abs(stats.sd[:, None] - stats.sd[None, :])  # NaN only at cells left undefined
     with np.errstate(divide="ignore", invalid="ignore"):
         values = gap / adm.counts.astype(np.float64)
     return MaskedRealMatrix(kind="NSM", attributes=adm.attributes, values=values, defined=defined)

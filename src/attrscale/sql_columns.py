@@ -266,18 +266,15 @@ def _scan_refs(tokens: list[Token]) -> list[tuple[str | None, str]]:
     """Candidate column references as (qualifier, name); name '*' marks a wildcard."""
     refs: list[tuple[str | None, str]] = []
     i = 0
-    prev_kind: str | None = None
     while i < len(tokens):
         tok = tokens[i]
         if tok.kind in ("IDENT", "QIDENT"):
             word = tok.word()
             if word == "as":  # output alias or CAST target: skip the next bare word
                 i += 2 if i + 1 < len(tokens) and tokens[i + 1].kind in ("IDENT", "QIDENT") else 1
-                prev_kind = "IDENT"
                 continue
             if word in _EXPR_WORDS:
                 i += 1
-                prev_kind = "IDENT"
                 continue
             if i + 1 < len(tokens) and tokens[i + 1].kind == "DOT":
                 if i + 2 < len(tokens) and tokens[i + 2].kind in ("IDENT", "QIDENT"):
@@ -288,16 +285,13 @@ def _scan_refs(tokens: list[Token]) -> list[tuple[str | None, str]]:
                     i += 3
                 else:
                     i += 2
-                prev_kind = "IDENT"
                 continue
             if i + 1 < len(tokens) and tokens[i + 1].kind == "LPAREN":
                 i += 1  # function name, not a column
-                prev_kind = "IDENT"
                 continue
             refs.append((None, tok.text))
-        elif tok.kind == "STAR" and prev_kind in (None, "COMMA"):
+        elif tok.kind == "STAR" and (i == 0 or tokens[i - 1].kind == "COMMA"):
             refs.append((None, "*"))  # bare wildcard at the start of a select item
-        prev_kind = tok.kind
         i += 1
     return refs
 

@@ -347,7 +347,8 @@ def test_10_throughput_scaling():
         t_base = min(timed(base) for _ in range(3))
         t_doubled = min(timed(doubled) for _ in range(3))
         assert t_base < 60.0
-        assert 3.0 <= t_doubled / t_base <= 6.0
+        ratio = t_doubled / t_base
+        assert 3.0 <= ratio <= 6.0, f"t_base={t_base:.3f}s t_doubled={t_doubled:.3f}s ratio={ratio:.2f}"
 
 
 def test_11_command_line_contract(capsys, data_dir, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from attrscale import (
     AttributeCatalog,
     AttrScaleError,
+    DependencyMatrix,
     DiagonalPairError,
     QueryRecord,
     ScaleBundle,
@@ -53,6 +55,22 @@ def random_bundles(count: int, seed: int):
         yield ScaleBundle(qaum=qaum, adm=adm, pdm=pdm, mvsd=mvsd, nsm=nsm, nnsm=compute_nnsm(nsm), warnings=())
 
 
+def replayed_bundles(count: int, seed: int):
+    """Bundles over random asymmetric counts, as a replayed published ADM gives: one-sided scale cells."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 13))
+        counts = rng.integers(1, 4, size=(n, n)) * (rng.random((n, n)) < 0.5)
+        np.fill_diagonal(counts, 0)
+        names = tuple(f"c{i}" for i in range(n))
+        adm = DependencyMatrix(names, counts, counts.sum(axis=1))
+        pdm = build_pdm(adm)
+        mvsd = compute_mvsd(adm, pdm)
+        nsm = compute_nsm(adm, mvsd)
+        qaum = UsageMatrix(query_ids=(), attributes=names, cells=np.zeros((0, n), dtype=np.uint8))
+        yield ScaleBundle(qaum=qaum, adm=adm, pdm=pdm, mvsd=mvsd, nsm=nsm, nnsm=compute_nnsm(nsm), warnings=())
+
+
 @pytest.fixture(scope="module")
 def grouping_bundle():
     # {p,q} x4, {p,r} x4, {q,r} x4, {p,s}: q,r are a perfect tie (both SD 0)
@@ -70,7 +88,7 @@ def test_rank_min_matches_full_scan(reference_bundle):
 
 
 def test_rankings_and_partners_match_oracles_on_random_bundles():
-    for bundle in random_bundles(300, seed=20260815):
+    for bundle in itertools.chain(random_bundles(300, seed=20260815), replayed_bundles(300, seed=20261018)):
         names = bundle.attributes
         n = len(names)
         nnsm = [[bundle.nnsm.cell(h, k) for k in range(n)] for h in range(n)]

@@ -45,6 +45,10 @@ def test_usage_matrix_validation():
         UsageMatrix(("q1",), ("a",), np.zeros((2, 1), dtype=np.uint8))
     with pytest.raises(AttrScaleError, match="0 or 1"):
         UsageMatrix(("q1",), ("a",), np.array([[2]], dtype=np.uint8))
+    with pytest.raises(AttrScaleError, match="change its values"):  # would wrap to 255
+        UsageMatrix(("q1",), ("a",), [[-1]])
+    with pytest.raises(AttrScaleError, match="change its values"):  # would truncate to 0
+        UsageMatrix(("q1",), ("a",), np.array([[0.5]]))
 
 
 def test_usage_matrix_csv_and_json():
@@ -72,6 +76,8 @@ def test_dependency_matrix_validation():
         DependencyMatrix(("a", "b"), good, np.array([1, 2]))
     with pytest.raises(AttrScaleError, match="non-negative"):
         DependencyMatrix(("a", "b"), np.array([[0, -1], [1, 0]]), np.array([-1, 1]))
+    with pytest.raises(AttrScaleError, match="change its values"):  # truncated counts would match [2, 2]
+        DependencyMatrix(("a", "b"), np.array([[0, 2.5], [2.5, 0]]), np.array([2, 2]))
 
 
 def test_dependency_matrix_accepts_asymmetric_replay():
@@ -101,6 +107,8 @@ def test_masked_matrix_validation():
         masked([[0, 1], [1, 0]], [[True, True], [True, False]])
     with pytest.raises(AttrScaleError, match="finite"):
         masked([[0, np.inf], [1, 0]], [[False, True], [True, False]])
+    with pytest.raises(AttrScaleError, match="cannot store"):
+        MaskedRealMatrix("PDM", ("a", "b"), np.zeros((2, 2)), [[False, True], [True]])
 
 
 def test_masked_matrix_canonicalizes_undefined():
@@ -139,6 +147,8 @@ def test_stats_table_validation():
         StatsTable(("a",), np.array([1.0]), np.array([-0.1]), np.array([0.1]), np.array([True]))
     with pytest.raises(AttrScaleError, match="shape"):
         StatsTable(("a", "b"), np.array([1.0]), np.array([1.0]), np.array([1.0]), np.array([True]))
+    with pytest.raises(AttrScaleError, match="shape"):  # the mask is checked before it is used
+        StatsTable(("a", "b"), np.ones(2), np.ones(2), np.ones(2), np.array([True]))
 
 
 def test_stats_table_undefined_column_is_nan_and_hash():

@@ -12,6 +12,7 @@ from attrscale import (
     AttributeCatalog,
     QueryRecord,
     UsageMatrix,
+    UsageSet,
     build_adm,
     build_pdm,
     build_qaum,
@@ -174,3 +175,97 @@ def test_adm_handles_empty_usage_rows_in_matrix_form():
     pdm = build_pdm(adm)
     nsm = compute_nsm(adm, compute_mvsd(adm, pdm))
     assert np.array_equal(nsm.defined, pdm.defined)
+
+
+# Metamorphic relations over the whole stage chain. They follow from the
+# scale's definitions, so they need no oracle; each compares stored arrays
+# bit for bit on seeded logs shaped like acceptance check 10's (1% dense).
+STAGE_ARRAYS = {
+    "adm": ("counts", "total_measure"),
+    "pdm": ("values", "defined"),
+    "mvsd": ("mean", "variance", "sd", "defined"),
+    "nsm": ("values", "defined"),
+    "nnsm": ("values", "defined"),
+}
+
+
+def seeded_log(n: int, m: int, seed: int) -> tuple[tuple[str, ...], list[tuple[str, frozenset[int]]]]:
+    """Catalog c0..c{n-1} and m queries using each attribute with probability 1%, never none."""
+    rng = np.random.default_rng(seed)
+    cells = rng.random((m, n)) < 0.01
+    empty = np.flatnonzero(~cells.any(axis=1))
+    cells[empty, rng.integers(0, n, size=len(empty))] = True
+    rows = [(f"q{i}", frozenset(np.flatnonzero(row).tolist())) for i, row in enumerate(cells)]
+    return tuple(f"c{k}" for k in range(n)), rows
+
+
+def run_rows(rows, names):
+    return run_pipeline(UsageSet(tuple(rows), AttributeCatalog(tuple(names))))
+
+
+def stage_bytes(bundle, stages=tuple(STAGE_ARRAYS), n=None):
+    """Every stored array of the stages as bytes, cut to the first n attributes when n is given."""
+    out = {}
+    for stage in stages:
+        for name in STAGE_ARRAYS[stage]:
+            arr = getattr(getattr(bundle, stage), name)
+            out[f"{stage}.{name}"] = arr[(slice(n),) * arr.ndim].tobytes()
+    return out
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_replicating_the_log_leaves_the_scale_bit_identical(seed):
+    # power-of-two scaling is exact through mean, variance, sqrt and the division
+    names, rows = seeded_log(200, 2000, seed)
+    base = stage_bytes(run_rows(rows, names), ("nsm", "nnsm"))
+    for copies in (2, 4):
+        replicated = [(f"{qid}.{c}", used) for c in range(copies) for qid, used in rows]
+        assert stage_bytes(run_rows(replicated, names), ("nsm", "nnsm")) == base
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_permuting_the_queries_leaves_every_stage_bit_identical(seed):
+    names, rows = seeded_log(200, 2000, seed)
+    base = run_rows(rows, names)
+    order = np.random.default_rng(seed).permutation(len(rows))
+    shuffled = run_rows([rows[i] for i in order], names)
+    assert shuffled.qaum.query_ids == tuple(base.qaum.query_ids[i] for i in order)
+    assert np.array_equal(shuffled.qaum.cells, base.qaum.cells[order])
+    assert stage_bytes(shuffled) == stage_bytes(base)
+    assert shuffled.warnings == base.warnings
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_an_unused_attribute_adds_one_undefined_row_and_changes_no_other_cell(seed):
+    names, rows = seeded_log(200, 2000, seed)
+    n = len(names)
+    base = run_rows(rows, names)
+    grown = run_rows(rows, names + ("unused",))
+    assert stage_bytes(grown, n=n) == stage_bytes(base)
+    assert not grown.mvsd.defined[n]
+    for matrix in (grown.pdm, grown.nsm, grown.nnsm):
+        assert not matrix.defined[n].any() and not matrix.defined[:, n].any()
+    assert [w for w in grown.warnings if w["attribute"] != "unused"] == list(base.warnings)
+    assert [w["code"] for w in grown.warnings if w["attribute"] == "unused"] == ["isolated_attribute"]
+
+    # Inserted mid-catalog instead, the attribute moves the later columns, so
+    # compute_mvsd's row sums add the same terms in another order and may move
+    # a last bit. Whether catalog order may do that is still open (ROADMAP
+    # item 5), so only the exact parts are asserted: counts, PDM and the masks.
+    mid = n // 2
+    moved = [(qid, frozenset(k + (k >= mid) for k in used)) for qid, used in rows]
+    inserted = run_rows(moved, names[:mid] + ("unused",) + names[mid:])
+    others = np.delete(np.arange(n + 1), mid)
+    keep = np.ix_(others, others)
+    assert np.array_equal(inserted.adm.counts[keep], base.adm.counts)
+    assert inserted.pdm.values[keep].tobytes() == base.pdm.values.tobytes()
+    for stage in ("pdm", "nsm", "nnsm"):
+        assert np.array_equal(getattr(inserted, stage).defined[keep], getattr(base, stage).defined)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_a_single_attribute_query_changes_no_adm_cell(seed):
+    names, rows = seeded_log(200, 2000, seed)
+    base = run_rows(rows, names)
+    solo = int(np.random.default_rng(seed).integers(len(names)))
+    assert stage_bytes(run_rows(rows + [("solo", frozenset({solo}))], names), ("adm",)) == stage_bytes(base, ("adm",))
