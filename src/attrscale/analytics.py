@@ -69,18 +69,11 @@ def _index(bundle: ScaleBundle, name: str) -> int:
     return idx
 
 
-def rank_pairs(bundle: ScaleBundle, key: str = "nnsm-min") -> AffinityRanking:
-    """Rank defined cells ascending: the strongest dependencies come first.
-
-    nnsm-min scores each unordered pair once by the smaller of its two
-    directed values, or by its one defined value, and names it in that
-    direction; nnsm-row lists directed cells as-is. Ties break
-    lexicographically by attribute-name pair, so output is total and stable.
-    """
+def _pair_order(bundle: ScaleBundle, key: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices, column indices and scores of the ranked cells in rank_pairs order; no other code sorts pairs."""
     if key not in RANK_KEYS:
         raise AttrScaleError(f"unknown ranking key {key!r}")
-    names = bundle.attributes
-    nnsm, nsm, adm = bundle.nnsm, bundle.nsm, bundle.adm
+    nnsm = bundle.nnsm
     if key == "nnsm-row":
         h, k = np.nonzero(nnsm.defined)  # the diagonal is never defined
         a, b, score = h, k, nnsm.values[h, k]
@@ -92,18 +85,26 @@ def rank_pairs(bundle: ScaleBundle, key: str = "nnsm-min") -> AffinityRanking:
         a, b = np.where(keep, h, k), np.where(keep, k, h)
         score = np.where(ba < ab, ba, ab)  # Python min(ab, ba)
     # Python sorts the names: numpy string sorts drop trailing NULs
-    name_rank = {name: pos for pos, name in enumerate(sorted(names))}
-    rank = np.array([name_rank[name] for name in names], dtype=np.int64)
+    name_rank = {name: pos for pos, name in enumerate(sorted(bundle.attributes))}
+    rank = np.array([name_rank[name] for name in bundle.attributes], dtype=np.int64)
     order = np.lexsort((rank[b], rank[a], score))
+    return a[order], b[order], score[order]
+
+
+def rank_pairs(bundle: ScaleBundle, key: str = "nnsm-min") -> AffinityRanking:
+    """Rank defined cells ascending: the strongest dependencies come first.
+
+    nnsm-min scores each unordered pair once by the smaller of its two
+    directed values, or by its one defined value, and names it in that
+    direction; nnsm-row lists directed cells as-is. Ties break
+    lexicographically by attribute-name pair, so output is total and stable.
+    """
+    a, b, score = _pair_order(bundle, key)
+    names = bundle.attributes
+    nsm, adm = bundle.nsm.values[a, b], bundle.adm.counts[a, b]
     entries = tuple(
         RankedPair(names[x], names[y], s, t, c)
-        for x, y, s, t, c in zip(
-            a[order].tolist(),
-            b[order].tolist(),
-            score[order].tolist(),
-            nsm.values[a, b][order].tolist(),
-            adm.counts[a, b][order].tolist(),
-        )
+        for x, y, s, t, c in zip(a.tolist(), b.tolist(), score.tolist(), nsm.tolist(), adm.tolist())
     )
     warnings: tuple[dict, ...] = ()
     if not entries:
@@ -149,13 +150,11 @@ def suggest_groups(bundle: ScaleBundle, cutoff: float, max_size: int) -> list[At
     if max_size < 2:
         raise AttrScaleError(f"max_size must be at least 2, got {max_size}")
     names = bundle.attributes
-    index_of = {name: i for i, name in enumerate(names)}
-    ranking = rank_pairs(bundle, "nnsm-min")
+    seeds, partners, _ = _pair_order(bundle, "nnsm-min")
     linked = bundle.nnsm.defined | bundle.nnsm.defined.T
     available = np.ones(len(names), dtype=bool)
     groups: list[AttributeGroup] = []
-    for entry in ranking.entries:
-        a, b = index_of[entry.a], index_of[entry.b]
+    for a, b in zip(seeds.tolist(), partners.tolist()):
         if not (available[a] and available[b]):
             continue
         members = sorted((a, b))

@@ -138,18 +138,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _pair_scores(bundle: ScaleBundle, shared: set[str]) -> dict[tuple[str, str], float]:
-    """nnsm-min score per unordered shared pair with at least one defined cell."""
-    return {
-        tuple(sorted((e.a, e.b))): e.nnsm
-        for e in rank_pairs(bundle).entries
-        if e.a in shared and e.b in shared
-    }
+def _pair_scores(bundle: ScaleBundle, shared: set[str]) -> dict[tuple[str, str], tuple[float, int]]:
+    """(nnsm-min score, rank) per unordered shared pair with at least one defined cell.
 
-
-def _ranks(scores: dict[tuple[str, str], float]) -> dict[tuple[str, str], int]:
-    ordered = sorted(scores.items(), key=lambda item: (item[1], item[0]))
-    return {pair: pos for pos, (pair, _) in enumerate(ordered, start=1)}
+    The rank is the pair's position among the shared pairs in rank_pairs order.
+    """
+    entries = (e for e in rank_pairs(bundle).entries if e.a in shared and e.b in shared)
+    return {tuple(sorted((e.a, e.b))): (e.nnsm, pos) for pos, e in enumerate(entries, start=1)}
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
@@ -160,7 +155,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
         raise AttrScaleError("snapshots have disjoint catalogs; nothing to compare")
     old_scores = _pair_scores(old.bundle, shared)
     new_scores = _pair_scores(new.bundle, shared)
-    old_ranks, new_ranks = _ranks(old_scores), _ranks(new_scores)
     common = sorted(set(old_scores) & set(new_scores))
     added = sorted(set(new_scores) - set(old_scores))
     removed = sorted(set(old_scores) - set(new_scores))
@@ -169,20 +163,19 @@ def cmd_diff(args: argparse.Namespace) -> int:
     print(f"shared attributes: {len(shared)}")
     print(f"pairs compared: {len(common)}  appeared: {len(added)}  disappeared: {len(removed)}")
     if common:
-        rows = sorted(common, key=lambda pair: (-abs(new_scores[pair] - old_scores[pair]), pair))
+        rows = sorted(common, key=lambda pair: (-abs(new_scores[pair][0] - old_scores[pair][0]), pair))
         print("pair                      old         new         delta       rank old->new")
         for pair in rows:
-            delta = new_scores[pair] - old_scores[pair]
+            (was, old_rank), (now, new_rank) = old_scores[pair], new_scores[pair]
             label = f"{pair[0]},{pair[1]}"
-            movement = f"{old_ranks[pair]}->{new_ranks[pair]}"
             print(
-                f"{label:<25} {_fmt(old_scores[pair], p):<11} {_fmt(new_scores[pair], p):<11} "
-                f"{_fmt(delta, p):<11} {movement}"
+                f"{label:<25} {_fmt(was, p):<11} {_fmt(now, p):<11} {_fmt(now - was, p):<11} "
+                f"{old_rank}->{new_rank}"
             )
     for pair in added:
-        print(f"appeared: {pair[0]},{pair[1]} at {_fmt(new_scores[pair], p)}")
+        print(f"appeared: {pair[0]},{pair[1]} at {_fmt(new_scores[pair][0], p)}")
     for pair in removed:
-        print(f"disappeared: {pair[0]},{pair[1]} was {_fmt(old_scores[pair], p)}")
+        print(f"disappeared: {pair[0]},{pair[1]} was {_fmt(old_scores[pair][0], p)}")
     return EXIT_OK
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -37,8 +38,10 @@ def _frozen(arr, dtype, shape: tuple[int, ...], defined: np.ndarray | None = Non
     """
     try:
         src = np.asarray(arr)
-        out = src.astype(dtype)
-        lossy = src.dtype != out.dtype and not np.array_equal(out, src, equal_nan=True)
+        with warnings.catch_warnings():  # a lossy cast may warn; the value comparison refuses it
+            warnings.simplefilter("ignore")
+            out = src.astype(dtype)
+            lossy = src.dtype != out.dtype and not np.array_equal(out, src, equal_nan=True)
     except (TypeError, ValueError, OverflowError) as exc:
         raise AttrScaleError(f"cannot store input as {np.dtype(dtype)}: {exc}") from exc
     if lossy:

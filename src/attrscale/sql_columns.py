@@ -8,11 +8,12 @@ The extractor does not build an AST. It tokenizes, splits the statement into
 top-level clauses, resolves table aliases, then scans the column-bearing
 clauses (select list, WHERE, GROUP BY, HAVING, ORDER BY, join ON conditions)
 for identifiers. `tokenize` is the only code that counts parentheses: it
-stamps each token with its paren depth once, and every later scan reads that
-depth. The clause keywords and their required order are one tuple,
-`_CLAUSE_ORDER`. Matching against the attribute catalog happens after alias
-resolution and case-folding; identifiers that match nothing are reported as
-diagnostics, never as errors.
+stamps each token with its paren depth, and each bare identifier with its
+casefolded word, once; every later scan reads those stamps. The clause
+keywords and their required order are one tuple, `_CLAUSE_ORDER`. Matching
+against the attribute catalog happens after alias resolution and
+case-folding; identifiers that match nothing are reported as diagnostics,
+never as errors.
 """
 
 from __future__ import annotations
@@ -48,10 +49,7 @@ class Token:
     text: str
     offset: int  # character offset into the statement
     depth: int  # paren depth after this token: "(" carries the inner level, ")" the outer
-
-    def word(self) -> str | None:
-        """Casefolded text when this token is a bare (unquoted) identifier."""
-        return self.text.casefold() if self.kind == "IDENT" else None
+    word: str | None = None  # casefolded text of a bare (unquoted) identifier, else None
 
 
 def _byte_offset(sql: str, pos: int) -> int:
@@ -101,7 +99,8 @@ def tokenize(sql: str) -> list[Token]:
             j = i + 1
             while j < limit and sql[j] in _WORD_BODY:
                 j += 1
-            tokens.append(Token("IDENT", sql[i:j], i, depth))
+            text = sql[i:j]
+            tokens.append(Token("IDENT", text, i, depth, text.casefold()))
             i = j
             continue
         if ch.isdigit():
@@ -142,7 +141,7 @@ def _shape(sql: str) -> _Statement:
     tokens = tokenize(sql)
     if not tokens:
         raise SqlSyntaxError("empty statement", 0)
-    head = tokens[0].word()
+    head = tokens[0].word
     if head == "with":
         raise UnsupportedSqlError("common table expressions are not supported", _byte_offset(sql, tokens[0].offset))
     if head != "select":
@@ -160,7 +159,7 @@ def _shape(sql: str) -> _Statement:
     for pos, tok in enumerate(tokens):
         if tok.depth < 0:
             raise SqlSyntaxError("unbalanced parenthesis", _byte_offset(sql, tok.offset))
-        word = tok.word()
+        word = tok.word
         if word == "select" and pos > 0:
             raise UnsupportedSqlError("subqueries are not supported", _byte_offset(sql, tok.offset))
         if word in _SET_OPS and tok.depth == 0:
@@ -171,9 +170,9 @@ def _shape(sql: str) -> _Statement:
     # Clause boundaries exist only at paren depth zero.
     bounds: list[tuple[str, int]] = []
     for pos, tok in enumerate(tokens):
-        word = tok.word()
+        word = tok.word
         if tok.depth == 0 and word in _CLAUSE_ORDER:
-            if word in ("group", "order") and (tokens[pos + 1].word() if pos + 1 < len(tokens) else None) != "by":
+            if word in ("group", "order") and (tokens[pos + 1].word if pos + 1 < len(tokens) else None) != "by":
                 raise SqlSyntaxError(f"{word.upper()} must be followed by BY", _byte_offset(sql, tok.offset))
             bounds.append((word, pos))
     for (before, _), (name, pos) in zip(bounds, bounds[1:]):
@@ -192,7 +191,7 @@ def _shape(sql: str) -> _Statement:
     select_aliases = frozenset(
         nxt.text.casefold()
         for tok, nxt in zip(sel, sel[1:])
-        if tok.depth == 0 and tok.word() == "as" and nxt.kind in ("IDENT", "QIDENT")
+        if tok.depth == 0 and tok.word == "as" and nxt.kind in ("IDENT", "QIDENT")
     )
     return _Statement([sel, *on_segments, *tail], alias_map, select_aliases)
 
@@ -213,13 +212,13 @@ def _parse_from(sql: str, tokens: list[Token]) -> tuple[dict[str, str], list[lis
             name = f"{name}.{tokens[i + 1].text.casefold()}"  # schema-qualified table
             i += 2
         alias = None
-        if i < len(tokens) and tokens[i].word() == "as":
+        if i < len(tokens) and tokens[i].word == "as":
             i += 1
             if i >= len(tokens) or tokens[i].kind not in ("IDENT", "QIDENT"):
                 raise SqlSyntaxError("expected alias after AS", _byte_offset(sql, tokens[i - 1].offset))
             alias = tokens[i].text.casefold()
             i += 1
-        elif i < len(tokens) and tokens[i].kind in ("IDENT", "QIDENT") and tokens[i].word() not in _JOIN_WORDS and tokens[i].word() != "on":
+        elif i < len(tokens) and tokens[i].kind in ("IDENT", "QIDENT") and tokens[i].word not in _JOIN_WORDS and tokens[i].word != "on":
             alias = tokens[i].text.casefold()
             i += 1
         alias_map[name] = name
@@ -234,26 +233,26 @@ def _parse_from(sql: str, tokens: list[Token]) -> tuple[dict[str, str], list[lis
         if tok.kind == "COMMA":
             i = take_table_ref(i + 1)
             continue
-        word = tok.word()
+        word = tok.word
         if word in ("right", "full", "cross"):
             raise UnsupportedSqlError(f"{word.upper()} JOIN is not supported", _byte_offset(sql, tok.offset))
         if word in ("inner", "left"):
             i += 1
-            if i < len(tokens) and tokens[i].word() == "outer":
+            if i < len(tokens) and tokens[i].word == "outer":
                 i += 1
-            if i >= len(tokens) or tokens[i].word() != "join":
+            if i >= len(tokens) or tokens[i].word != "join":
                 off = tokens[i].offset if i < len(tokens) else tok.offset
                 raise SqlSyntaxError("expected JOIN", _byte_offset(sql, off))
             word = "join"
         if word == "join":
             i = take_table_ref(i + 1)
-            if i < len(tokens) and tokens[i].word() == "on":
+            if i < len(tokens) and tokens[i].word == "on":
                 i += 1
                 start = i
                 # FROM sits at depth zero, so ON ends at the first depth-zero join word or comma
                 while i < len(tokens):
                     t = tokens[i]
-                    if t.depth == 0 and (t.word() in _JOIN_WORDS or t.kind == "COMMA"):
+                    if t.depth == 0 and (t.word in _JOIN_WORDS or t.kind == "COMMA"):
                         break
                     i += 1
                 on_segments.append(tokens[start:i])
@@ -269,7 +268,7 @@ def _scan_refs(tokens: list[Token]) -> list[tuple[str | None, str]]:
     while i < len(tokens):
         tok = tokens[i]
         if tok.kind in ("IDENT", "QIDENT"):
-            word = tok.word()
+            word = tok.word
             if word == "as":  # output alias or CAST target: skip the next bare word
                 i += 2 if i + 1 < len(tokens) and tokens[i + 1].kind in ("IDENT", "QIDENT") else 1
                 continue

@@ -9,12 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import attrscale
 from attrscale import load_snapshot
 from attrscale.cli import EXIT_EMPTY_ANALYSIS, EXIT_INPUT_ERROR, EXIT_OK, main
 from attrscale.snapshot import MATRIX_BASENAMES, render_outputs
+from test_acceptance import synthetic_usage
 
 # child processes import the same attrscale as this one, whether installed or not
 PACKAGE_ROOT = str(Path(attrscale.__file__).parents[1])
@@ -279,6 +281,39 @@ def test_diff_reports_shifted_pair(capsys, tmp_path):
     assert top.startswith("x,y")
     assert "-4.99" in top
     assert "3->2" in top
+
+
+def test_self_diff_ranks_are_rank_output_positions(capsys, tmp_path):
+    # the analyze-wide benchmark's cells: many pairs tie at 0.0 and 10.0
+    usage = synthetic_usage(200, 2000, seed=7)
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("".join(f"{name}\n" for name in usage.attributes))
+    workload = tmp_path / "wide.jsonl"
+    workload.write_text("".join(
+        json.dumps({"id": qid, "attrs": [usage.attributes[k] for k in np.flatnonzero(row)]}) + "\n"
+        for qid, row in zip(usage.query_ids, usage.cells)
+    ))
+    out = tmp_path / "wide"
+    assert main([
+        "analyze", "--input", str(workload), "--input-format", "jsonl-attrs",
+        "--catalog", str(catalog), "--out", str(out),
+    ]) == EXIT_OK
+    capsys.readouterr()
+    snapshot = str(out / "snapshot.json")
+
+    code, stdout, _ = run_cli(capsys, "rank", "--snapshot", snapshot, "--top", "100000")
+    assert code == EXIT_OK
+    position = {}
+    for line in stdout.splitlines()[2:]:
+        pos, pair = line.split()[:2]
+        position[tuple(sorted(pair.split(",")))] = int(pos)
+
+    code, stdout, _ = run_cli(capsys, "diff", "--old", snapshot, "--new", snapshot)
+    assert code == EXIT_OK
+    rows = stdout.splitlines()[3:]
+    assert len(rows) == len(position)
+    wrong = [row for row in rows if row.split()[-1] != "{0}->{0}".format(position[tuple(row.split()[0].split(","))])]
+    assert not wrong
 
 
 def test_diff_disjoint_catalogs_exit_1(capsys, data_dir, tmp_path):

@@ -78,6 +78,8 @@ def test_dependency_matrix_validation():
         DependencyMatrix(("a", "b"), np.array([[0, -1], [1, 0]]), np.array([-1, 1]))
     with pytest.raises(AttrScaleError, match="change its values"):  # truncated counts would match [2, 2]
         DependencyMatrix(("a", "b"), np.array([[0, 2.5], [2.5, 0]]), np.array([2, 2]))
+    with pytest.raises(AttrScaleError, match="change its values"):  # NaN has no int64 value; numpy warns on the cast
+        DependencyMatrix(("a", "b"), np.array([[0, np.nan], [1, 0]]), np.array([1, 1]))
 
 
 def test_dependency_matrix_accepts_asymmetric_replay():
@@ -109,6 +111,8 @@ def test_masked_matrix_validation():
         masked([[0, np.inf], [1, 0]], [[False, True], [True, False]])
     with pytest.raises(AttrScaleError, match="cannot store"):
         MaskedRealMatrix("PDM", ("a", "b"), np.zeros((2, 2)), [[False, True], [True]])
+    with pytest.raises(AttrScaleError, match="change its values"):  # numpy warns when it drops the imaginary part
+        MaskedRealMatrix("PDM", ("a", "b"), np.zeros((2, 2)) + 1j, [[False, True], [True, False]])
 
 
 def test_masked_matrix_canonicalizes_undefined():
