@@ -27,7 +27,6 @@ class AffinityRanking:
 
     key: str
     entries: tuple[RankedPair, ...]
-    warnings: tuple[dict, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -106,22 +105,17 @@ def rank_pairs(bundle: ScaleBundle, key: str = "nnsm-min") -> AffinityRanking:
         RankedPair(names[x], names[y], s, t, c)
         for x, y, s, t, c in zip(a.tolist(), b.tolist(), score.tolist(), nsm.tolist(), adm.tolist())
     )
-    warnings: tuple[dict, ...] = ()
-    if not entries:
-        warnings = ({"code": "empty_ranking", "message": "every scale cell is undefined; nothing to rank"},)
-    return AffinityRanking(key=key, entries=entries, warnings=warnings)
+    return AffinityRanking(key=key, entries=entries)
 
 
 def strongest_partner(bundle: ScaleBundle, attribute: str) -> tuple[str, float]:
-    """The defined partner with the smallest NNSM in the attribute's row."""
+    """The head of the attribute's row in nnsm-row order: its smallest NNSM, ties by name."""
     h = _index(bundle, attribute)
-    names = bundle.attributes
-    partners = np.flatnonzero(bundle.nnsm.defined[h])
-    if not partners.size:
+    rows, partners, scores = _pair_order(bundle, "nnsm-row")
+    head = np.flatnonzero(rows == h)
+    if not head.size:
         raise AttrScaleError(f"attribute {attribute!r} is isolated; its scale row is undefined")
-    row = bundle.nnsm.values[h, partners]
-    k = min(partners[row == row.min()].tolist(), key=names.__getitem__)  # equal values: smallest name
-    return names[k], float(bundle.nnsm.values[h, k])
+    return bundle.attributes[int(partners[head[0]])], float(scores[head[0]])
 
 
 def _cohesion(bundle: ScaleBundle, members: list[int]) -> float | None:

@@ -71,11 +71,11 @@ class AttributeCatalog:
 def load_catalog(path: str | Path) -> AttributeCatalog:
     """Read a catalog file: one attribute name per line, order significant.
 
-    An optional first line "M=<integer>" declares the database-wide
-    attribute count. Blank lines are skipped.
+    An optional first non-blank line "M=<integer>" declares the database-wide
+    attribute count. Blank lines and a UTF-8 byte order mark are skipped.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise WorkloadFormatError(f"cannot read catalog {path}: {exc.strerror or exc}") from exc
     names: list[str] = []
@@ -84,7 +84,7 @@ def load_catalog(path: str | Path) -> AttributeCatalog:
         line = raw.strip()
         if not line:
             continue
-        if lineno == 1 and line.startswith("M="):
+        if not names and count is None and line.startswith("M="):
             try:
                 count = int(line[2:])
             except ValueError:

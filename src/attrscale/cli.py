@@ -26,7 +26,7 @@ EXIT_INPUT_ERROR = 1
 EXIT_EMPTY_ANALYSIS = 2
 
 
-class _UsageError(Exception):
+class _UsageError(AttrScaleError):
     pass
 
 
@@ -112,8 +112,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
             print(
                 f"{pos:<5} {pair:<25} {_fmt(e.nnsm, precision):<11} {_fmt(e.nsm, precision):<11} {e.adm}"
             )
-    for warning in ranking.warnings:
-        print(f"warning: {warning['message']}", file=sys.stderr)
+    if not ranking.entries:
+        print("warning: every scale cell is undefined; nothing to rank", file=sys.stderr)
     return EXIT_OK
 
 
@@ -138,29 +138,33 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _pair_scores(bundle: ScaleBundle, shared: set[str]) -> dict[tuple[str, str], tuple[float, int]]:
+def _pair_scores(bundle: ScaleBundle, spelling: dict[str, str]) -> dict[tuple[str, str], tuple[float, int]]:
     """(nnsm-min score, rank) per unordered shared pair with at least one defined cell.
 
+    spelling maps each shared attribute's casefolded name to the name pairs are keyed by.
     The rank is the pair's position among the shared pairs in rank_pairs order.
     """
-    entries = (e for e in rank_pairs(bundle).entries if e.a in shared and e.b in shared)
-    return {tuple(sorted((e.a, e.b))): (e.nnsm, pos) for pos, e in enumerate(entries, start=1)}
+    shown = {name: spelling.get(name.casefold()) for name in bundle.attributes}
+    entries = (e for e in rank_pairs(bundle).entries if shown[e.a] is not None and shown[e.b] is not None)
+    return {tuple(sorted((shown[e.a], shown[e.b]))): (e.nnsm, pos) for pos, e in enumerate(entries, start=1)}
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
     old = load_snapshot(args.old)
     new = load_snapshot(args.new)
-    shared = set(old.bundle.attributes) & set(new.bundle.attributes)
-    if not shared:
+    # attributes match case-insensitively, like catalog lookups; pairs are shown in the new snapshot's spelling
+    old_names = {name.casefold() for name in old.bundle.attributes}
+    spelling = {name.casefold(): name for name in new.bundle.attributes if name.casefold() in old_names}
+    if not spelling:
         raise AttrScaleError("snapshots have disjoint catalogs; nothing to compare")
-    old_scores = _pair_scores(old.bundle, shared)
-    new_scores = _pair_scores(new.bundle, shared)
+    old_scores = _pair_scores(old.bundle, spelling)
+    new_scores = _pair_scores(new.bundle, spelling)
     common = sorted(set(old_scores) & set(new_scores))
     added = sorted(set(new_scores) - set(old_scores))
     removed = sorted(set(old_scores) - set(new_scores))
     p = new.config.precision
 
-    print(f"shared attributes: {len(shared)}")
+    print(f"shared attributes: {len(spelling)}")
     print(f"pairs compared: {len(common)}  appeared: {len(added)}  disappeared: {len(removed)}")
     if common:
         rows = sorted(common, key=lambda pair: (-abs(new_scores[pair][0] - old_scores[pair][0]), pair))
@@ -225,9 +229,6 @@ def main(argv: list[str] | None = None) -> int:
         # the reader stopped early (e.g. `| head`); that is not an input error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the final flush cannot raise
         return EXIT_OK
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except EmptyAnalysisError as exc:
         print(f"empty analysis: {exc}", file=sys.stderr)
         return EXIT_EMPTY_ANALYSIS

@@ -9,12 +9,14 @@ stronger inter-attribute dependence; each row's weakest partner maps to 10.
 All arithmetic runs at full double precision; counts are exact (they stay
 far below 2^53, so the BLAS-backed matrix product in build_adm is exact
 integer arithmetic). Undefined cells propagate forward: a cell with no
-probability has no scale value.
+probability has no scale value. Every stage is a pure function of its
+inputs; a bundle derives its warnings from its own matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,11 +35,28 @@ class ScaleBundle:
     mvsd: StatsTable
     nsm: MaskedRealMatrix
     nnsm: MaskedRealMatrix
-    warnings: tuple[dict, ...]
 
     @property
     def attributes(self) -> tuple[str, ...]:
         return self.adm.attributes
+
+    @cached_property
+    def warnings(self) -> tuple[dict, ...]:
+        """The facts the matrices imply, each kind in catalog order: isolated attributes
+        (total measure 0), then degenerate ties (NSM rows with defined cells, none positive)."""
+        names, nsm = self.attributes, self.nsm
+        positive = np.where(nsm.defined, nsm.values, 0.0) > 0.0
+        kinds = (
+            ("isolated_attribute", self.adm.total_measure == 0,
+             "attribute {!r} never co-occurs (total measure 0); its scale rows are undefined"),
+            ("degenerate_tie", nsm.defined.any(axis=1) & ~positive.any(axis=1),
+             "all defined scale cells of {!r} are zero; row normalized to zeros"),
+        )
+        return tuple(
+            {"code": code, "attribute": names[h], "message": message.format(names[h])}
+            for code, rows, message in kinds
+            for h in np.flatnonzero(rows).tolist()
+        )
 
 
 def build_qaum(usage: UsageSet) -> UsageMatrix:
@@ -70,25 +89,15 @@ def build_adm(qaum: UsageMatrix) -> DependencyMatrix:
     )
 
 
-def _isolated_warning(attribute: str) -> dict:
-    return {
-        "code": "isolated_attribute",
-        "attribute": attribute,
-        "message": f"attribute {attribute!r} never co-occurs (total measure 0); its scale rows are undefined",
-    }
-
-
-def build_pdm(adm: DependencyMatrix, *, warnings: list[dict] | None = None) -> MaskedRealMatrix:
+def build_pdm(adm: DependencyMatrix) -> MaskedRealMatrix:
     """Row-normalize counts into probabilities: PDM[h,k] = ADM[h,k] / TM[h].
 
     Diagonal and zero-count cells are undefined. A row with total measure 0
-    (isolated attribute) is fully undefined and recorded as a warning.
+    (isolated attribute) is fully undefined.
     """
     tm = adm.total_measure.astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = adm.counts.astype(np.float64) / tm[:, None]
-    if warnings is not None:
-        warnings.extend(_isolated_warning(adm.attributes[h]) for h in np.flatnonzero(adm.total_measure == 0).tolist())
     # DependencyMatrix keeps the diagonal 0 and total measure as the row sum: a positive count is the whole mask
     return MaskedRealMatrix(kind="PDM", attributes=adm.attributes, values=values, defined=adm.counts > 0)
 
@@ -128,12 +137,12 @@ def compute_nsm(adm: DependencyMatrix, stats: StatsTable) -> MaskedRealMatrix:
     return MaskedRealMatrix(kind="NSM", attributes=adm.attributes, values=values, defined=defined)
 
 
-def compute_nnsm(nsm: MaskedRealMatrix, *, warnings: list[dict] | None = None) -> MaskedRealMatrix:
+def compute_nnsm(nsm: MaskedRealMatrix) -> MaskedRealMatrix:
     """Scale each row so its maximum maps to 10.
 
     Rows whose defined cells are all zero (a degenerate tie: every partner
-    equally strong) map to all zeros and record a warning; fully undefined
-    rows stay undefined. Uses full-precision inputs, never displayed values.
+    equally strong) map to all zeros; fully undefined rows stay undefined.
+    Uses full-precision inputs, never displayed values.
     """
     if nsm.kind != "NSM":
         raise AttrScaleError("compute_nnsm expects an NSM matrix")
@@ -143,25 +152,14 @@ def compute_nnsm(nsm: MaskedRealMatrix, *, warnings: list[dict] | None = None) -
         # divide before scaling: v/max <= 1 exactly, so cells never exceed 10
         scaled = (nsm.values / row_max[:, None]) * 10.0
     values = np.where(positive[:, None], scaled, np.where(has_cells, 0.0, np.nan)[:, None])
-    if warnings is not None:
-        warnings.extend(
-            {
-                "code": "degenerate_tie",
-                "attribute": nsm.attributes[h],
-                "message": f"all defined scale cells of {nsm.attributes[h]!r} are zero; row normalized to zeros",
-            }
-            for h in np.flatnonzero(has_cells & ~positive).tolist()
-        )
     return MaskedRealMatrix(kind="NNSM", attributes=nsm.attributes, values=values, defined=nsm.defined)
 
 
 def run_pipeline(usage: UsageSet) -> ScaleBundle:
-    """Run all six steps over a usage set, collecting stage warnings."""
-    warnings: list[dict] = []
+    """Run all six steps over a usage set."""
     qaum = build_qaum(usage)
     adm = build_adm(qaum)
-    pdm = build_pdm(adm, warnings=warnings)
+    pdm = build_pdm(adm)
     mvsd = compute_mvsd(adm, pdm)
     nsm = compute_nsm(adm, mvsd)
-    nnsm = compute_nnsm(nsm, warnings=warnings)
-    return ScaleBundle(qaum=qaum, adm=adm, pdm=pdm, mvsd=mvsd, nsm=nsm, nnsm=nnsm, warnings=tuple(warnings))
+    return ScaleBundle(qaum=qaum, adm=adm, pdm=pdm, mvsd=mvsd, nsm=nsm, nnsm=compute_nnsm(nsm))

@@ -99,12 +99,12 @@ def load_workload(path: str | Path, format: str) -> list[QueryRecord]:
     """Parse a JSON-lines workload file into records, preserving file order.
 
     Malformed lines raise WorkloadFormatError carrying the 1-based line
-    number; duplicate query ids are rejected.
+    number; duplicate query ids are rejected. A UTF-8 byte order mark is skipped.
     """
     if format not in WORKLOAD_FORMATS:
         raise WorkloadFormatError(f"unknown workload format {format!r}")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise WorkloadFormatError(f"cannot read workload {path}: {exc.strerror or exc}") from exc
 

@@ -52,7 +52,7 @@ def random_bundles(count: int, seed: int):
         pdm = build_pdm(adm)
         mvsd = compute_mvsd(adm, pdm)
         nsm = compute_nsm(adm, mvsd)
-        yield ScaleBundle(qaum=qaum, adm=adm, pdm=pdm, mvsd=mvsd, nsm=nsm, nnsm=compute_nnsm(nsm), warnings=())
+        yield ScaleBundle(qaum=qaum, adm=adm, pdm=pdm, mvsd=mvsd, nsm=nsm, nnsm=compute_nnsm(nsm))
 
 
 def replayed_bundles(count: int, seed: int):
@@ -68,7 +68,7 @@ def replayed_bundles(count: int, seed: int):
         mvsd = compute_mvsd(adm, pdm)
         nsm = compute_nsm(adm, mvsd)
         qaum = UsageMatrix(query_ids=(), attributes=names, cells=np.zeros((0, n), dtype=np.uint8))
-        yield ScaleBundle(qaum=qaum, adm=adm, pdm=pdm, mvsd=mvsd, nsm=nsm, nnsm=compute_nnsm(nsm), warnings=())
+        yield ScaleBundle(qaum=qaum, adm=adm, pdm=pdm, mvsd=mvsd, nsm=nsm, nnsm=compute_nnsm(nsm))
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +84,6 @@ def test_rank_min_matches_full_scan(reference_bundle):
     expected = oracles.oracle_rank_min(nnsm, names)
     ranking = rank_pairs(reference_bundle, "nnsm-min")
     assert [(e.nnsm, e.a, e.b) for e in ranking.entries] == expected
-    assert ranking.warnings == ()
 
 
 def test_rankings_and_partners_match_oracles_on_random_bundles():
@@ -137,7 +136,6 @@ def test_empty_ranking_carries_warning():
     bundle = bundle_of(("a",), ("b",), names=("a", "b"))
     ranking = rank_pairs(bundle, "nnsm-min")
     assert ranking.entries == ()
-    assert ranking.warnings and ranking.warnings[0]["code"] == "empty_ranking"
 
 
 def test_strongest_partner_tracks_row_minimum(reference_bundle):

@@ -316,6 +316,47 @@ def test_self_diff_ranks_are_rank_output_positions(capsys, tmp_path):
     assert not wrong
 
 
+def test_diff_matches_attribute_names_case_insensitively(capsys, tmp_path):
+    workload = tmp_path / "w.jsonl"
+    workload.write_text("".join(
+        json.dumps({"id": f"q{i}", "attrs": list(attrs)}) + "\n"
+        for i, attrs in enumerate([("a", "b")] * 3 + [("a", "c")] * 2 + [("b", "c")] + [("a", "b", "c")])
+    ))
+    snapshots = {}
+    for spelling in ("A", "a"):
+        catalog = tmp_path / f"catalog-{spelling}.txt"
+        catalog.write_text(f"{spelling}\nb\nc\n")
+        out = tmp_path / f"out-{spelling}"
+        assert main([
+            "analyze", "--input", str(workload), "--input-format", "jsonl-attrs",
+            "--catalog", str(catalog), "--out", str(out),
+        ]) == EXIT_OK
+        snapshots[spelling] = str(out / "snapshot.json")
+    capsys.readouterr()
+    for old, new in (("A", "a"), ("a", "A")):
+        code, stdout, _ = run_cli(capsys, "diff", "--old", snapshots[old], "--new", snapshots[new])
+        assert code == EXIT_OK
+        lines = stdout.splitlines()
+        assert lines[:2] == ["shared attributes: 3", "pairs compared: 3  appeared: 0  disappeared: 0"]
+        assert sorted(line.split()[0] for line in lines[3:]) == [f"{new},b", f"{new},c", "b,c"]  # the new spelling
+
+
+def test_rank_with_no_defined_cell_warns_and_exits_0(capsys, tmp_path):
+    workload = tmp_path / "w.jsonl"
+    workload.write_text("".join(json.dumps({"id": f"q{i}", "attrs": [name]}) + "\n" for i, name in enumerate("abc")))
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("a\nb\nc\n")
+    out = tmp_path / "out"
+    assert main([
+        "analyze", "--input", str(workload), "--input-format", "jsonl-attrs", "--catalog", str(catalog), "--out", str(out),
+    ]) == EXIT_OK
+    capsys.readouterr()
+    code, stdout, stderr = run_cli(capsys, "rank", "--snapshot", str(out / "snapshot.json"))
+    assert code == EXIT_OK
+    assert stdout == "key: nnsm-min  pairs ranked: 0  showing: 0\n"
+    assert stderr == "warning: every scale cell is undefined; nothing to rank\n"
+
+
 def test_diff_disjoint_catalogs_exit_1(capsys, data_dir, tmp_path):
     out_ref = tmp_path / "ref"
     assert main(analyze_args(data_dir, out_ref)) == EXIT_OK

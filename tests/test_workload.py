@@ -247,6 +247,25 @@ def test_catalog_loading(tmp_path):
     assert len(catalog) == 2
 
 
+def test_catalog_header_is_the_first_non_blank_line(tmp_path):
+    catalog = load_catalog(write_lines(tmp_path / "cat.txt", ["", "  ", "M=3", "a1", "b", "c"]))
+    assert catalog.attributes == ("a1", "b", "c")
+    assert catalog.database_attribute_count == 3
+    assert load_catalog(write_lines(tmp_path / "late.txt", ["a1", "M=1"])).attributes == ("a1", "M=1")  # not a header
+
+
+@pytest.mark.parametrize("lines", [["a1", "b"], ["M=3", "a1", "b"]])
+def test_catalog_skips_a_byte_order_mark(tmp_path, lines):
+    catalog = load_catalog(write_lines(tmp_path / "cat.txt", ["\ufeff" + lines[0], *lines[1:]]))
+    assert catalog.attributes == ("a1", "b")
+    assert catalog.index_of("a1") == 0
+
+
+def test_workload_skips_a_byte_order_mark(tmp_path):
+    path = write_lines(tmp_path / "w.jsonl", ['\ufeff{"id": "q1", "attrs": ["a"]}', '{"id": "q2", "attrs": ["b"]}'])
+    assert [r.id for r in load_workload(path, "jsonl-attrs")] == ["q1", "q2"]
+
+
 def test_catalog_errors(tmp_path):
     with pytest.raises(WorkloadFormatError, match="cannot read catalog"):
         load_catalog(tmp_path / "absent.txt")
