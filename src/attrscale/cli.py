@@ -13,7 +13,7 @@ import sys
 
 from .analytics import RANK_KEYS, explain_pair, rank_pairs
 from .catalog import load_catalog
-from .errors import AttrScaleError, EmptyAnalysisError
+from .errors import AttrScaleError, EmptyAnalysisError, UnknownAttributeError
 from .matrices import UNDEFINED_CSV, format_value
 from .pipeline import ScaleBundle, run_pipeline
 from .snapshot import EXPORT_FORMATS, RunConfig, Snapshot, load_snapshot, write_outputs
@@ -124,7 +124,16 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if not name_a or not name_b:
         raise _UsageError(f"bad --pair value {args.pair!r} (expected A,B)")
     snap = load_snapshot(args.snapshot)
-    info = explain_pair(snap.bundle, name_a, name_b)
+    try:
+        info = explain_pair(snap.bundle, name_a, name_b)
+    except UnknownAttributeError as exc:
+        threshold = snap.config.selection.usage_threshold
+        if threshold <= 0:
+            raise
+        raise AttrScaleError(
+            f"{exc} (not among the {len(snap.bundle.attributes)} analyzed attributes; "
+            f"the usage threshold {threshold!r} may have removed it)"
+        ) from exc
     p = snap.config.precision
     ids = ", ".join(info.co_occurring_queries) if info.co_occurring_queries else "(none)"
     print(f"pair: {info.a}, {info.b}")

@@ -7,6 +7,13 @@ JSON, never as a magic number. JSON always serializes values at full double
 precision; CSV takes a display precision (decimal half-up, the convention the
 reference tables use).
 
+Rendering is near-linear in the cell count. json_text writes the
+json.dumps(indent=2) layout with each row encoded in one call of the C
+encoder. CSV cells are formatted as whole grids: "%.{p}f" (or repr at full
+precision) formats every float cell, and format_value, the one definition
+of the rounding, redoes only the cells where its Decimal text can differ:
+exact binary ties and, past six decimals, values below 1e-6.
+
 _frozen is the one intake path from caller input to stored arrays: every
 constructor hands it each array to convert, shape-check and freeze.
 """
@@ -15,11 +22,12 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import warnings
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
-from functools import partial
+from decimal import ROUND_HALF_UP, Context, Decimal
+from itertools import repeat
 
 import numpy as np
 
@@ -27,6 +35,7 @@ from .errors import AttrScaleError
 
 UNDEFINED_CSV = "#"
 SCALE_KINDS = ("PDM", "NSM", "NNSM")
+_BINARY_TEXT = np.array(["0", "1"], dtype=object)
 
 
 def _frozen(arr, dtype, shape: tuple[int, ...], defined: np.ndarray | None = None) -> np.ndarray:
@@ -61,7 +70,8 @@ def format_value(value: float, precision: int | None) -> str:
     if precision is None:
         return repr(float(value))
     quantum = Decimal(1).scaleb(-precision)
-    return str(Decimal(float(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    digits = Context(prec=309 + precision)  # a double has at most 309 integer digits
+    return str(Decimal(float(value)).quantize(quantum, rounding=ROUND_HALF_UP, context=digits))
 
 
 def _rows(values: np.ndarray, defined: np.ndarray | None = None) -> list[list]:
@@ -73,14 +83,64 @@ def _rows(values: np.ndarray, defined: np.ndarray | None = None) -> list[list]:
     return cells.tolist()
 
 
-def _csv_text(header: list[str], labels: Iterable[str], rows: Iterable[list], fmt: Callable[..., str]) -> str:
-    """One CSV row per label: fmt renders each defined cell, None renders as UNDEFINED_CSV."""
+def _float_texts(values: np.ndarray, precision: int | None) -> list[str]:
+    """format_value of every cell of a 1-D float array, formatted in bulk."""
+    if precision is None:
+        return list(map(float.__repr__, values.tolist()))
+    texts = list(map(format, values.tolist(), repeat(f".{precision}f")))
+    # "%.{p}f" rounds half-even and Decimal half-up, so they differ only at exact ties: v·2·10^p
+    # is an odd integer. As 5^p is odd, that holds iff v·2^(p+1) is one, a product that is exact
+    # in binary; the float product v·2·10^p is not once v has over 53 - 2.3p significant bits.
+    with np.errstate(over="ignore", invalid="ignore"):
+        redo = np.abs(np.fmod(values * 2.0 ** (precision + 1), 2.0)) == 1.0
+    if precision > 6:  # str(Decimal) writes a rounded value below 1e-6 in exponent form, e.g. 0E-7;
+        redo |= np.abs(values) < 1e-5  # the margin covers values that round across 1e-6
+    for i in np.flatnonzero(redo).tolist():
+        texts[i] = format_value(values[i], precision)
+    return texts
+
+
+def _text_grid(values: np.ndarray, defined: np.ndarray, precision: int | None = None) -> list[list[str]]:
+    """The grid's CSV cells as rows of text: integers through str, floats as format_value
+    renders them at precision, UNDEFINED_CSV at undefined cells."""
+    shown = values[defined]
+    texts = _float_texts(shown, precision) if values.dtype.kind == "f" else list(map(str, shown.tolist()))
+    grid = np.full(values.shape, UNDEFINED_CSV, dtype=object)
+    grid[defined] = texts
+    return grid.tolist()
+
+
+def _csv_text(header: list[str], labels: Iterable[str], rows: Iterable[list[str]]) -> str:
+    """One CSV row per label, followed by that row's cell texts."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for label, row in zip(labels, rows):
-        writer.writerow([label, *(UNDEFINED_CSV if v is None else fmt(v) for v in row)])
+    writer.writerows([label, *row] for label, row in zip(labels, rows))
     return buf.getvalue()
+
+
+def json_text(obj, pad: str = "  ") -> str:
+    """obj as json.dumps(obj, indent=2, ensure_ascii=True) writes it; dict keys must be str.
+
+    indent= forces the pure-Python encoder, which holds one string per cell;
+    here each list of scalars goes through the C encoder in one call, its
+    item separator carrying the newline and indentation.
+    """
+    close = "\n" + pad[:-2]
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (json.dumps(key) + ": " + json_text(value, pad + "  ") for key, value in obj.items())
+        return "{\n" + pad + (",\n" + pad).join(items) + close + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
+            body = (",\n" + pad).join(json_text(item, pad + "  ") for item in obj)
+        else:
+            body = json.dumps(obj, separators=(",\n" + pad, ": "), ensure_ascii=True)[1:-1]
+        return "[\n" + pad + body + close + "]"
+    return json.dumps(obj, ensure_ascii=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +163,7 @@ class UsageMatrix:
 
     def to_csv(self, precision: int | None = None) -> str:
         del precision  # binary cells, nothing to round
-        return _csv_text(["query", *self.attributes], self.query_ids, _rows(self.cells), str)
+        return _csv_text(["query", *self.attributes], self.query_ids, _BINARY_TEXT[self.cells].tolist())
 
     def to_json_obj(self) -> dict:
         return {
@@ -143,19 +203,21 @@ class DependencyMatrix:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total_measure", tm)
 
-    def _count_rows(self) -> list[list]:
-        return _rows(self.counts, ~np.eye(len(self.attributes), dtype=bool))
+    def _off_diagonal(self) -> np.ndarray:
+        return ~np.eye(len(self.attributes), dtype=bool)
 
     def to_csv(self, precision: int | None = None) -> str:
         del precision
-        rows = [[*row, total] for row, total in zip(self._count_rows(), self.total_measure.tolist())]
-        return _csv_text(["attribute", *self.attributes, "total_measure"], self.attributes, rows, str)
+        grid = np.column_stack([self.counts, self.total_measure])
+        defined = np.column_stack([self._off_diagonal(), np.ones(len(self.attributes), dtype=bool)])
+        header = ["attribute", *self.attributes, "total_measure"]
+        return _csv_text(header, self.attributes, _text_grid(grid, defined))
 
     def to_json_obj(self) -> dict:
         return {
             "kind": "ADM",
             "attributes": list(self.attributes),
-            "counts": self._count_rows(),
+            "counts": _rows(self.counts, self._off_diagonal()),
             "total_measure": self.total_measure.tolist(),
         }
 
@@ -183,8 +245,8 @@ class MaskedRealMatrix:
         return float(self.values[h, k]) if self.defined[h, k] else None
 
     def to_csv(self, precision: int | None = None) -> str:
-        fmt = partial(format_value, precision=precision)
-        return _csv_text(["attribute", *self.attributes], self.attributes, _rows(self.values, self.defined), fmt)
+        rows = _text_grid(self.values, self.defined, precision)
+        return _csv_text(["attribute", *self.attributes], self.attributes, rows)
 
     def to_json_obj(self) -> dict:
         return {
@@ -214,14 +276,14 @@ class StatsTable:
         if np.any(self.variance[defined] < 0):
             raise AttrScaleError("variance must be non-negative")
 
-    def _stat_rows(self) -> list[list]:
+    def _grid(self) -> tuple[np.ndarray, np.ndarray]:
         grid = np.stack([self.mean, self.variance, self.sd])
-        return _rows(grid, np.broadcast_to(self.defined, grid.shape))
+        return grid, np.broadcast_to(self.defined, grid.shape)
 
     def to_csv(self, precision: int | None = None) -> str:
-        fmt = partial(format_value, precision=precision)
-        return _csv_text(["statistic", *self.attributes], ("mean", "variance", "sd"), self._stat_rows(), fmt)
+        rows = _text_grid(*self._grid(), precision)
+        return _csv_text(["statistic", *self.attributes], ("mean", "variance", "sd"), rows)
 
     def to_json_obj(self) -> dict:
-        mean, variance, sd = self._stat_rows()
+        mean, variance, sd = _rows(*self._grid())
         return {"kind": "MVSD", "attributes": list(self.attributes), "mean": mean, "variance": variance, "sd": sd}

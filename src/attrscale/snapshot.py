@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .catalog import AttributeCatalog
 from .errors import AttrScaleError, SnapshotError
+from .matrices import json_text
 from .pipeline import ScaleBundle, run_pipeline
 from .workload import SelectionSpec, UsageSet
 
@@ -144,8 +145,8 @@ def render_outputs(snap: Snapshot) -> dict[str, str]:
         if fmt in ("csv", "both"):
             files[f"{name}.csv"] = stage.to_csv(precision=snap.config.precision)
         if fmt in ("json", "both"):
-            files[f"{name}.json"] = json.dumps(stage.to_json_obj(), indent=2, ensure_ascii=True) + "\n"
-    files["warnings.json"] = json.dumps(list(bundle.warnings), indent=2, ensure_ascii=True) + "\n"
+            files[f"{name}.json"] = json_text(stage.to_json_obj()) + "\n"
+    files["warnings.json"] = json_text(list(bundle.warnings)) + "\n"
     diag_lines = [json.dumps(entry, sort_keys=True, ensure_ascii=True) for entry in (*snap.usage.dropped, *snap.usage.diagnostics)]
     files["diagnostics.jsonl"] = "".join(line + "\n" for line in diag_lines)
     files["snapshot.json"] = snapshot_to_text(snap)

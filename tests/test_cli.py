@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import random
@@ -15,6 +17,7 @@ import pytest
 import attrscale
 from attrscale import load_snapshot
 from attrscale.cli import EXIT_EMPTY_ANALYSIS, EXIT_INPUT_ERROR, EXIT_OK, main
+from attrscale.matrices import UNDEFINED_CSV, format_value
 from attrscale.snapshot import MATRIX_BASENAMES, render_outputs
 from test_acceptance import synthetic_usage
 
@@ -72,6 +75,33 @@ def test_reloaded_snapshot_re_exports_every_file_byte_identically(capsys, data_d
     assert run_cli(capsys, *analyze_args(data_dir, out))[0] == EXIT_OK
     written = {p.name: p.read_text(encoding="utf-8") for p in out.iterdir()}
     assert render_outputs(load_snapshot(out / "snapshot.json")) == written
+
+
+def per_cell_csv(header: list[str], labels, grid: np.ndarray, defined: np.ndarray, precision: int) -> str:
+    """A CSV rendered one cell at a time through format_value: the reference for the bulk renderer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for label, row, mask in zip(labels, grid.tolist(), defined.tolist()):
+        writer.writerow([label, *(format_value(v, precision) if ok else UNDEFINED_CSV for v, ok in zip(row, mask))])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("precision", [0, 10])
+def test_real_csvs_match_a_per_cell_rendering_at_other_precisions(capsys, data_dir, tmp_path, precision):
+    out = tmp_path / "out"
+    assert run_cli(capsys, *analyze_args(data_dir, out, **{"--precision": str(precision)}))[0] == EXIT_OK
+    bundle = load_snapshot(out / "snapshot.json").bundle
+    header = ["attribute", *bundle.attributes]
+    for name in ("pdm", "nsm", "nnsm"):
+        stage = getattr(bundle, name)
+        expected = per_cell_csv(header, bundle.attributes, stage.values, stage.defined, precision)
+        assert (out / f"{name}.csv").read_text(encoding="utf-8") == expected, name
+    mvsd = bundle.mvsd
+    grid = np.stack([mvsd.mean, mvsd.variance, mvsd.sd])
+    defined = np.broadcast_to(mvsd.defined, grid.shape)
+    expected = per_cell_csv(["statistic", *bundle.attributes], ("mean", "variance", "sd"), grid, defined, precision)
+    assert (out / "mvsd.csv").read_text(encoding="utf-8") == expected
 
 
 def test_analyze_format_csv_skips_json_matrices(capsys, data_dir, tmp_path):
@@ -232,6 +262,19 @@ def test_explain_errors(capsys, reference_snapshot):
     assert code == EXIT_INPUT_ERROR and "diagonal" in stderr
     code, _, stderr = run_cli(capsys, "explain", "--snapshot", str(reference_snapshot), "--pair", "a1,zz")
     assert code == EXIT_INPUT_ERROR and "unknown attribute" in stderr
+    assert "threshold" not in stderr  # no threshold ran, so no hint
+
+
+def test_explain_names_the_threshold_that_may_have_removed_an_attribute(capsys, data_dir, tmp_path):
+    out = tmp_path / "out"
+    # a4, a7 and a8 are each used by 4 of the 10 queries, below the 0.45 usage ratio
+    assert run_cli(capsys, *analyze_args(data_dir, out, **{"--threshold": "0.45"}))[0] == EXIT_OK
+    code, stdout, stderr = run_cli(capsys, "explain", "--snapshot", str(out / "snapshot.json"), "--pair", "a1,a4")
+    assert code == EXIT_INPUT_ERROR and stdout == ""
+    assert stderr == (
+        "error: unknown attribute: 'a4' (not among the 7 analyzed attributes; "
+        "the usage threshold 0.45 may have removed it)\n"
+    )
 
 
 def write_window_fixture(tmp_path):

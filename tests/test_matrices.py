@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from attrscale import AttrScaleError, DependencyMatrix, MaskedRealMatrix, StatsTable, UsageMatrix
-from attrscale.matrices import format_value
+from attrscale import AttrScaleError, DependencyMatrix, MaskedRealMatrix, StatsTable, UsageMatrix, run_pipeline
+from attrscale.matrices import _float_texts, format_value, json_text
+from attrscale.catalog import AttributeCatalog
+from attrscale.workload import UsageSet
 
 
 @pytest.mark.parametrize(
@@ -26,10 +30,74 @@ def test_format_value_half_up(value, precision, rendered):
     assert format_value(value, precision) == rendered
 
 
+def test_format_value_renders_every_double_at_every_precision():
+    assert format_value(1e22, 10) == "10000000000000000000000.0000000000"
+    assert format_value(-1.7976931348623157e308, 0) == str(int(-1.7976931348623157e308))
+
+
 def test_format_value_full_precision_round_trips():
     for value in (0.1153846153846153846, 2 / 3, 10.0):
         text = format_value(value, None)
         assert float(text) == float(value)
+
+
+def bulk_format_cases() -> np.ndarray:
+    """Every k/8 and k/64 in [-10, 10) (ties at 2 and 5 decimals), edge values, and seeded normals."""
+    rng = np.random.default_rng(20)
+    normals = rng.standard_normal(3000)
+    edges = [
+        -0.0, 0.0, 5e-324, -5e-324, 1e15 + 0.5, 1e-7, 1e-6, 0.99999995e-6, -1.00000049e-6, 9.5e-7, 1e22,
+        (2**52 + 1) / 2**11,  # a tie at 10 decimals whose float product v·2·10^10 rounds to even
+    ]
+    return np.concatenate([
+        np.arange(-80, 80) / 8, np.arange(-640, 640) / 64, edges,
+        normals, normals * 1e-6, normals * 1e4, np.round(normals, 3), np.round(normals * 1e-4, 9),
+    ])
+
+
+@pytest.mark.parametrize("precision", [None, *range(11)])
+def test_bulk_float_formatting_equals_format_value(precision):
+    values = bulk_format_cases()
+    assert _float_texts(values, precision) == [format_value(v, precision) for v in values.tolist()]
+
+
+def seeded_bundle(seed: int):
+    """A run over a seeded random log with non-ASCII names, undefined cells and two isolated attributes."""
+    rng = np.random.default_rng(seed)
+    names = tuple(f"attr_{i}_\u00e9" for i in range(30))
+    queries = tuple(
+        (f"q{i}", frozenset(rng.choice(28, size=rng.integers(1, 6), replace=False).tolist())) for i in range(200)
+    )
+    return run_pipeline(UsageSet(queries=queries, catalog=AttributeCatalog(names)))
+
+
+def test_json_text_equals_indent_2_on_every_matrix_kind(reference_bundle):
+    for bundle in (reference_bundle, seeded_bundle(9)):
+        for name in ("qaum", "adm", "pdm", "mvsd", "nsm", "nnsm"):
+            obj = getattr(bundle, name).to_json_obj()
+            assert json_text(obj) == json.dumps(obj, indent=2, ensure_ascii=True), name
+        warnings = list(bundle.warnings)
+        assert json_text(warnings) == json.dumps(warnings, indent=2, ensure_ascii=True)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        [[]],
+        None,
+        "naïve",
+        {"rows": [[], [1, None], []], "empty": [], "nested": {}, "deep": {"x": {"y": [[]]}}},
+        {"values": [-0.0, 1e-7, 1e22, None, 0.1, 2 / 3, -5e-324, True, False, 10**20]},
+        {"labels": ["é", "日本", "a\"b\\c\n\t", "\u2028", "😀"], "kind": "PDM"},
+        [[-0.0, None], [1e-7, 1e22], []],
+        [1, [2, [3, []]], {"k": []}, "s", None],  # scalars mixed with containers
+        ({"a": (1, 2)}, (), [()]),  # tuples encode as lists
+    ],
+)
+def test_json_text_equals_indent_2_on_hand_built_objects(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2, ensure_ascii=True)
 
 
 def small_usage():
