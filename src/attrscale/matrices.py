@@ -12,7 +12,7 @@ json.dumps(indent=2) layout with each row encoded in one call of the C
 encoder. CSV cells are formatted as whole grids: "%.{p}f" (or repr at full
 precision) formats every float cell, and format_value, the one definition
 of the rounding, redoes only the cells where its Decimal text can differ:
-exact binary ties and, past six decimals, values below 1e-6.
+exact binary ties. Every cell is fixed-point at every precision.
 
 _frozen is the one intake path from caller input to stored arrays: every
 constructor hands it each array to convert, shape-check and freeze.
@@ -71,7 +71,7 @@ def format_value(value: float, precision: int | None) -> str:
         return repr(float(value))
     quantum = Decimal(1).scaleb(-precision)
     digits = Context(prec=309 + precision)  # a double has at most 309 integer digits
-    return str(Decimal(float(value)).quantize(quantum, rounding=ROUND_HALF_UP, context=digits))
+    return format(Decimal(float(value)).quantize(quantum, rounding=ROUND_HALF_UP, context=digits), "f")
 
 
 def _rows(values: np.ndarray, defined: np.ndarray | None = None) -> list[list]:
@@ -93,8 +93,6 @@ def _float_texts(values: np.ndarray, precision: int | None) -> list[str]:
     # in binary; the float product v·2·10^p is not once v has over 53 - 2.3p significant bits.
     with np.errstate(over="ignore", invalid="ignore"):
         redo = np.abs(np.fmod(values * 2.0 ** (precision + 1), 2.0)) == 1.0
-    if precision > 6:  # str(Decimal) writes a rounded value below 1e-6 in exponent form, e.g. 0E-7;
-        redo |= np.abs(values) < 1e-5  # the margin covers values that round across 1e-6
     for i in np.flatnonzero(redo).tolist():
         texts[i] = format_value(values[i], precision)
     return texts

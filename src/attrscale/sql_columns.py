@@ -7,7 +7,10 @@ set operators and non-SELECT statements are rejected as unsupported.
 The extractor does not build an AST. It tokenizes, splits the statement into
 top-level clauses, resolves table aliases, then scans the column-bearing
 clauses (select list, WHERE, GROUP BY, HAVING, ORDER BY, join ON conditions)
-for identifiers. `tokenize` is the only code that counts parentheses: it
+for identifiers. The lexical grammar is one compiled pattern, `_TOKEN`, whose
+alternatives are tried in order: identifiers are ASCII words, numbers start
+with a decimal digit, and a stray character matches ERROR. `tokenize`, the
+one loop over its matches, is the only code that counts parentheses: it
 stamps each token with its paren depth, and each bare identifier with its
 casefolded word, once; every later scan reads those stamps. The clause
 keywords and their required order are one tuple, `_CLAUSE_ORDER`. Matching
@@ -18,7 +21,9 @@ never as errors.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import AttributeCatalog
 from .errors import SqlSyntaxError, UnsupportedSqlError
@@ -36,15 +41,25 @@ _EXPR_WORDS = frozenset("""
 _CLAUSE_ORDER = ("from", "where", "group", "having", "order", "limit", "offset")
 _SET_OPS = frozenset(["union", "intersect", "except"])
 _JOIN_WORDS = frozenset(["join", "inner", "left", "right", "full", "cross", "outer"])
-
-_WORD_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_WORD_BODY = _WORD_START | frozenset("0123456789$")
-_OP_CHARS = frozenset("=<>!+-/%^&|~")
 _PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", "*": "STAR", ";": "SEMI"}
 
+_TOKEN = re.compile(
+    r"""
+      (?P<SKIP> \s+ | --[^\n]*\n? | /\*.*?\*/ )
+    | (?P<STRING> '(?:[^']|'')*'(?!') )  # the lookahead keeps backtracking from closing 'a'' early
+    | (?P<QIDENT> "[^"]*" | `[^`]*` )
+    | (?P<IDENT> [A-Za-z_][A-Za-z0-9_$]* )
+    | (?P<NUMBER> \d(?:[eE][+-]|[\d.eE])* )
+    | (?P<PUNCT> [(),.*;] )
+    | (?P<ERROR> /\* | ['"`] | [^=<>!+\-/%^&|~] )  # unclosed comment or quote, or a stray character
+    | (?P<OP> [=<>!+\-/%^&|~]+ )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_UNCLOSED = {"/*": "block comment", "'": "string literal", '"': "quoted identifier", "`": "quoted identifier"}
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # IDENT QIDENT NUMBER STRING OP LPAREN RPAREN COMMA DOT STAR SEMI
     text: str
     offset: int  # character offset into the statement
@@ -59,74 +74,24 @@ def _byte_offset(sql: str, pos: int) -> int:
 def tokenize(sql: str) -> list[Token]:
     """Token stream for one statement; comments and whitespace are dropped."""
     tokens: list[Token] = []
-    i, limit, depth = 0, len(sql), 0
-    while i < limit:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
+    depth = 0
+    for m in _TOKEN.finditer(sql):
+        kind = m.lastgroup
+        if kind == "SKIP":
             continue
-        if ch == "-" and sql.startswith("--", i):
-            nl = sql.find("\n", i)
-            i = limit if nl < 0 else nl + 1
-            continue
-        if ch == "/" and sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end < 0:
-                raise SqlSyntaxError("unterminated block comment", _byte_offset(sql, i))
-            i = end + 2
-            continue
-        if ch == "'":
-            j = i + 1
-            while True:
-                j = sql.find("'", j)
-                if j < 0:
-                    raise SqlSyntaxError("unterminated string literal", _byte_offset(sql, i))
-                if sql.startswith("''", j):  # escaped quote
-                    j += 2
-                    continue
-                break
-            tokens.append(Token("STRING", sql[i : j + 1], i, depth))
-            i = j + 1
-            continue
-        if ch in ('"', "`"):
-            j = sql.find(ch, i + 1)
-            if j < 0:
-                raise SqlSyntaxError("unterminated quoted identifier", _byte_offset(sql, i))
-            tokens.append(Token("QIDENT", sql[i + 1 : j], i, depth))
-            i = j + 1
-            continue
-        if ch in _WORD_START:
-            j = i + 1
-            while j < limit and sql[j] in _WORD_BODY:
-                j += 1
-            text = sql[i:j]
-            tokens.append(Token("IDENT", text, i, depth, text.casefold()))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < limit and (sql[j].isdigit() or sql[j] in ".eE"):
-                if sql[j] in "eE" and j + 1 < limit and sql[j + 1] in "+-":
-                    j += 1
-                j += 1
-            tokens.append(Token("NUMBER", sql[i:j], i, depth))
-            i = j
-            continue
-        if ch in _PUNCT:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            tokens.append(Token(_PUNCT[ch], ch, i, depth))
-            i += 1
-            continue
-        if ch not in _OP_CHARS:
-            raise SqlSyntaxError(f"unexpected character {ch!r}", _byte_offset(sql, i))
-        j = i + 1
-        while j < limit and sql[j] in _OP_CHARS:
-            j += 1
-        tokens.append(Token("OP", sql[i:j], i, depth))
-        i = j
+        text, start = m.group(), m.start()
+        if kind == "IDENT":
+            tokens.append(Token(kind, text, start, depth, text.casefold()))
+        elif kind == "PUNCT":
+            depth += (text == "(") - (text == ")")
+            tokens.append(Token(_PUNCT[text], text, start, depth))
+        elif kind == "QIDENT":
+            tokens.append(Token(kind, text[1:-1], start, depth))
+        elif kind == "ERROR":
+            message = f"unterminated {_UNCLOSED[text]}" if text in _UNCLOSED else f"unexpected character {text!r}"
+            raise SqlSyntaxError(message, _byte_offset(sql, start))
+        else:
+            tokens.append(Token(kind, text, start, depth))
     return tokens
 
 

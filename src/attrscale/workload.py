@@ -112,7 +112,7 @@ def load_workload(path: str | Path, format: str) -> list[QueryRecord]:
     other_key = "sql" if body_key == "attrs" else "attrs"
     records: list[QueryRecord] = []
     seen_ids: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # not splitlines: U+2028 is legal raw in JSON
         line = raw.strip()
         if not line:
             continue

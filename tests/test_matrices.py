@@ -35,6 +35,16 @@ def test_format_value_renders_every_double_at_every_precision():
     assert format_value(-1.7976931348623157e308, 0) == str(int(-1.7976931348623157e308))
 
 
+def test_format_value_is_fixed_point_at_every_precision():
+    assert format_value(0.0, 10) == "0.0000000000"
+    assert format_value(-0.0, 7) == "-0.0000000"
+    assert format_value(1.234e-7, 10) == "0.0000001234"
+    assert format_value(9.9999999e-7, 7) == "0.0000010"  # rounds up across 1e-6
+    for precision in range(16):
+        for value in (0.0, 1e-300, 4.9e-7, 1.5e-7, -3e-9):
+            assert "E" not in format_value(value, precision)
+
+
 def test_format_value_full_precision_round_trips():
     for value in (0.1153846153846153846, 2 / 3, 10.0):
         text = format_value(value, None)

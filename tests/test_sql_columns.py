@@ -178,6 +178,45 @@ def test_tokenize_positions_and_kinds():
     assert [t.depth for t in tokenize("f((a), b)) x")] == [0, 1, 2, 2, 1, 1, 1, 0, -1, -1]
 
 
+@pytest.mark.parametrize(
+    "sql, message, offset",
+    [
+        ("x 'a''", "unterminated string literal", 2),  # the doubled quote escapes; nothing closes
+        ("x 'a''''", "unterminated string literal", 2),
+        ("x /*/", "unterminated block comment", 2),
+        ("'é' \"x", "unterminated quoted identifier", 5),  # byte offset: é is two bytes
+        ("x `x", "unterminated quoted identifier", 2),
+    ],
+)
+def test_tokenize_reports_each_unterminated_kind_at_its_byte_offset(sql, message, offset):
+    with pytest.raises(SqlSyntaxError, match=message) as exc_info:
+        tokenize(sql)
+    assert exc_info.value.byte_offset == offset
+
+
+def test_tokenize_edge_lexemes():
+    def lexed(sql):
+        return [(t.kind, t.text) for t in tokenize(sql)]
+
+    assert lexed("'a'''") == [("STRING", "'a'''")]
+    assert lexed("a -- no newline at the end") == [("IDENT", "a")]
+    # an operator run takes every operator character, comment starters included
+    assert lexed("a=--x") == [("IDENT", "a"), ("OP", "=--"), ("IDENT", "x")]
+    assert lexed("=/*") == [("OP", "=/"), ("STAR", "*")]
+    assert lexed("1e+5 1.2.3 x$y ٣") == [("NUMBER", "1e+5"), ("NUMBER", "1.2.3"), ("IDENT", "x$y"), ("NUMBER", "٣")]
+    assert lexed("a\u00a0b") == [("IDENT", "a"), ("IDENT", "b")]  # NBSP is whitespace
+
+
+def test_non_decimal_digits_are_unexpected_characters(catalog):
+    # str.isdigit accepts superscript and circled digits; a number starts with a decimal digit only
+    sql = "SELECT a1 FROM t WHERE a2 = ² + ③"
+    with pytest.raises(SqlSyntaxError, match="unexpected character '²'") as exc_info:
+        extract_attributes(sql, catalog)
+    assert exc_info.value.byte_offset == len(sql[: sql.index("²")].encode("utf-8"))
+    with pytest.raises(SqlSyntaxError, match="unexpected character '③'"):
+        tokenize("③")
+
+
 FUZZ_WORDS = (
     "SELECT", "DISTINCT", "FROM", "WHERE", "GROUP BY", "GROUP", "BY", "HAVING", "ORDER BY", "ASC",
     "LIMIT", "OFFSET", "JOIN", "LEFT JOIN", "INNER JOIN", "RIGHT", "CROSS", "ON", "AS", "AND", "OR",

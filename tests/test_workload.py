@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from attrscale import (
@@ -45,6 +47,24 @@ def test_sql_and_attrs_fixtures_agree(data_dir, catalog):
 
 def test_blank_lines_skipped(tmp_path):
     path = write_lines(tmp_path / "w.jsonl", ['{"id": "q1", "attrs": ["a"]}', "", '{"id": "q2", "attrs": ["b"]}'])
+    assert [r.id for r in load_workload(path, "jsonl-attrs")] == ["q1", "q2"]
+
+
+@pytest.mark.parametrize("separator", ["\u0085", "\u2028", "\u2029"])
+def test_records_split_on_newline_only(tmp_path, separator):
+    # json.dumps(..., ensure_ascii=False) writes these raw inside strings, and str.splitlines splits on them
+    sql = json.dumps({"id": "q1", "sql": f"SELECT a1 FROM t -- note{separator}WHERE a2 = 1"}, ensure_ascii=False)
+    attrs = json.dumps({"id": "q2", "attrs": [f"a{separator}b"]}, ensure_ascii=False)
+    assert separator in sql and separator in attrs
+    path = write_lines(tmp_path / "w.jsonl", [sql, ""])
+    assert load_workload(path, "jsonl-sql")[0].sql.endswith(f"note{separator}WHERE a2 = 1")
+    path = write_lines(tmp_path / "w.jsonl", [attrs, '{"id": "q3", "attrs": ["c"]}'])
+    assert [r.attrs for r in load_workload(path, "jsonl-attrs")] == [(f"a{separator}b",), ("c",)]
+
+
+def test_crlf_line_endings_are_stripped(tmp_path):
+    path = tmp_path / "w.jsonl"
+    path.write_bytes(b'{"id": "q1", "attrs": ["a"]}\r\n{"id": "q2", "attrs": ["b"]}\r\n')
     assert [r.id for r in load_workload(path, "jsonl-attrs")] == ["q1", "q2"]
 
 
