@@ -7,12 +7,18 @@ JSON, never as a magic number. JSON always serializes values at full double
 precision; CSV takes a display precision (decimal half-up, the convention the
 reference tables use).
 
-Rendering is near-linear in the cell count. json_text writes the
-json.dumps(indent=2) layout with each row encoded in one call of the C
-encoder. CSV cells are formatted as whole grids: "%.{p}f" (or repr at full
-precision) formats every float cell, and format_value, the one definition
-of the rounding, redoes only the cells where its Decimal text can differ:
-exact binary ties. Every cell is fixed-point at every precision.
+Each file is rendered as a whole grid of cell texts; csv.writer and
+json.dumps see only the header and the labels, and rows are joined with
+str.join. The QAUM's cells are single digits, so every row of its files has
+a fixed width: the rows are cut from one uint8 byte template per file, its
+cells filled by one strided numpy assignment. Every other grid formats each
+distinct defined value once (np.unique over the float64 bit pattern, so
+-0.0 and 0.0 stay apart): integers through str, floats through "%.{p}f" (or
+repr at full precision), and format_value, the one definition of the
+rounding, redoes only the values where its Decimal text can differ: exact
+binary ties. Undefined cells take one constant text. Every cell is
+fixed-point at every precision. to_json_obj is the object form of the JSON
+files; to_json writes them as json.dumps(indent=2, ensure_ascii=True) would.
 
 _frozen is the one intake path from caller input to stored arrays: every
 constructor hands it each array to convert, shape-check and freeze.
@@ -21,13 +27,13 @@ constructor hands it each array to convert, shape-check and freeze.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
-from itertools import repeat
+from itertools import chain, repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,7 +41,11 @@ from .errors import AttrScaleError
 
 UNDEFINED_CSV = "#"
 SCALE_KINDS = ("PDM", "NSM", "NNSM")
-_BINARY_TEXT = np.array(["0", "1"], dtype=object)
+# (head, separator, tail, text when empty) of one row of cell texts in a file
+_Layout = tuple[str, str, str, str]
+_CSV_ROW = ("", ",", "\n", "\n")  # what follows a CSV row's label field and its comma
+_JSON_LIST = ("[\n    ", ",\n    ", "\n  ]", "[]")  # a list valued by a top-level key
+_JSON_ROW = ("[\n      ", ",\n      ", "\n    ]", "[]")  # a list inside such a list
 
 
 def _frozen(arr, dtype, shape: tuple[int, ...], defined: np.ndarray | None = None) -> np.ndarray:
@@ -98,23 +108,80 @@ def _float_texts(values: np.ndarray, precision: int | None) -> list[str]:
     return texts
 
 
-def _text_grid(values: np.ndarray, defined: np.ndarray, precision: int | None = None) -> list[list[str]]:
-    """The grid's CSV cells as rows of text: integers through str, floats as format_value
-    renders them at precision, UNDEFINED_CSV at undefined cells."""
+def _cell_texts(values: np.ndarray, defined: np.ndarray, undefined: str, precision: int | None = None) -> list:
+    """The grid's cell texts as nested lists: each distinct defined value formatted once (integers
+    through str, floats as format_value renders them at precision), undefined at undefined cells."""
     shown = values[defined]
-    texts = _float_texts(shown, precision) if values.dtype.kind == "f" else list(map(str, shown.tolist()))
-    grid = np.full(values.shape, UNDEFINED_CSV, dtype=object)
-    grid[defined] = texts
+    if values.dtype.kind == "f":
+        keys, inverse = np.unique(shown.view(np.int64), return_inverse=True)  # -0.0 and 0.0 render apart
+        texts = _float_texts(keys.view(np.float64), precision)
+    else:
+        keys, inverse = np.unique(shown, return_inverse=True)
+        texts = list(map(str, keys.tolist()))
+    grid = np.full(values.shape, undefined, dtype=object)
+    grid[defined] = np.array(texts, dtype=object)[inverse]
     return grid.tolist()
 
 
-def _csv_text(header: list[str], labels: Iterable[str], rows: Iterable[list[str]]) -> str:
-    """One CSV row per label, followed by that row's cell texts."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _joined(texts: list[str], layout: _Layout) -> str:
+    """One row of cell texts in a file's layout."""
+    head, sep, tail, empty = layout
+    return head + sep.join(texts) + tail if texts else empty
+
+
+def _digit_text(cells: np.ndarray, row_layout: _Layout, list_layout: _Layout = ("", "", "", "")) -> str:
+    """_joined([_joined(row, row_layout) for row in cells], list_layout) for a 0/1 grid, decoded from one
+    byte buffer: each row is a copy of one template whose cells one strided assignment fills."""
+    head, sep, tail, empty = list_layout  # head and sep have one length: the first row's sep becomes head
+    m, n = cells.shape
+    if not m:
+        return empty
+    row = sep + _joined(["0"] * n, row_layout)
+    width = len(row)
+    buf = np.empty(m * width + len(tail), dtype=np.uint8)
+    grid = buf[: m * width].reshape(m, width)
+    grid[:] = np.frombuffer(row.encode("ascii"), dtype=np.uint8)
+    grid[0, : len(head)] = np.frombuffer(head.encode("ascii"), dtype=np.uint8)
+    buf[m * width :] = np.frombuffer(tail.encode("ascii"), dtype=np.uint8)
+    row_head, row_sep, row_tail, _ = row_layout
+    if n:
+        grid[:, len(sep) + len(row_head) : width - len(row_tail) : len(row_sep) + 1] = cells + ord("0")
+    return str(buf, "ascii")
+
+
+def _csv_text(header: list[str], labels: Iterable[str], rows: list[str]) -> str:
+    """The header, then one line per label: its field as csv.writer writes it, then its row text."""
+    lines: list[str] = []  # csv.writer calls write once per row
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([label, *row] for label, row in zip(labels, rows))
-    return buf.getvalue()
+    # a label is quoted as the first of several fields, where an empty one is written as nothing;
+    # only a label alone on its line (no cells) is written as one field, '""' when it is empty
+    writer.writerows((label, "") if len(header) > 1 else (label,) for label in labels)
+    fields = [line[:-1] for line in lines[1:]]
+    return "".join([lines[0], *chain.from_iterable(zip(fields, rows))])
+
+
+def _grid_csv(
+    header: list[str], labels: Iterable[str], values: np.ndarray, defined: np.ndarray, precision: int | None = None
+) -> str:
+    rows = _cell_texts(values, defined, UNDEFINED_CSV, precision)
+    return _csv_text(header, labels, [_joined(row, _CSV_ROW) for row in rows])
+
+
+def _grid_json(values: np.ndarray, defined: np.ndarray) -> str:
+    rows = _cell_texts(values, defined, "null")
+    return _joined([_joined(row, _JSON_ROW) for row in rows], _JSON_LIST)
+
+
+def _json_object(fields: dict[str, str]) -> str:
+    """A top-level object in the json.dumps(indent=2) layout, from each key's rendered value, joined once."""
+    parts = [piece for key, text in fields.items() for piece in (",\n  ", json.dumps(key), ": ", text)]
+    parts[0] = "{\n  "
+    return "".join([*parts, "\n}"])
+
+
+def _labels_json(labels: Iterable[str]) -> str:
+    return json_text(list(labels), "    ")
 
 
 def json_text(obj, pad: str = "  ") -> str:
@@ -161,7 +228,18 @@ class UsageMatrix:
 
     def to_csv(self, precision: int | None = None) -> str:
         del precision  # binary cells, nothing to round
-        return _csv_text(["query", *self.attributes], self.query_ids, _BINARY_TEXT[self.cells].tolist())
+        text = _digit_text(self.cells, _CSV_ROW)
+        width = len(_joined(["0"] * len(self.attributes), _CSV_ROW))  # every row has this length
+        rows = [text[i : i + width] for i in range(0, len(text), width)]
+        return _csv_text(["query", *self.attributes], self.query_ids, rows)
+
+    def to_json(self) -> str:
+        return _json_object({
+            "kind": '"QAUM"',
+            "query_ids": _labels_json(self.query_ids),
+            "attributes": _labels_json(self.attributes),
+            "cells": _digit_text(self.cells, _JSON_ROW, _JSON_LIST),
+        })
 
     def to_json_obj(self) -> dict:
         return {
@@ -208,8 +286,16 @@ class DependencyMatrix:
         del precision
         grid = np.column_stack([self.counts, self.total_measure])
         defined = np.column_stack([self._off_diagonal(), np.ones(len(self.attributes), dtype=bool)])
-        header = ["attribute", *self.attributes, "total_measure"]
-        return _csv_text(header, self.attributes, _text_grid(grid, defined))
+        return _grid_csv(["attribute", *self.attributes, "total_measure"], self.attributes, grid, defined)
+
+    def to_json(self) -> str:
+        total = _cell_texts(self.total_measure, np.ones(len(self.attributes), dtype=bool), "null")
+        return _json_object({
+            "kind": '"ADM"',
+            "attributes": _labels_json(self.attributes),
+            "counts": _grid_json(self.counts, self._off_diagonal()),
+            "total_measure": _joined(total, _JSON_LIST),
+        })
 
     def to_json_obj(self) -> dict:
         return {
@@ -243,8 +329,14 @@ class MaskedRealMatrix:
         return float(self.values[h, k]) if self.defined[h, k] else None
 
     def to_csv(self, precision: int | None = None) -> str:
-        rows = _text_grid(self.values, self.defined, precision)
-        return _csv_text(["attribute", *self.attributes], self.attributes, rows)
+        return _grid_csv(["attribute", *self.attributes], self.attributes, self.values, self.defined, precision)
+
+    def to_json(self) -> str:
+        return _json_object({
+            "kind": json.dumps(self.kind),
+            "attributes": _labels_json(self.attributes),
+            "values": _grid_json(self.values, self.defined),
+        })
 
     def to_json_obj(self) -> dict:
         return {
@@ -279,8 +371,17 @@ class StatsTable:
         return grid, np.broadcast_to(self.defined, grid.shape)
 
     def to_csv(self, precision: int | None = None) -> str:
-        rows = _text_grid(*self._grid(), precision)
-        return _csv_text(["statistic", *self.attributes], ("mean", "variance", "sd"), rows)
+        return _grid_csv(["statistic", *self.attributes], ("mean", "variance", "sd"), *self._grid(), precision)
+
+    def to_json(self) -> str:
+        mean, variance, sd = (_joined(row, _JSON_LIST) for row in _cell_texts(*self._grid(), "null"))
+        return _json_object({
+            "kind": '"MVSD"',
+            "attributes": _labels_json(self.attributes),
+            "mean": mean,
+            "variance": variance,
+            "sd": sd,
+        })
 
     def to_json_obj(self) -> dict:
         mean, variance, sd = _rows(*self._grid())

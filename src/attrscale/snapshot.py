@@ -145,7 +145,7 @@ def render_outputs(snap: Snapshot) -> dict[str, str]:
         if fmt in ("csv", "both"):
             files[f"{name}.csv"] = stage.to_csv(precision=snap.config.precision)
         if fmt in ("json", "both"):
-            files[f"{name}.json"] = json_text(stage.to_json_obj()) + "\n"
+            files[f"{name}.json"] = stage.to_json() + "\n"
     files["warnings.json"] = json_text(list(bundle.warnings)) + "\n"
     diag_lines = [json.dumps(entry, sort_keys=True, ensure_ascii=True) for entry in (*snap.usage.dropped, *snap.usage.diagnostics)]
     files["diagnostics.jsonl"] = "".join(line + "\n" for line in diag_lines)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -88,6 +90,109 @@ def test_json_text_equals_indent_2_on_every_matrix_kind(reference_bundle):
             assert json_text(obj) == json.dumps(obj, indent=2, ensure_ascii=True), name
         warnings = list(bundle.warnings)
         assert json_text(warnings) == json.dumps(warnings, indent=2, ensure_ascii=True)
+
+
+MATRIX_NAMES = ("qaum", "adm", "pdm", "mvsd", "nsm", "nnsm")
+ODD_LABELS = ("", "a,b", 'c"d', "new\nline", "cr\r")  # empty, and each kind csv quotes
+
+
+def csv_reference(matrix, precision) -> str:
+    """The matrix's object form written cell by cell by csv.writer: ints through str, floats through
+    format_value, undefined cells as '#'."""
+    obj = matrix.to_json_obj()
+    kind, names = obj["kind"], obj["attributes"]
+    if kind == "QAUM":
+        header, labels, rows = ["query", *names], obj["query_ids"], obj["cells"]
+    elif kind == "ADM":
+        header, labels = ["attribute", *names, "total_measure"], names
+        rows = [[*counts, total] for counts, total in zip(obj["counts"], obj["total_measure"])]
+    elif kind == "MVSD":
+        header, labels, rows = ["statistic", *names], ["mean", "variance", "sd"], [obj["mean"], obj["variance"], obj["sd"]]
+    else:
+        header, labels, rows = ["attribute", *names], names, obj["values"]
+
+    def cell(value):
+        if value is None:
+            return "#"
+        return format_value(value, precision) if isinstance(value, float) else str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([label, *map(cell, row)] for label, row in zip(labels, rows))
+    return buf.getvalue()
+
+
+def hand_built(names, query_ids, usage_rows, counts, values, defined, stats_defined):
+    """One matrix of each type over the given labels."""
+    n = len(names)
+    counts = np.array(counts, dtype=np.int64).reshape(n, n)
+    return {
+        "qaum": UsageMatrix(query_ids, names, np.array(usage_rows, dtype=np.uint8).reshape(len(query_ids), n)),
+        "adm": DependencyMatrix(names, counts, counts.sum(axis=1)),
+        "pdm": MaskedRealMatrix("PDM", names, np.array(values, dtype=np.float64).reshape(n, n), np.array(defined, dtype=bool).reshape(n, n)),
+        "mvsd": StatsTable(names, np.arange(n) * 0.125, np.full(n, 0.5), np.full(n, 2.5), np.array(stats_defined, dtype=bool)),
+    }
+
+
+def render_cases():
+    """(case id, matrix) pairs covering every matrix type, odd labels and degenerate shapes."""
+    rng = np.random.default_rng(4)
+    seeded = seeded_bundle(9)
+    for name in MATRIX_NAMES:
+        yield f"reference-{name}", name  # read from the reference_bundle fixture
+        yield f"seeded9-{name}", getattr(seeded, name)
+    odd = hand_built(
+        ODD_LABELS,
+        ODD_LABELS,
+        rng.integers(0, 2, size=(5, 5)),
+        np.triu(rng.integers(0, 4, size=(5, 5)), 1) + np.triu(rng.integers(0, 4, size=(5, 5)), 1).T,
+        rng.random((5, 5)),
+        ~np.eye(5, dtype=bool) & (rng.random((5, 5)) < 0.7),
+        [True, False, True, True, False],
+    )
+    one = hand_built(("solo",), ("q1", "q2", "q3"), [[1], [0], [1]], [[0]], [[0.0]], [[False]], [True])
+    empty = hand_built((), ("q1", "q2"), np.zeros((2, 0)), np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)), [])
+    for tag, matrices in (("odd-labels", odd), ("n1", one), ("n0", empty)):
+        for name, matrix in matrices.items():
+            yield f"{tag}-{name}", matrix
+    yield "n0-empty-label-qaum", UsageMatrix(("", "q"), (), np.zeros((2, 0), dtype=np.uint8))
+    yield "m0-qaum", UsageMatrix((), ("a", "b", "c"), np.zeros((0, 3), dtype=np.uint8))
+    pool = np.array([-0.0, 0.0, 5e-324, 1e16, 0.1, 2 / 3, 7.0])
+    repeats = MaskedRealMatrix("NSM", tuple("abcdefgh"), rng.choice(pool, size=(8, 8)), ~np.eye(8, dtype=bool))
+    yield "repeated-signed-zero", repeats
+    ties = np.array([[0.0, 0.125, 0.5], [2.5, 0.0, -0.125], [0.375, -0.5, 0.0]])
+    yield "exact-ties", MaskedRealMatrix("NNSM", ("x", "y", "z"), ties, ~np.eye(3, dtype=bool))
+
+
+RENDER_CASES = dict(render_cases())
+
+
+@pytest.fixture(params=list(RENDER_CASES), name="rendered")
+def fixture_rendered(request, reference_bundle):
+    matrix = RENDER_CASES[request.param]
+    return getattr(reference_bundle, matrix) if isinstance(matrix, str) else matrix
+
+
+def test_to_json_equals_indent_2_of_to_json_obj(rendered):
+    assert rendered.to_json() == json.dumps(rendered.to_json_obj(), indent=2, ensure_ascii=True)
+
+
+@pytest.mark.parametrize("precision", [None, *range(11)])
+def test_to_csv_equals_a_per_cell_csv_writer_rendering(rendered, precision):
+    assert rendered.to_csv(precision) == csv_reference(rendered, precision)
+
+
+def test_rendering_pins_ties_signed_zero_and_odd_labels():
+    ties = RENDER_CASES["exact-ties"]
+    assert ties.to_csv(2).splitlines()[1:] == ["x,#,0.13,0.50", "y,2.50,#,-0.13", "z,0.38,-0.50,#"]
+    assert ties.to_csv(0).splitlines()[1:] == ["x,#,0,1", "y,3,#,-0", "z,0,-1,#"]
+    zeros = MaskedRealMatrix("PDM", ("a", "b", "c"), np.array([[0, -0.0, 0.0], [0.0, 0, -0.0], [5e-324, 1e16, 0]]), ~np.eye(3, dtype=bool))
+    assert zeros.to_csv(1) == "attribute,a,b,c\na,#,-0.0,0.0\nb,0.0,#,-0.0\nc,0.0,10000000000000000.0,#\n"
+    assert '"values": [\n    [\n      null,\n      -0.0,\n      0.0\n    ],' in zeros.to_json()
+    qaum = UsageMatrix(("", "new\nline"), ("a",), np.array([[1], [0]], dtype=np.uint8))
+    assert qaum.to_csv() == 'query,a\n,1\n"new\nline",0\n'
+    assert UsageMatrix(("",), (), np.zeros((1, 0), dtype=np.uint8)).to_csv() == 'query\n""\n'
 
 
 @pytest.mark.parametrize(
