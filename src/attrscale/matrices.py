@@ -44,8 +44,16 @@ SCALE_KINDS = ("PDM", "NSM", "NNSM")
 # (head, separator, tail, text when empty) of one row of cell texts in a file
 _Layout = tuple[str, str, str, str]
 _CSV_ROW = ("", ",", "\n", "\n")  # what follows a CSV row's label field and its comma
-_JSON_LIST = ("[\n    ", ",\n    ", "\n  ]", "[]")  # a list valued by a top-level key
-_JSON_ROW = ("[\n      ", ",\n      ", "\n    ]", "[]")  # a list inside such a list
+
+
+def _json_layout(depth: int, brackets: str = "[]") -> _Layout:
+    """The json.dumps(indent=2) layout of a container nested depth levels deep."""
+    pad = "\n" + "  " * depth
+    return brackets[0] + pad + "  ", "," + pad + "  ", pad + brackets[1], brackets
+
+
+_JSON_LIST = _json_layout(1)  # a list valued by a top-level key
+_JSON_ROW = _json_layout(2)  # a list inside such a list
 
 
 def _frozen(arr, dtype, shape: tuple[int, ...], defined: np.ndarray | None = None) -> np.ndarray:
@@ -118,15 +126,15 @@ def _cell_texts(values: np.ndarray, defined: np.ndarray, undefined: str, precisi
     else:
         keys, inverse = np.unique(shown, return_inverse=True)
         texts = list(map(str, keys.tolist()))
-    grid = np.full(values.shape, undefined, dtype=object)
-    grid[defined] = np.array(texts, dtype=object)[inverse]
-    return grid.tolist()
+    index = np.full(values.shape, len(texts))  # the position of undefined in the text table
+    index[defined] = inverse
+    return np.array([*texts, undefined], dtype=object)[index].tolist()
 
 
 def _joined(texts: list[str], layout: _Layout) -> str:
     """One row of cell texts in a file's layout."""
     head, sep, tail, empty = layout
-    return head + sep.join(texts) + tail if texts else empty
+    return "".join((head, sep.join(texts), tail)) if texts else empty  # one copy of a large body
 
 
 def _digit_text(cells: np.ndarray, row_layout: _Layout, list_layout: _Layout = ("", "", "", "")) -> str:
@@ -151,12 +159,14 @@ def _digit_text(cells: np.ndarray, row_layout: _Layout, list_layout: _Layout = (
 
 def _csv_text(header: list[str], labels: Iterable[str], rows: list[str]) -> str:
     """The header, then one line per label: its field as csv.writer writes it, then its row text."""
-    lines: list[str] = []  # csv.writer calls write once per row
+    lines: list[str] = []
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(header)
     # a label is quoted as the first of several fields, where an empty one is written as nothing;
     # only a label alone on its line (no cells) is written as one field, '""' when it is empty
     writer.writerows((label, "") if len(header) > 1 else (label,) for label in labels)
+    # CPython's csv.writer makes one write call per row; pairing lines with rows relies on it
+    assert len(lines) == 1 + len(rows), "csv.writer wrote a row in more than one piece"
     fields = [line[:-1] for line in lines[1:]]
     return "".join([lines[0], *chain.from_iterable(zip(fields, rows))])
 
@@ -175,36 +185,20 @@ def _grid_json(values: np.ndarray, defined: np.ndarray) -> str:
 
 def _json_object(fields: dict[str, str]) -> str:
     """A top-level object in the json.dumps(indent=2) layout, from each key's rendered value, joined once."""
-    parts = [piece for key, text in fields.items() for piece in (",\n  ", json.dumps(key), ": ", text)]
-    parts[0] = "{\n  "
-    return "".join([*parts, "\n}"])
+    head, sep, tail, _ = _json_layout(0, "{}")
+    parts = [piece for key, text in fields.items() for piece in (sep, json.dumps(key), ": ", text)]
+    parts[0] = head
+    return "".join([*parts, tail])
 
 
-def _labels_json(labels: Iterable[str]) -> str:
-    return json_text(list(labels), "    ")
-
-
-def json_text(obj, pad: str = "  ") -> str:
-    """obj as json.dumps(obj, indent=2, ensure_ascii=True) writes it; dict keys must be str.
-
-    indent= forces the pure-Python encoder, which holds one string per cell;
-    here each list of scalars goes through the C encoder in one call, its
-    item separator carrying the newline and indentation.
-    """
-    close = "\n" + pad[:-2]
+def json_text(obj, depth: int = 0) -> str:
+    """obj as json.dumps(obj, indent=2, ensure_ascii=True) writes it, nested depth levels deep;
+    dict keys must be str. The matrix writers assemble the same layout from rendered pieces."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (json.dumps(key) + ": " + json_text(value, pad + "  ") for key, value in obj.items())
-        return "{\n" + pad + (",\n" + pad).join(items) + close + "}"
+        items = [json.dumps(key) + ": " + json_text(value, depth + 1) for key, value in obj.items()]
+        return _joined(items, _json_layout(depth, "{}"))
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
-            body = (",\n" + pad).join(json_text(item, pad + "  ") for item in obj)
-        else:
-            body = json.dumps(obj, separators=(",\n" + pad, ": "), ensure_ascii=True)[1:-1]
-        return "[\n" + pad + body + close + "]"
+        return _joined([json_text(item, depth + 1) for item in obj], _json_layout(depth))
     return json.dumps(obj, ensure_ascii=True)
 
 
@@ -236,8 +230,8 @@ class UsageMatrix:
     def to_json(self) -> str:
         return _json_object({
             "kind": '"QAUM"',
-            "query_ids": _labels_json(self.query_ids),
-            "attributes": _labels_json(self.attributes),
+            "query_ids": json_text(self.query_ids, 1),
+            "attributes": json_text(self.attributes, 1),
             "cells": _digit_text(self.cells, _JSON_ROW, _JSON_LIST),
         })
 
@@ -292,7 +286,7 @@ class DependencyMatrix:
         total = _cell_texts(self.total_measure, np.ones(len(self.attributes), dtype=bool), "null")
         return _json_object({
             "kind": '"ADM"',
-            "attributes": _labels_json(self.attributes),
+            "attributes": json_text(self.attributes, 1),
             "counts": _grid_json(self.counts, self._off_diagonal()),
             "total_measure": _joined(total, _JSON_LIST),
         })
@@ -334,7 +328,7 @@ class MaskedRealMatrix:
     def to_json(self) -> str:
         return _json_object({
             "kind": json.dumps(self.kind),
-            "attributes": _labels_json(self.attributes),
+            "attributes": json_text(self.attributes, 1),
             "values": _grid_json(self.values, self.defined),
         })
 
@@ -377,7 +371,7 @@ class StatsTable:
         mean, variance, sd = (_joined(row, _JSON_LIST) for row in _cell_texts(*self._grid(), "null"))
         return _json_object({
             "kind": '"MVSD"',
-            "attributes": _labels_json(self.attributes),
+            "attributes": json_text(self.attributes, 1),
             "mean": mean,
             "variance": variance,
             "sd": sd,

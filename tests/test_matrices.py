@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -193,6 +194,20 @@ def test_rendering_pins_ties_signed_zero_and_odd_labels():
     qaum = UsageMatrix(("", "new\nline"), ("a",), np.array([[1], [0]], dtype=np.uint8))
     assert qaum.to_csv() == 'query,a\n,1\n"new\nline",0\n'
     assert UsageMatrix(("",), (), np.zeros((1, 0), dtype=np.uint8)).to_csv() == 'query\n""\n'
+
+
+def test_csv_rows_written_in_pieces_fail_loudly(monkeypatch):
+    """Label fields are paired with row texts by csv.writer's one write per row; a writer that
+    splits its writes must fail, not shift labels onto other rows."""
+    whole = csv.writer
+
+    def piecewise(file, **kwargs):
+        return whole(SimpleNamespace(write=lambda text: [file.write(text[:1]), file.write(text[1:])]), **kwargs)
+
+    monkeypatch.setattr(csv, "writer", piecewise)
+    for name in ("qaum", "pdm"):
+        with pytest.raises(AssertionError, match="more than one piece"):
+            RENDER_CASES[f"odd-labels-{name}"].to_csv()
 
 
 @pytest.mark.parametrize(
