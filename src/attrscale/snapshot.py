@@ -28,6 +28,7 @@ from .workload import SelectionSpec, UsageSet
 FORMAT_VERSION = 2  # v1 also stored every stage; it is rejected, not read
 EXPORT_FORMATS = ("csv", "json", "both")
 MATRIX_BASENAMES = ("qaum", "adm", "pdm", "mvsd", "nsm", "nnsm")
+_DIAGNOSTIC_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True)  # one line of diagnostics.jsonl
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def render_outputs(snap: Snapshot) -> dict[str, str]:
         if fmt in ("json", "both"):
             files[f"{name}.json"] = stage.to_json() + "\n"
     files["warnings.json"] = json_text(list(bundle.warnings)) + "\n"
-    diag_lines = [json.dumps(entry, sort_keys=True, ensure_ascii=True) for entry in (*snap.usage.dropped, *snap.usage.diagnostics)]
+    diag_lines = [_DIAGNOSTIC_ENCODER.encode(entry) for entry in (*snap.usage.dropped, *snap.usage.diagnostics)]
     files["diagnostics.jsonl"] = "".join(line + "\n" for line in diag_lines)
     files["snapshot.json"] = snapshot_to_text(snap)
     return files

@@ -170,12 +170,14 @@ def test_error_offsets_count_bytes_not_characters(catalog):
 
 def test_tokenize_positions_and_kinds():
     tokens = tokenize("select t.a1, 'x''y' from t")
-    kinds = [t.kind for t in tokens]
+    kinds = [kind for kind, _, _, _, _ in tokens]
     assert kinds == ["IDENT", "IDENT", "DOT", "IDENT", "COMMA", "STRING", "IDENT", "IDENT"]
-    assert tokens[5].text == "'x''y'"
-    assert tokens[0].offset == 0 and tokens[1].offset == 7
+    _, text, _, _, _ = tokens[5]
+    assert text == "'x''y'"
+    (_, _, first, _, _), (_, _, second, _, _) = tokens[:2]
+    assert first == 0 and second == 7
     # depth after each token: "(" carries the inner level, ")" the outer one
-    assert [t.depth for t in tokenize("f((a), b)) x")] == [0, 1, 2, 2, 1, 1, 1, 0, -1, -1]
+    assert [depth for _, _, _, depth, _ in tokenize("f((a), b)) x")] == [0, 1, 2, 2, 1, 1, 1, 0, -1, -1]
 
 
 @pytest.mark.parametrize(
@@ -186,6 +188,8 @@ def test_tokenize_positions_and_kinds():
         ("x /*/", "unterminated block comment", 2),
         ("'é' \"x", "unterminated quoted identifier", 5),  # byte offset: é is two bytes
         ("x `x", "unterminated quoted identifier", 2),
+        ("a /* x */ /* y", "unterminated block comment", 10),  # a closed comment is skipped first
+        ("/* é */ 'x", "unterminated string literal", 9),  # é in a skipped comment is two bytes
     ],
 )
 def test_tokenize_reports_each_unterminated_kind_at_its_byte_offset(sql, message, offset):
@@ -196,7 +200,7 @@ def test_tokenize_reports_each_unterminated_kind_at_its_byte_offset(sql, message
 
 def test_tokenize_edge_lexemes():
     def lexed(sql):
-        return [(t.kind, t.text) for t in tokenize(sql)]
+        return [(kind, text) for kind, text, _, _, _ in tokenize(sql)]
 
     assert lexed("'a'''") == [("STRING", "'a'''")]
     assert lexed("a -- no newline at the end") == [("IDENT", "a")]
@@ -205,6 +209,15 @@ def test_tokenize_edge_lexemes():
     assert lexed("=/*") == [("OP", "=/"), ("STAR", "*")]
     assert lexed("1e+5 1.2.3 x$y ٣") == [("NUMBER", "1e+5"), ("NUMBER", "1.2.3"), ("IDENT", "x$y"), ("NUMBER", "٣")]
     assert lexed("a\u00a0b") == [("IDENT", "a"), ("IDENT", "b")]  # NBSP is whitespace
+
+
+def test_trailing_whitespace_and_comments_end_the_token_stream():
+    # a skip before the end of the statement is matched with the end itself, and
+    # the end can match once more after it; neither adds a token
+    for sql in ("a   ", "a /* x */", "a -- x\n  "):
+        assert [(kind, text) for kind, text, _, _, _ in tokenize(sql)] == [("IDENT", "a")], sql
+    assert tokenize("  ") == []
+    assert tokenize(" /* é */ ") == []
 
 
 def test_non_decimal_digits_are_unexpected_characters(catalog):
