@@ -3,8 +3,10 @@
 from .analytics import (
     AffinityRanking,
     AttributeGroup,
+    BundleDiff,
     PairExplanation,
     RankedPair,
+    diff_bundles,
     explain_pair,
     rank_pairs,
     strongest_partner,
@@ -44,6 +46,7 @@ __all__ = [
     "AttributeCatalog",
     "AttributeGroup",
     "AttrScaleError",
+    "BundleDiff",
     "DependencyMatrix",
     "DiagonalPairError",
     "EmptyAnalysisError",
@@ -71,6 +74,7 @@ __all__ = [
     "compute_mvsd",
     "compute_nnsm",
     "compute_nsm",
+    "diff_bundles",
     "explain_pair",
     "extract_attributes",
     "load_catalog",

@@ -60,6 +60,32 @@ class AttributeGroup:
             raise AttrScaleError("a group needs at least 2 attributes")
 
 
+@dataclass(frozen=True, eq=False)
+class BundleDiff:
+    """nnsm-min scores of the pairs of attributes two bundles share, as columns.
+
+    attributes holds the shared attributes, matched case-insensitively and
+    spelled as in the new bundle, in sorted order. A pair is one row of two
+    indices into it, the smaller first, so pairs sort as their name pairs do.
+    A pair is scored in a bundle when one of its cells is defined there; its
+    rank is its 1-based position among the shared pairs in rank_pairs order.
+    common pairs are scored in both bundles, ordered by |new - old|
+    descending, then by pair; appeared pairs only in new and disappeared
+    pairs only in old, each ordered by pair.
+    """
+
+    attributes: tuple[str, ...]
+    common: np.ndarray  # int64, shape (k, 2)
+    old_scores: np.ndarray  # float64, shape (k,)
+    new_scores: np.ndarray
+    old_ranks: np.ndarray  # int64, shape (k,)
+    new_ranks: np.ndarray
+    appeared: np.ndarray  # int64, shape (a, 2)
+    appeared_scores: np.ndarray  # float64, shape (a,): the new scores
+    disappeared: np.ndarray  # int64, shape (d, 2)
+    disappeared_scores: np.ndarray  # float64, shape (d,): the old scores
+
+
 def _index(bundle: ScaleBundle, name: str) -> int:
     # case-insensitive, the catalog convention; the catalog rejects casefold duplicates
     idx = {attr.casefold(): i for i, attr in enumerate(bundle.attributes)}.get(name.casefold())
@@ -201,4 +227,43 @@ def explain_pair(bundle: ScaleBundle, a: str, b: str) -> PairExplanation:
         nsm=bundle.nsm.cell(h, k),
         nnsm_ab=bundle.nnsm.cell(h, k),
         nnsm_ba=bundle.nnsm.cell(k, h),
+    )
+
+
+def _shared_pairs(bundle: ScaleBundle, shared: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Codes lo·len(shared) + hi and scores of the bundle's nnsm-min pairs whose two ends are shared,
+    in rank order; shared maps a casefolded name to its shared index."""
+    a, b, score = _pair_order(bundle, "nnsm-min")
+    to_shared = np.array([shared.get(name.casefold(), -1) for name in bundle.attributes], dtype=np.int64)
+    h, k = to_shared[a], to_shared[b]
+    keep = (h >= 0) & (k >= 0)
+    h, k = h[keep], k[keep]
+    return np.minimum(h, k) * len(shared) + np.maximum(h, k), score[keep]
+
+
+def diff_bundles(old: ScaleBundle, new: ScaleBundle) -> BundleDiff:
+    """Compare the nnsm-min pairs of two bundles over their shared attributes (see BundleDiff)."""
+    old_names = {name.casefold() for name in old.attributes}
+    names = sorted(name for name in new.attributes if name.casefold() in old_names)
+    shared = {name.casefold(): i for i, name in enumerate(names)}
+    old_code, old_score = _shared_pairs(old, shared)
+    new_code, new_score = _shared_pairs(new, shared)
+    code, o, w = np.intersect1d(old_code, new_code, assume_unique=True, return_indices=True)
+    order = np.lexsort((code, -np.abs(new_score[w] - old_score[o])))
+    o, w = o[order], w[order]
+    appeared = np.flatnonzero(~np.isin(new_code, old_code))
+    appeared = appeared[np.argsort(new_code[appeared])]
+    disappeared = np.flatnonzero(~np.isin(old_code, new_code))
+    disappeared = disappeared[np.argsort(old_code[disappeared])]
+    return BundleDiff(
+        attributes=tuple(names),
+        common=np.column_stack(np.divmod(code[order], len(names))),
+        old_scores=old_score[o],
+        new_scores=new_score[w],
+        old_ranks=o + 1,  # a shared pair's rank is its 1-based position among the shared pairs
+        new_ranks=w + 1,
+        appeared=np.column_stack(np.divmod(new_code[appeared], len(names))),
+        appeared_scores=new_score[appeared],
+        disappeared=np.column_stack(np.divmod(old_code[disappeared], len(names))),
+        disappeared_scores=old_score[disappeared],
     )

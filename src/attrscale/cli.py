@@ -1,5 +1,10 @@
 """Command-line front end: analyze, rank, explain, diff.
 
+Each command calls the library (the pipeline, rank_pairs, explain_pair,
+diff_bundles) and only formats what it returns. Scores are rounded by
+matrices.format_value, or a column at a time by matrices._float_texts,
+which agrees with it.
+
 Exit codes: 0 success (warnings allowed, or a reader that closed stdout
 early), 1 input/parse error, 2 empty analysis. One command per process; no
 state survives an invocation.
@@ -11,11 +16,11 @@ import argparse
 import os
 import sys
 
-from .analytics import RANK_KEYS, explain_pair, rank_pairs
+from .analytics import RANK_KEYS, diff_bundles, explain_pair, rank_pairs
 from .catalog import load_catalog
 from .errors import AttrScaleError, EmptyAnalysisError, UnknownAttributeError
-from .matrices import UNDEFINED_CSV, format_value
-from .pipeline import ScaleBundle, run_pipeline
+from .matrices import UNDEFINED_CSV, _float_texts, format_value
+from .pipeline import run_pipeline
 from .snapshot import EXPORT_FORMATS, RunConfig, Snapshot, load_snapshot, write_outputs
 from .workload import WORKLOAD_FORMATS, SelectionSpec, build_usage_set, load_workload, select_queries
 
@@ -147,48 +152,36 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _pair_scores(bundle: ScaleBundle, spelling: dict[str, str]) -> dict[tuple[str, str], tuple[float, int]]:
-    """(nnsm-min score, rank) per unordered shared pair with at least one defined cell.
-
-    spelling maps each shared attribute's casefolded name to the name pairs are keyed by.
-    The rank is the pair's position among the shared pairs in rank_pairs order.
-    """
-    shown = {name: spelling.get(name.casefold()) for name in bundle.attributes}
-    entries = (e for e in rank_pairs(bundle).entries if shown[e.a] is not None and shown[e.b] is not None)
-    return {tuple(sorted((shown[e.a], shown[e.b]))): (e.nnsm, pos) for pos, e in enumerate(entries, start=1)}
-
-
 def cmd_diff(args: argparse.Namespace) -> int:
     old = load_snapshot(args.old)
     new = load_snapshot(args.new)
-    # attributes match case-insensitively, like catalog lookups; pairs are shown in the new snapshot's spelling
-    old_names = {name.casefold() for name in old.bundle.attributes}
-    spelling = {name.casefold(): name for name in new.bundle.attributes if name.casefold() in old_names}
-    if not spelling:
+    diff = diff_bundles(old.bundle, new.bundle)
+    names = diff.attributes
+    if not names:
         raise AttrScaleError("snapshots have disjoint catalogs; nothing to compare")
-    old_scores = _pair_scores(old.bundle, spelling)
-    new_scores = _pair_scores(new.bundle, spelling)
-    common = sorted(set(old_scores) & set(new_scores))
-    added = sorted(set(new_scores) - set(old_scores))
-    removed = sorted(set(old_scores) - set(new_scores))
     p = new.config.precision
 
-    print(f"shared attributes: {len(spelling)}")
-    print(f"pairs compared: {len(common)}  appeared: {len(added)}  disappeared: {len(removed)}")
-    if common:
-        rows = sorted(common, key=lambda pair: (-abs(new_scores[pair][0] - old_scores[pair][0]), pair))
-        print("pair                      old         new         delta       rank old->new")
-        for pair in rows:
-            (was, old_rank), (now, new_rank) = old_scores[pair], new_scores[pair]
-            label = f"{pair[0]},{pair[1]}"
-            print(
-                f"{label:<25} {_fmt(was, p):<11} {_fmt(now, p):<11} {_fmt(now - was, p):<11} "
-                f"{old_rank}->{new_rank}"
-            )
-    for pair in added:
-        print(f"appeared: {pair[0]},{pair[1]} at {_fmt(new_scores[pair][0], p)}")
-    for pair in removed:
-        print(f"disappeared: {pair[0]},{pair[1]} was {_fmt(old_scores[pair][0], p)}")
+    def labels(pairs):
+        return [f"{names[a]},{names[b]}" for a, b in pairs.tolist()]
+
+    lines = [
+        f"shared attributes: {len(names)}\n",
+        f"pairs compared: {len(diff.common)}  appeared: {len(diff.appeared)}  disappeared: {len(diff.disappeared)}\n",
+    ]
+    if len(diff.common):
+        lines.append("pair                      old         new         delta       rank old->new\n")
+        lines += map(
+            "{:<25} {:<11} {:<11} {:<11} {}->{}\n".format,
+            labels(diff.common),
+            _float_texts(diff.old_scores, p),
+            _float_texts(diff.new_scores, p),
+            _float_texts(diff.new_scores - diff.old_scores, p),
+            diff.old_ranks.tolist(),
+            diff.new_ranks.tolist(),
+        )
+    lines += map("appeared: {} at {}\n".format, labels(diff.appeared), _float_texts(diff.appeared_scores, p))
+    lines += map("disappeared: {} was {}\n".format, labels(diff.disappeared), _float_texts(diff.disappeared_scores, p))
+    sys.stdout.write("".join(lines))
     return EXIT_OK
 
 

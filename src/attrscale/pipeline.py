@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -62,11 +64,14 @@ class ScaleBundle:
 def build_qaum(usage: UsageSet) -> UsageMatrix:
     """Binary m×n matrix: cell (h,k) = 1 iff query h uses attribute k."""
     m, n = usage.query_count, usage.attribute_count
+    index_sets = tuple(map(itemgetter(1), usage.queries))
+    lengths = np.fromiter(map(len, index_sets), dtype=np.intp, count=m)
+    # UsageSet admits only Python ints within the catalog, so fromiter converts every index exactly
+    columns = np.fromiter(chain.from_iterable(index_sets), dtype=np.intp, count=int(lengths.sum()))
     cells = np.zeros((m, n), dtype=np.uint8)
-    for row, (_, indices) in enumerate(usage.queries):
-        cells[row, sorted(indices)] = 1
+    cells[np.repeat(np.arange(m), lengths), columns] = 1
     return UsageMatrix(
-        query_ids=tuple(qid for qid, _ in usage.queries),
+        query_ids=tuple(map(itemgetter(0), usage.queries)),
         attributes=usage.catalog.attributes,
         cells=cells,
     )

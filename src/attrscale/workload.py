@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 from .catalog import AttributeCatalog
@@ -66,9 +68,11 @@ class SelectionSpec:
 class UsageSet:
     """Selected queries as attribute index sets over the surviving catalog.
 
-    dropped holds one entry per query removed for an empty attribute set;
-    diagnostics holds one entry per query with identifiers that matched no
-    catalog attribute. Both are reporting-only and do not affect matrices.
+    Every index is a Python int within the catalog; a bool, float, string or
+    numpy integer is refused. dropped holds one entry per query removed for
+    an empty attribute set; diagnostics holds one entry per query with
+    identifiers that matched no catalog attribute. Both are reporting-only
+    and do not affect matrices.
     """
 
     queries: tuple[tuple[str, frozenset[int]], ...]
@@ -78,12 +82,23 @@ class UsageSet:
 
     def __post_init__(self):
         n = len(self.catalog)
+        flat = list(chain.from_iterable(map(itemgetter(1), self.queries)))
+        # every index at once: the type test comes before any comparison, so a bool, float or string
+        # never reaches min/max; only a failure walks the queries, to name the first offender
+        valid = (
+            all(map(isinstance, map(itemgetter(0), self.queries), repeat(str)))
+            and all(map(len, map(itemgetter(1), self.queries)))
+            and set(map(type, flat)) <= {int}
+            and (not flat or (min(flat) >= 0 and max(flat) < n))
+        )
+        if valid:
+            return
         for qid, indices in self.queries:
             if not isinstance(qid, str):
                 raise WorkloadFormatError(f"query id {qid!r} is not a string")
             if not indices:
                 raise WorkloadFormatError(f"query {qid!r} has an empty attribute set")
-            if any(i < 0 or i >= n for i in indices):
+            if any(type(i) is not int or not 0 <= i < n for i in indices):
                 raise WorkloadFormatError(f"query {qid!r} has an attribute index outside the catalog")
 
     @property

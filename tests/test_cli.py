@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -10,12 +11,13 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import attrscale
-from attrscale import load_snapshot
+from attrscale import AttributeCatalog, MaskedRealMatrix, UsageSet, load_snapshot, rank_pairs, run_pipeline
 from attrscale.cli import EXIT_EMPTY_ANALYSIS, EXIT_INPUT_ERROR, EXIT_OK, main
 from attrscale.matrices import UNDEFINED_CSV, format_value
 from attrscale.snapshot import MATRIX_BASENAMES, render_outputs
@@ -382,6 +384,148 @@ def test_diff_matches_attribute_names_case_insensitively(capsys, tmp_path):
         lines = stdout.splitlines()
         assert lines[:2] == ["shared attributes: 3", "pairs compared: 3  appeared: 0  disappeared: 0"]
         assert sorted(line.split()[0] for line in lines[3:]) == [f"{new},b", f"{new},c", "b,c"]  # the new spelling
+
+
+def reference_diff(old, new, precision: int) -> str:
+    """diff's stdout for two bundles by the row-at-a-time algorithm: rank_pairs entries
+    re-keyed by name pair in dicts, then format_value on every value."""
+    old_names = {name.casefold() for name in old.attributes}
+    spelling = {name.casefold(): name for name in new.attributes if name.casefold() in old_names}
+
+    def scores(bundle):
+        shown = {name: spelling.get(name.casefold()) for name in bundle.attributes}
+        entries = (e for e in rank_pairs(bundle).entries if shown[e.a] is not None and shown[e.b] is not None)
+        return {tuple(sorted((shown[e.a], shown[e.b]))): (e.nnsm, pos) for pos, e in enumerate(entries, start=1)}
+
+    def fmt(value):
+        return format_value(value, precision)
+
+    old_scores, new_scores = scores(old), scores(new)
+    common = sorted(set(old_scores) & set(new_scores))
+    added = sorted(set(new_scores) - set(old_scores))
+    removed = sorted(set(old_scores) - set(new_scores))
+    lines = [
+        f"shared attributes: {len(spelling)}",
+        f"pairs compared: {len(common)}  appeared: {len(added)}  disappeared: {len(removed)}",
+    ]
+    if common:
+        lines.append("pair                      old         new         delta       rank old->new")
+        for pair in sorted(common, key=lambda pair: (-abs(new_scores[pair][0] - old_scores[pair][0]), pair)):
+            (was, old_rank), (now, new_rank) = old_scores[pair], new_scores[pair]
+            label = f"{pair[0]},{pair[1]}"
+            lines.append(f"{label:<25} {fmt(was):<11} {fmt(now):<11} {fmt(now - was):<11} {old_rank}->{new_rank}")
+    lines += [f"appeared: {a},{b} at {fmt(new_scores[a, b][0])}" for a, b in added]
+    lines += [f"disappeared: {a},{b} was {fmt(old_scores[a, b][0])}" for a, b in removed]
+    return "".join(line + "\n" for line in lines)
+
+
+def analyzed(tmp_path, name, queries, catalog_names, precision=2):
+    """The snapshot of `analyze` over jsonl-attrs queries (lists of names) and a catalog."""
+    workload, catalog = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.txt"
+    workload.write_text("".join(json.dumps({"id": f"q{i}", "attrs": q}) + "\n" for i, q in enumerate(queries)))
+    catalog.write_text("".join(f"{attr}\n" for attr in catalog_names))
+    out = tmp_path / name
+    assert main([
+        "analyze", "--input", str(workload), "--input-format", "jsonl-attrs", "--catalog", str(catalog),
+        "--out", str(out), "--precision", str(precision),
+    ]) == EXIT_OK
+    return str(out / "snapshot.json")
+
+
+def test_diff_of_analyzed_snapshots_matches_the_reference_byte_for_byte(capsys, tmp_path):
+    workload, catalog, (a_lo, a_hi), (b_lo, b_hi) = write_window_fixture(tmp_path)
+    base = ["analyze", "--input", str(workload), "--input-format", "jsonl-attrs", "--catalog", str(catalog)]
+    windows = []
+    for lo, hi in ((a_lo, a_hi), (b_lo, b_hi)):
+        out = tmp_path / f"window-{lo}"
+        assert main(base + ["--select", f"interval:{lo}..{hi}", "--out", str(out)]) == EXIT_OK
+        windows.append(str(out / "snapshot.json"))
+    # two sparse random windows over catalogs that differ in case and in members: pairs appear and disappear
+    rng = random.Random(13)
+    names = [f"{c}{i}" for i in range(6) for c in "aB"]
+    snapshots = [
+        analyzed(tmp_path, f"sparse-{k}", [rng.sample(names, rng.randint(1, 3)) for _ in range(25)], catalog_names, p)
+        for k, (catalog_names, p) in enumerate([
+            (names, 2),
+            ([name.swapcase() for name in names[:10]] + ["extra"], 0),
+            ([name.upper() for name in names[2:]], 10),
+        ])
+    ]
+    capsys.readouterr()
+    pairs = [(windows[0], windows[1]), (windows[1], windows[0])]
+    pairs += [(old, new) for old in snapshots for new in snapshots]
+    printed = {}
+    for old, new in pairs:
+        code, printed[old, new], _ = run_cli(capsys, "diff", "--old", old, "--new", new)
+        new_snap = load_snapshot(new)
+        assert code == EXIT_OK
+        want = reference_diff(load_snapshot(old).bundle, new_snap.bundle, new_snap.config.precision)
+        assert printed[old, new] == want
+    moved = printed[snapshots[0], snapshots[2]]
+    assert "\nappeared: " in moved and "\ndisappeared: " in moved
+
+
+def nnsm_bundle(names, values, defined):
+    """A bundle over names whose NNSM is given; diff reads no other matrix."""
+    base = run_pipeline(UsageSet((("q", frozenset({0})),), AttributeCatalog(tuple(names))))
+    nnsm = MaskedRealMatrix(kind="NNSM", attributes=tuple(names), values=values, defined=defined)
+    return dataclasses.replace(base, nnsm=nnsm)
+
+
+def diff_stdout(capsys, monkeypatch, old, new, precision):
+    """diff's stdout for two bundles, with the new one's display precision."""
+    snaps = {
+        "old": SimpleNamespace(bundle=old, config=SimpleNamespace(precision=None)),
+        "new": SimpleNamespace(bundle=new, config=SimpleNamespace(precision=precision)),
+    }
+    monkeypatch.setattr("attrscale.cli.load_snapshot", snaps.__getitem__)
+    code, stdout, _ = run_cli(capsys, "diff", "--old", "old", "--new", "new")
+    assert code == EXIT_OK
+    return stdout
+
+
+def scored_bundle(names, score):
+    """A bundle whose NNSM defines only the (row, column) cells given, at their values."""
+    values, defined = np.zeros((len(names),) * 2), np.zeros((len(names),) * 2, dtype=bool)
+    for (h, k), value in score.items():
+        values[h, k], defined[h, k] = value, True
+    return nnsm_bundle(names, values, defined)
+
+
+def test_diff_rounds_an_exact_negative_tie_half_up(capsys, monkeypatch):
+    old, new = scored_bundle("xyz", {(0, 1): 0.25}), scored_bundle("xyz", {(0, 1): 0.125})
+    assert diff_stdout(capsys, monkeypatch, old, new, 2) == reference_diff(old, new, 2) == (
+        "shared attributes: 3\n"
+        "pairs compared: 1  appeared: 0  disappeared: 0\n"
+        "pair                      old         new         delta       rank old->new\n"
+        "x,y                       0.25        0.13        -0.13       1->1\n"
+    )
+
+
+def test_diff_breaks_equal_movements_by_the_new_spelling(capsys, monkeypatch):
+    # casefolded, the pairs would sort a,b < a,c < b,c; in the new spelling "B" sorts before "a"
+    old = scored_bundle(("A", "b", "c"), {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 3.0})
+    new = scored_bundle(("a", "B", "c"), {(0, 1): 1.5, (0, 2): 1.5, (1, 2): 3.5})
+    stdout = diff_stdout(capsys, monkeypatch, old, new, 1)
+    assert stdout == reference_diff(old, new, 1)
+    assert [line.split()[0] for line in stdout.splitlines()[3:]] == ["B,a", "B,c", "a,c"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_diff_of_random_scales_matches_the_reference_byte_for_byte(capsys, monkeypatch, seed):
+    # scores in eighths: exact rounding ties at low precision, equal scores and equal movements
+    rng = np.random.default_rng(seed)
+    pool = [f"n{i}" for i in range(14)]
+
+    def bundle(size):
+        names = [name.upper() if rng.random() < 0.5 else name for name in rng.choice(pool, size, replace=False)]
+        defined = rng.random((size, size)) < 0.4
+        np.fill_diagonal(defined, False)
+        return nnsm_bundle(names, rng.integers(0, 81, (size, size)) / 8, defined)
+
+    old, new = bundle(int(rng.integers(2, 14))), bundle(int(rng.integers(2, 14)))
+    for precision in (0, 2, 10):
+        assert diff_stdout(capsys, monkeypatch, old, new, precision) == reference_diff(old, new, precision)
 
 
 def test_rank_with_no_defined_cell_warns_and_exits_0(capsys, tmp_path):

@@ -44,6 +44,35 @@ def test_build_qaum_matches_usage_rows(reference_usage):
     assert np.array_equal(qaum.cells, expected)
 
 
+def qaum_by_rows(usage):
+    """The QAUM cells filled one query at a time: the reference for build_qaum's single scatter."""
+    cells = np.zeros((usage.query_count, usage.attribute_count), dtype=np.uint8)
+    for row, (_, indices) in enumerate(usage.queries):
+        cells[row, sorted(indices)] = 1
+    return cells
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_build_qaum_equals_a_per_row_fill(seed):
+    rng = np.random.default_rng(seed)
+    unsorted = frozenset(range(0, 1000, 7)) | {1024, 2048, 4096}  # a hash table larger than its values
+    assert list(unsorted) != sorted(unsorted)
+    cases = [
+        (1, [("solo", frozenset({0}))]),  # m = 1, n = 1
+        (3, [("all", frozenset({2, 0, 1}))]),  # m = 1, every attribute
+        (5000, [("wide", unsorted), ("one", frozenset({4999})), ("every", frozenset(range(5000)))]),
+    ]
+    for _ in range(4):
+        n, m = int(rng.integers(1, 60)), int(rng.integers(1, 300))
+        rows = [(f"q{i}", frozenset(rng.choice(n, size=rng.integers(1, n + 1), replace=False).tolist())) for i in range(m)]
+        cases.append((n, rows))
+    for n, rows in cases:
+        usage = UsageSet(tuple(rows), AttributeCatalog(tuple(f"c{k}" for k in range(n))))
+        qaum = build_qaum(usage)
+        assert qaum.query_ids == tuple(qid for qid, _ in rows)
+        assert np.array_equal(qaum.cells, qaum_by_rows(usage))
+
+
 def test_build_adm_equals_recount_and_is_symmetric(reference_bundle):
     qaum = reference_bundle.qaum
     rows = [set(np.flatnonzero(row)) for row in qaum.cells]

@@ -157,6 +157,20 @@ def test_resealed_edits_raise_only_snapshot_error(snap, tmp_path):
         render_outputs(loaded)  # an edit that loads must also export
 
 
+@pytest.mark.parametrize("index", [0.5, 1.0, True, "1", 2**70, -1, "len(catalog)"])
+def test_resealed_non_catalog_index_raises_snapshot_error(snap, tmp_path, index):
+    # json.loads gives back 1.0 as a float and true as a bool; neither may pass as an index
+    obj = snapshot_to_obj(snap)
+    del obj["content_hash"]
+    qid, indices = obj["usage"]["queries"][1]
+    indices.append(len(obj["catalog"]["attributes"]) if index == "len(catalog)" else index)
+    obj["content_hash"] = _content_hash(obj)
+    path = tmp_path / "snapshot.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SnapshotError, match=f"malformed: query '{qid}' has an attribute index outside the catalog$"):
+        load_snapshot(path)
+
+
 def test_unreadable_and_invalid_files(tmp_path):
     with pytest.raises(SnapshotError, match="cannot read"):
         load_snapshot(tmp_path / "absent.json")

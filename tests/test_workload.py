@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from attrscale import (
@@ -251,12 +252,22 @@ def test_attrs_names_are_case_insensitive(catalog):
 
 
 def test_usage_set_validation(catalog):
-    with pytest.raises(WorkloadFormatError, match="empty attribute set"):
-        UsageSet(queries=(("q1", frozenset()),), catalog=catalog)
-    with pytest.raises(WorkloadFormatError, match="outside the catalog"):
-        UsageSet(queries=(("q1", frozenset({99})),), catalog=catalog)
-    with pytest.raises(WorkloadFormatError, match="not a string"):
-        UsageSet(queries=((7, frozenset({0})),), catalog=catalog)
+    ok = ("q0", frozenset({0, 1}))
+    with pytest.raises(WorkloadFormatError, match="^query 'q1' has an empty attribute set$"):
+        UsageSet(queries=(ok, ("q1", frozenset())), catalog=catalog)
+    with pytest.raises(WorkloadFormatError, match="^query 'q1' has an attribute index outside the catalog$"):
+        UsageSet(queries=(ok, ("q1", frozenset({99}))), catalog=catalog)
+    with pytest.raises(WorkloadFormatError, match="^query id 7 is not a string$"):
+        UsageSet(queries=(ok, (7, frozenset({0}))), catalog=catalog)
+    # the first offending query is named, whatever its fault and whatever follows it
+    with pytest.raises(WorkloadFormatError, match="^query 'q1' has an empty attribute set$"):
+        UsageSet(queries=(ok, ("q1", frozenset()), ("q2", frozenset({99}))), catalog=catalog)
+    with pytest.raises(WorkloadFormatError, match="^query 'q1' has an attribute index outside the catalog$"):
+        UsageSet(queries=(ok, ("q1", frozenset({-1})), (7, frozenset()), ("q3", frozenset({99}))), catalog=catalog)
+    # only a Python int is an index: no bool, float, string or numpy integer passes as one
+    for index in (True, 0.5, 1.0, "1", np.int64(1), 2**70, len(catalog)):
+        with pytest.raises(WorkloadFormatError, match="^query 'q1' has an attribute index outside the catalog$"):
+            UsageSet(queries=(ok, ("q1", frozenset({0, index}))), catalog=catalog)
 
 
 def test_catalog_loading(tmp_path):
