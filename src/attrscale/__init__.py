@@ -9,7 +9,6 @@ from .analytics import (
     diff_bundles,
     explain_pair,
     rank_pairs,
-    strongest_partner,
     suggest_groups,
 )
 from .catalog import AttributeCatalog, load_catalog
@@ -35,7 +34,7 @@ from .pipeline import (
     compute_nsm,
     run_pipeline,
 )
-from .snapshot import RunConfig, Snapshot, load_snapshot, save_snapshot, write_outputs
+from .snapshot import RunConfig, Snapshot, load_snapshot, write_outputs
 from .sql_columns import extract_attributes
 from .workload import QueryRecord, SelectionSpec, UsageSet, build_usage_set, load_workload, select_queries
 
@@ -82,9 +81,7 @@ __all__ = [
     "load_workload",
     "rank_pairs",
     "run_pipeline",
-    "save_snapshot",
     "select_queries",
-    "strongest_partner",
     "suggest_groups",
     "write_outputs",
 ]

@@ -1,4 +1,4 @@
-"""Actionable outputs over a finished bundle: rankings, partners, groups, explanations."""
+"""Actionable outputs over a finished bundle: rankings, groups, explanations and diffs."""
 
 from __future__ import annotations
 
@@ -94,21 +94,14 @@ def _index(bundle: ScaleBundle, name: str) -> int:
     return idx
 
 
-def _pair_order(bundle: ScaleBundle, key: str, row: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row indices, column indices and scores of the ranked cells in rank_pairs order; no other code sorts pairs.
-
-    Given a row, nnsm-row ranks only that row's cells.
-    """
+def _pair_order(bundle: ScaleBundle, key: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices, column indices and scores of the ranked cells in rank_pairs order; no other code sorts pairs."""
     if key not in RANK_KEYS:
         raise AttrScaleError(f"unknown ranking key {key!r}")
     nnsm = bundle.nnsm
     if key == "nnsm-row":
-        if row is None:
-            h, k = np.nonzero(nnsm.defined)  # the diagonal is never defined
-        else:
-            k = np.flatnonzero(nnsm.defined[row])
-            h = np.full_like(k, row)
-        a, b, score = h, k, nnsm.values[h, k]
+        a, b = np.nonzero(nnsm.defined)  # the diagonal is never defined
+        score = nnsm.values[a, b]
     else:
         h, k = np.nonzero(np.triu(nnsm.defined | nnsm.defined.T, 1))  # a replayed ADM may define one direction
         filled = np.where(nnsm.defined, nnsm.values, np.inf)  # an undefined direction never wins
@@ -139,14 +132,6 @@ def rank_pairs(bundle: ScaleBundle, key: str = "nnsm-min") -> AffinityRanking:
         for x, y, s, t, c in zip(a.tolist(), b.tolist(), score.tolist(), nsm.tolist(), adm.tolist())
     )
     return AffinityRanking(key=key, entries=entries)
-
-
-def strongest_partner(bundle: ScaleBundle, attribute: str) -> tuple[str, float]:
-    """The head of the attribute's row in nnsm-row order: its smallest NNSM, ties by name."""
-    _, partners, scores = _pair_order(bundle, "nnsm-row", _index(bundle, attribute))
-    if not partners.size:
-        raise AttrScaleError(f"attribute {attribute!r} is isolated; its scale row is undefined")
-    return bundle.attributes[int(partners[0])], float(scores[0])
 
 
 def _cohesion(bundle: ScaleBundle, members: list[int]) -> float | None:

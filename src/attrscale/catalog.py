@@ -11,15 +11,9 @@ from .errors import WorkloadFormatError
 
 @dataclass(frozen=True)
 class AttributeCatalog:
-    """Ordered list of canonical attribute names; index = column position.
-
-    database_attribute_count is the optional total number of attributes in
-    the database (the M behind the n/M coverage ratio); it is context only
-    and never constrains which attributes appear in queries.
-    """
+    """Ordered list of canonical attribute names; index = column position."""
 
     attributes: tuple[str, ...]
-    database_attribute_count: int | None = None
 
     def __post_init__(self):
         if not self.attributes:
@@ -30,10 +24,6 @@ class AttributeCatalog:
         if len(set(folded)) != len(folded):
             dup = next(a for a in folded if folded.count(a) > 1)
             raise WorkloadFormatError(f"duplicate attribute name (case-insensitive): {dup!r}")
-        if self.database_attribute_count is not None and len(self.attributes) > self.database_attribute_count:
-            raise WorkloadFormatError(
-                f"catalog lists {len(self.attributes)} attributes but M={self.database_attribute_count}"
-            )
 
     def __len__(self) -> int:
         return len(self.attributes)
@@ -62,17 +52,15 @@ class AttributeCatalog:
 
     def subset(self, indices: list[int]) -> AttributeCatalog:
         """New catalog keeping only `indices`, original relative order."""
-        return AttributeCatalog(
-            attributes=tuple(self.attributes[i] for i in indices),
-            database_attribute_count=self.database_attribute_count,
-        )
+        return AttributeCatalog(tuple(self.attributes[i] for i in indices))
 
 
 def load_catalog(path: str | Path) -> AttributeCatalog:
     """Read a catalog file: one attribute name per line, order significant.
 
     An optional first non-blank line "M=<integer>" declares the database-wide
-    attribute count. Blank lines and a UTF-8 byte order mark are skipped.
+    attribute count; it is checked against the names listed and not kept.
+    Blank lines and a UTF-8 byte order mark are skipped.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -80,7 +68,7 @@ def load_catalog(path: str | Path) -> AttributeCatalog:
         raise WorkloadFormatError(f"cannot read catalog {path}: {exc.strerror or exc}") from exc
     names: list[str] = []
     count: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # not splitlines: U+2028 may sit in a name
         line = raw.strip()
         if not line:
             continue
@@ -95,4 +83,6 @@ def load_catalog(path: str | Path) -> AttributeCatalog:
         names.append(line)
     if not names:
         raise WorkloadFormatError("catalog has no attributes")
-    return AttributeCatalog(tuple(names), count)
+    if count is not None and len(names) > count:
+        raise WorkloadFormatError(f"catalog lists {len(names)} attributes but M={count}")
+    return AttributeCatalog(tuple(names))

@@ -216,10 +216,6 @@ class UsageMatrix:
             raise AttrScaleError("usage matrix cells must be 0 or 1")
         object.__setattr__(self, "cells", cells)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.cells.shape
-
     def to_csv(self, precision: int | None = None) -> str:
         del precision  # binary cells, nothing to round
         text = _digit_text(self.cells, _CSV_ROW)

@@ -25,7 +25,7 @@ from .matrices import json_text
 from .pipeline import ScaleBundle, run_pipeline
 from .workload import SelectionSpec, UsageSet
 
-FORMAT_VERSION = 2  # v1 also stored every stage; it is rejected, not read
+FORMAT_VERSION = 3  # v1 also stored every stage, v2 the catalog's M=; both are rejected, not read
 EXPORT_FORMATS = ("csv", "json", "both")
 MATRIX_BASENAMES = ("qaum", "adm", "pdm", "mvsd", "nsm", "nnsm")
 _DIAGNOSTIC_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True)  # one line of diagnostics.jsonl
@@ -76,10 +76,7 @@ def snapshot_to_obj(snap: Snapshot) -> dict:
         "format_version": FORMAT_VERSION,
         "generator": "attrscale",
         "config": asdict(snap.config),
-        "catalog": {
-            "attributes": list(snap.usage.catalog.attributes),
-            "database_attribute_count": snap.usage.catalog.database_attribute_count,
-        },
+        "catalog": {"attributes": list(snap.usage.catalog.attributes)},
         "usage": {
             "queries": [[qid, sorted(indices)] for qid, indices in snap.usage.queries],
             "dropped": list(snap.usage.dropped),
@@ -95,18 +92,14 @@ def snapshot_to_text(snap: Snapshot) -> str:
     return _canonical_bytes(snapshot_to_obj(snap)).decode("ascii") + "\n"
 
 
-def save_snapshot(snap: Snapshot, path: str | Path) -> None:
-    Path(path).write_text(snapshot_to_text(snap), encoding="utf-8")
-
-
 def load_snapshot(path: str | Path) -> Snapshot:
     """Parse, verify the content hash, rebuild the inputs, and rerun the pipeline over them."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SnapshotError(f"snapshot {path} is not valid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an over-long integer, or too deep a nesting
+        raise SnapshotError(f"snapshot {path} is not valid JSON: {getattr(exc, 'msg', exc)}") from None
     if not isinstance(obj, dict):
         raise SnapshotError(f"snapshot {path} is not a JSON object")
     version = obj.get("format_version")
@@ -119,13 +112,9 @@ def load_snapshot(path: str | Path) -> Snapshot:
     try:
         cfg = obj["config"]
         config = _from_fields(RunConfig, {**cfg, "selection": _from_fields(SelectionSpec, cfg["selection"])})
-        catalog = AttributeCatalog(
-            attributes=tuple(obj["catalog"]["attributes"]),
-            database_attribute_count=obj["catalog"]["database_attribute_count"],
-        )
         usage = UsageSet(
             queries=tuple((qid, frozenset(indices)) for qid, indices in obj["usage"]["queries"]),
-            catalog=catalog,
+            catalog=AttributeCatalog(tuple(obj["catalog"]["attributes"])),
             dropped=tuple(obj["usage"]["dropped"]),
             diagnostics=tuple(obj["usage"]["diagnostics"]),
         )

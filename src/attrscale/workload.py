@@ -133,8 +133,8 @@ def load_workload(path: str | Path, format: str) -> list[QueryRecord]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise WorkloadFormatError(f"invalid JSON: {exc.msg}", lineno) from None
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, an over-long integer, or too deep a nesting
+            raise WorkloadFormatError(f"invalid JSON: {getattr(exc, 'msg', exc)}", lineno) from None
         if not isinstance(obj, dict):
             raise WorkloadFormatError("record must be a JSON object", lineno)
         qid = obj.get("id")

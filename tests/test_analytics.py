@@ -1,4 +1,4 @@
-"""Rankings, strongest partners, groups, and pair explanations."""
+"""Rankings, groups, and pair explanations."""
 
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from attrscale import (
     explain_pair,
     rank_pairs,
     run_pipeline,
-    strongest_partner,
     suggest_groups,
 )
 from attrscale.analytics import AttributeGroup
@@ -100,13 +99,6 @@ def test_rankings_and_partners_match_oracles_on_random_bundles():
                 assert type(e.nnsm) is float and type(e.nsm) is float and type(e.adm) is int
                 assert e.nsm == bundle.nsm.cell(h, k)
                 assert e.adm == int(bundle.adm.counts[h, k])
-        for name in names:
-            head = next(((b, score) for score, a, b in by_row if a == name), None)
-            if head is None:
-                with pytest.raises(AttrScaleError, match="isolated"):
-                    strongest_partner(bundle, name)
-            else:
-                assert strongest_partner(bundle, name) == head
 
 
 def test_rank_min_scores_each_pair_once(reference_bundle):
@@ -136,34 +128,6 @@ def test_empty_ranking_carries_warning():
     bundle = bundle_of(("a",), ("b",), names=("a", "b"))
     ranking = rank_pairs(bundle, "nnsm-min")
     assert ranking.entries == ()
-
-
-def test_strongest_partner_tracks_row_minimum(reference_bundle):
-    for name in reference_bundle.attributes:
-        partner, value = strongest_partner(reference_bundle, name)
-        h = reference_bundle.attributes.index(name)
-        row = reference_bundle.nnsm.values[h]
-        defined = reference_bundle.nnsm.defined[h]
-        assert value == float(row[defined].min())
-        assert reference_bundle.nnsm.cell(h, reference_bundle.attributes.index(partner)) == value
-
-
-def test_strongest_partner_matches_row_ranking_head(reference_bundle):
-    ranking = rank_pairs(reference_bundle, "nnsm-row")
-    first = ranking.entries[0]
-    assert strongest_partner(reference_bundle, first.a) == (first.b, first.nnsm)
-
-
-def test_strongest_partner_errors():
-    bundle = bundle_of(("a",), ("b",), names=("a", "b"))
-    with pytest.raises(AttrScaleError, match="isolated"):
-        strongest_partner(bundle, "a")
-    with pytest.raises(UnknownAttributeError):
-        strongest_partner(bundle, "zz")
-
-
-def test_strongest_partner_is_case_insensitive(reference_bundle):
-    assert strongest_partner(reference_bundle, "A1") == strongest_partner(reference_bundle, "a1")
 
 
 def test_explain_pair_reference_values(reference_bundle):

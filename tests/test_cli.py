@@ -569,6 +569,37 @@ def test_console_entry_point_help():
     assert "analyze" in proc.stdout and "diff" in proc.stdout
 
 
+# json.loads raises RecursionError past the interpreter's nesting limit, and ValueError
+# past 4,300 integer digits; both are a file the loader cannot read, not a crash
+UNPARSABLE_JSON = {"deep-nesting": "[" * 100_000, "long-integer": "1" * 5_000}
+
+
+def run_cli_child(*argv):
+    # a child process, so an uncaught exception shows as a traceback on stderr
+    proc = subprocess.run([sys.executable, "-m", "attrscale.cli", *argv], capture_output=True, text=True, env=CHILD_ENV)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("value", UNPARSABLE_JSON.values(), ids=UNPARSABLE_JSON)
+def test_analyze_unparsable_workload_line_exits_1(data_dir, tmp_path, value):
+    workload = tmp_path / "w.jsonl"
+    workload.write_text('{"id": "q0", "attrs": ["a1"]}\n{"id": "q1", "ts": ' + value + ', "attrs": ["a1"]}\n')
+    code, stderr = run_cli_child(*analyze_args(data_dir, tmp_path / "out", **{"--input": str(workload)}))
+    assert code == EXIT_INPUT_ERROR
+    assert stderr.startswith("error: line 2: invalid JSON: ") and stderr.count("\n") == 1
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("value", UNPARSABLE_JSON.values(), ids=UNPARSABLE_JSON)
+def test_rank_unparsable_snapshot_exits_1(tmp_path, value):
+    snapshot = tmp_path / "snapshot.json"
+    snapshot.write_text('{"format_version": ' + value + "}\n")
+    code, stderr = run_cli_child("rank", "--snapshot", str(snapshot))
+    assert code == EXIT_INPUT_ERROR
+    assert stderr.startswith(f"error: snapshot {snapshot} is not valid JSON: ") and stderr.count("\n") == 1
+    assert "Traceback" not in stderr
+
+
 @pytest.mark.parametrize("command", ["rank", "diff"])
 def test_closed_stdout_pipe_exits_0_without_error(capsys, tmp_path, command):
     rng = random.Random(0)

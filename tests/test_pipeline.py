@@ -171,7 +171,7 @@ def test_nnsm_keeps_fully_undefined_rows_undefined():
 def test_single_query_workload_runs_end_to_end():
     usage = usage_of(("a", "b", "c"), names=("a", "b", "c"))
     bundle = run_pipeline(usage)
-    assert bundle.qaum.shape == (1, 3)
+    assert bundle.qaum.cells.shape == (1, 3)
     assert np.array_equal(bundle.adm.total_measure, np.array([2, 2, 2]))
     # every SD is 0, so the whole scale degenerates to zeros
     assert all(bundle.nnsm.cell(h, k) == 0.0 for h in range(3) for k in range(3) if h != k)

@@ -61,6 +61,9 @@ def test_records_split_on_newline_only(tmp_path, separator):
     assert load_workload(path, "jsonl-sql")[0].sql.endswith(f"note{separator}WHERE a2 = 1")
     path = write_lines(tmp_path / "w.jsonl", [attrs, '{"id": "q3", "attrs": ["c"]}'])
     assert [r.attrs for r in load_workload(path, "jsonl-attrs")] == [(f"a{separator}b",), ("c",)]
+    # so a catalog can declare that name: its lines split on newline only too
+    catalog = load_catalog(write_lines(tmp_path / "cat.txt", [f"a{separator}b", "c"]))
+    assert catalog.attributes == (f"a{separator}b", "c")
 
 
 def test_crlf_line_endings_are_stripped(tmp_path):
@@ -274,14 +277,12 @@ def test_catalog_loading(tmp_path):
     path = write_lines(tmp_path / "cat.txt", ["M=50", "alpha", "", "beta.gamma"])
     catalog = load_catalog(path)
     assert catalog.attributes == ("alpha", "beta.gamma")
-    assert catalog.database_attribute_count == 50
     assert len(catalog) == 2
 
 
 def test_catalog_header_is_the_first_non_blank_line(tmp_path):
     catalog = load_catalog(write_lines(tmp_path / "cat.txt", ["", "  ", "M=3", "a1", "b", "c"]))
     assert catalog.attributes == ("a1", "b", "c")
-    assert catalog.database_attribute_count == 3
     assert load_catalog(write_lines(tmp_path / "late.txt", ["a1", "M=1"])).attributes == ("a1", "M=1")  # not a header
 
 
@@ -304,7 +305,9 @@ def test_catalog_errors(tmp_path):
         load_catalog(write_lines(tmp_path / "c1.txt", ["M=many", "a"]))
     with pytest.raises(WorkloadFormatError, match="no attributes"):
         load_catalog(write_lines(tmp_path / "c2.txt", ["M=3"]))
+    with pytest.raises(WorkloadFormatError, match="M must be non-negative"):
+        load_catalog(write_lines(tmp_path / "c3.txt", ["M=-1", "a"]))
     with pytest.raises(WorkloadFormatError, match="duplicate attribute"):
         AttributeCatalog(("a", "A"))
     with pytest.raises(WorkloadFormatError, match="M=1"):
-        AttributeCatalog(("a", "b"), database_attribute_count=1)
+        load_catalog(write_lines(tmp_path / "c4.txt", ["M=1", "a", "b"]))
