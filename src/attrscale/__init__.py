@@ -5,7 +5,6 @@ from .analytics import (
     AttributeGroup,
     BundleDiff,
     PairExplanation,
-    RankedPair,
     diff_bundles,
     explain_pair,
     rank_pairs,
@@ -52,7 +51,6 @@ __all__ = [
     "MaskedRealMatrix",
     "PairExplanation",
     "QueryRecord",
-    "RankedPair",
     "RunConfig",
     "ScaleBundle",
     "SelectionError",

@@ -12,21 +12,21 @@ from .pipeline import ScaleBundle
 RANK_KEYS = ("nnsm-min", "nnsm-row")
 
 
-@dataclass(frozen=True)
-class RankedPair:
-    a: str
-    b: str
-    nnsm: float
-    nsm: float
-    adm: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffinityRanking:
-    """Pairs sorted ascending by scale value (strongest dependence first)."""
+    """Ranked pairs as columns, ascending by scale value (strongest dependence first).
+
+    A pair is one row of entries: two indices into attributes, named in the
+    direction of its score. nnsm holds that score; nsm and adm hold the
+    bundle's cells in the same direction.
+    """
 
     key: str
-    entries: tuple[RankedPair, ...]
+    attributes: tuple[str, ...]
+    entries: np.ndarray  # int64, shape (k, 2)
+    nnsm: np.ndarray  # float64, shape (k,)
+    nsm: np.ndarray  # float64, shape (k,)
+    adm: np.ndarray  # int64, shape (k,)
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,15 @@ def _index(bundle: ScaleBundle, name: str) -> int:
     return idx
 
 
-def _pair_order(bundle: ScaleBundle, key: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row indices, column indices and scores of the ranked cells in rank_pairs order; no other code sorts pairs."""
+def rank_pairs(bundle: ScaleBundle, key: str = "nnsm-min") -> AffinityRanking:
+    """Rank defined cells ascending: the strongest dependencies come first.
+
+    nnsm-min scores each unordered pair once by the smaller of its two
+    directed values, or by its one defined value, and names it in that
+    direction; nnsm-row lists directed cells as-is. Ties break
+    lexicographically by attribute-name pair, so output is total and stable.
+    This is the one place that orders pairs.
+    """
     if key not in RANK_KEYS:
         raise AttrScaleError(f"unknown ranking key {key!r}")
     nnsm = bundle.nnsm
@@ -113,25 +120,15 @@ def _pair_order(bundle: ScaleBundle, key: str) -> tuple[np.ndarray, np.ndarray, 
     name_rank = {name: pos for pos, name in enumerate(sorted(bundle.attributes))}
     rank = np.array([name_rank[name] for name in bundle.attributes], dtype=np.int64)
     order = np.lexsort((rank[b], rank[a], score))
-    return a[order], b[order], score[order]
-
-
-def rank_pairs(bundle: ScaleBundle, key: str = "nnsm-min") -> AffinityRanking:
-    """Rank defined cells ascending: the strongest dependencies come first.
-
-    nnsm-min scores each unordered pair once by the smaller of its two
-    directed values, or by its one defined value, and names it in that
-    direction; nnsm-row lists directed cells as-is. Ties break
-    lexicographically by attribute-name pair, so output is total and stable.
-    """
-    a, b, score = _pair_order(bundle, key)
-    names = bundle.attributes
-    nsm, adm = bundle.nsm.values[a, b], bundle.adm.counts[a, b]
-    entries = tuple(
-        RankedPair(names[x], names[y], s, t, c)
-        for x, y, s, t, c in zip(a.tolist(), b.tolist(), score.tolist(), nsm.tolist(), adm.tolist())
+    a, b = a[order], b[order]
+    return AffinityRanking(
+        key=key,
+        attributes=bundle.attributes,
+        entries=np.column_stack((a, b)),
+        nnsm=score[order],
+        nsm=bundle.nsm.values[a, b],
+        adm=bundle.adm.counts[a, b],
     )
-    return AffinityRanking(key=key, entries=entries)
 
 
 def _cohesion(bundle: ScaleBundle, members: list[int]) -> float | None:
@@ -160,11 +157,10 @@ def suggest_groups(bundle: ScaleBundle, cutoff: float, max_size: int) -> list[At
     if max_size < 2:
         raise AttrScaleError(f"max_size must be at least 2, got {max_size}")
     names = bundle.attributes
-    seeds, partners, _ = _pair_order(bundle, "nnsm-min")
     linked = bundle.nnsm.defined | bundle.nnsm.defined.T
     available = np.ones(len(names), dtype=bool)
     groups: list[AttributeGroup] = []
-    for a, b in zip(seeds.tolist(), partners.tolist()):
+    for a, b in rank_pairs(bundle).entries.tolist():
         if not (available[a] and available[b]):
             continue
         members = sorted((a, b))
@@ -218,12 +214,12 @@ def explain_pair(bundle: ScaleBundle, a: str, b: str) -> PairExplanation:
 def _shared_pairs(bundle: ScaleBundle, shared: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
     """Codes lo·len(shared) + hi and scores of the bundle's nnsm-min pairs whose two ends are shared,
     in rank order; shared maps a casefolded name to its shared index."""
-    a, b, score = _pair_order(bundle, "nnsm-min")
+    ranking = rank_pairs(bundle)
     to_shared = np.array([shared.get(name.casefold(), -1) for name in bundle.attributes], dtype=np.int64)
-    h, k = to_shared[a], to_shared[b]
+    h, k = to_shared[ranking.entries].T
     keep = (h >= 0) & (k >= 0)
     h, k = h[keep], k[keep]
-    return np.minimum(h, k) * len(shared) + np.maximum(h, k), score[keep]
+    return np.minimum(h, k) * len(shared) + np.maximum(h, k), ranking.nnsm[keep]
 
 
 def diff_bundles(old: ScaleBundle, new: ScaleBundle) -> BundleDiff:

@@ -1,9 +1,11 @@
 """Command-line front end: analyze, rank, explain, diff.
 
 Each command calls the library (the pipeline, rank_pairs, explain_pair,
-diff_bundles) and only formats what it returns. Scores are rounded by
-matrices.format_value, or a column at a time by matrices._float_texts,
-which agrees with it.
+diff_bundles) and only formats what it returns. rank and diff receive
+numpy columns: they slice the rows they show, round each score column with
+one matrices._float_texts call and write their lines with one
+sys.stdout.write. explain rounds its few values one at a time with
+matrices.format_value, which _float_texts agrees with.
 
 Exit codes: 0 success (warnings allowed, or a reader that closed stdout
 early), 1 input/parse error, 2 empty analysis. One command per process; no
@@ -107,17 +109,22 @@ def cmd_rank(args: argparse.Namespace) -> int:
         raise _UsageError(f"--top must be non-negative, got {args.top}")
     snap = load_snapshot(args.snapshot)
     ranking = rank_pairs(snap.bundle, args.key)
-    precision = snap.config.precision
-    entries = ranking.entries[: args.top]
-    print(f"key: {ranking.key}  pairs ranked: {len(ranking.entries)}  showing: {len(entries)}")
-    if entries:
-        print("rank  pair                      nnsm        nsm         adm")
-        for pos, e in enumerate(entries, start=1):
-            pair = f"{e.a},{e.b}"
-            print(
-                f"{pos:<5} {pair:<25} {_fmt(e.nnsm, precision):<11} {_fmt(e.nsm, precision):<11} {e.adm}"
-            )
-    if not ranking.entries:
+    names, p = ranking.attributes, snap.config.precision
+    top = slice(args.top)
+    shown = ranking.entries[top].tolist()
+    lines = [f"key: {ranking.key}  pairs ranked: {len(ranking.entries)}  showing: {len(shown)}\n"]
+    if shown:
+        lines.append("rank  pair                      nnsm        nsm         adm\n")
+        lines += map(
+            "{:<5} {:<25} {:<11} {:<11} {}\n".format,
+            range(1, len(shown) + 1),
+            [f"{names[a]},{names[b]}" for a, b in shown],
+            _float_texts(ranking.nnsm[top], p),
+            _float_texts(ranking.nsm[top], p),
+            ranking.adm[top].tolist(),
+        )
+    sys.stdout.write("".join(lines))
+    if not len(ranking.entries):
         print("warning: every scale cell is undefined; nothing to rank", file=sys.stderr)
     return EXIT_OK
 

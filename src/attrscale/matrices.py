@@ -17,8 +17,10 @@ distinct defined value once (np.unique over the float64 bit pattern, so
 repr at full precision), and format_value, the one definition of the
 rounding, redoes only the values where its Decimal text can differ: exact
 binary ties. Undefined cells take one constant text. Every cell is
-fixed-point at every precision. to_json_obj is the object form of the JSON
-files; to_json writes them as json.dumps(indent=2, ensure_ascii=True) would.
+fixed-point at every precision. to_json returns a whole JSON file: an object
+of the matrix's kind, labels and grids (nested lists, null at undefined
+cells) as json.dumps(indent=2, ensure_ascii=True) writes it, then a newline.
+No Python object form of a file is built.
 
 _frozen is the one intake path from caller input to stored arrays: every
 constructor hands it each array to convert, shape-check and freeze.
@@ -90,15 +92,6 @@ def format_value(value: float, precision: int | None) -> str:
     quantum = Decimal(1).scaleb(-precision)
     digits = Context(prec=309 + precision)  # a double has at most 309 integer digits
     return format(Decimal(float(value)).quantize(quantum, rounding=ROUND_HALF_UP, context=digits), "f")
-
-
-def _rows(values: np.ndarray, defined: np.ndarray | None = None) -> list[list]:
-    """The grid as nested lists of Python numbers, None at undefined cells (the JSON form)."""
-    if defined is None:
-        return values.tolist()
-    cells = values.astype(object)
-    cells[~defined] = None
-    return cells.tolist()
 
 
 def _float_texts(values: np.ndarray, precision: int | None) -> list[str]:
@@ -184,11 +177,12 @@ def _grid_json(values: np.ndarray, defined: np.ndarray) -> str:
 
 
 def _json_object(fields: dict[str, str]) -> str:
-    """A top-level object in the json.dumps(indent=2) layout, from each key's rendered value, joined once."""
+    """A JSON file: a top-level object in the json.dumps(indent=2) layout, from each key's rendered
+    value, and a final newline, joined once."""
     head, sep, tail, _ = _json_layout(0, "{}")
     parts = [piece for key, text in fields.items() for piece in (sep, json.dumps(key), ": ", text)]
     parts[0] = head
-    return "".join([*parts, tail])
+    return "".join([*parts, tail, "\n"])
 
 
 def json_text(obj, depth: int = 0) -> str:
@@ -230,14 +224,6 @@ class UsageMatrix:
             "attributes": json_text(self.attributes, 1),
             "cells": _digit_text(self.cells, _JSON_ROW, _JSON_LIST),
         })
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": "QAUM",
-            "query_ids": list(self.query_ids),
-            "attributes": list(self.attributes),
-            "cells": _rows(self.cells),
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,14 +273,6 @@ class DependencyMatrix:
             "total_measure": _joined(total, _JSON_LIST),
         })
 
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": "ADM",
-            "attributes": list(self.attributes),
-            "counts": _rows(self.counts, self._off_diagonal()),
-            "total_measure": self.total_measure.tolist(),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class MaskedRealMatrix:
@@ -327,13 +305,6 @@ class MaskedRealMatrix:
             "attributes": json_text(self.attributes, 1),
             "values": _grid_json(self.values, self.defined),
         })
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "attributes": list(self.attributes),
-            "values": _rows(self.values, self.defined),
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,7 +343,3 @@ class StatsTable:
             "variance": variance,
             "sd": sd,
         })
-
-    def to_json_obj(self) -> dict:
-        mean, variance, sd = _rows(*self._grid())
-        return {"kind": "MVSD", "attributes": list(self.attributes), "mean": mean, "variance": variance, "sd": sd}

@@ -6,7 +6,10 @@ usage set, sealed with a content hash. Every pipeline matrix and warning
 derives from the usage set, so none is stored: loading reruns the pipeline.
 Counts are exact integers and every later stage is a fixed sequence of IEEE
 operations, so the rebuilt bundle is bit-identical to the original run's.
-Reloading a snapshot and re-exporting yields byte-identical files.
+Reloading a snapshot and re-exporting yields byte-identical files: a file
+loads only if it holds exactly what this version writes for the inputs it
+rebuilds, so an extra, missing or foreign key, or an unsorted or repeated
+attribute index, is refused as malformed.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .catalog import AttributeCatalog
@@ -63,16 +66,9 @@ def _content_hash(payload: dict) -> str:
     return "sha256:" + hashlib.sha256(_canonical_bytes(payload)).hexdigest()
 
 
-def _from_fields(cls, obj: dict):
-    """cls built from a JSON object holding exactly its fields: a missing key must not load as its default."""
-    if set(obj) != {f.name for f in fields(cls)}:
-        raise SnapshotError(f"config does not hold exactly the {cls.__name__} fields")
-    return cls(**obj)
-
-
-def snapshot_to_obj(snap: Snapshot) -> dict:
-    """Full JSON form of the run's inputs, including the content hash."""
-    payload = {
+def _payload(snap: Snapshot) -> dict:
+    """The hashed part of the snapshot: the run's inputs as JSON values."""
+    return {
         "format_version": FORMAT_VERSION,
         "generator": "attrscale",
         "config": asdict(snap.config),
@@ -83,8 +79,12 @@ def snapshot_to_obj(snap: Snapshot) -> dict:
             "diagnostics": list(snap.usage.diagnostics),
         },
     }
-    payload["content_hash"] = _content_hash(payload)
-    return payload
+
+
+def snapshot_to_obj(snap: Snapshot) -> dict:
+    """Full JSON form of the run's inputs, including the content hash."""
+    payload = _payload(snap)
+    return {**payload, "content_hash": _content_hash(payload)}
 
 
 def snapshot_to_text(snap: Snapshot) -> str:
@@ -93,7 +93,8 @@ def snapshot_to_text(snap: Snapshot) -> str:
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
-    """Parse, verify the content hash, rebuild the inputs, and rerun the pipeline over them."""
+    """Parse, verify the content hash, rebuild the inputs, rerun the pipeline over them, and check
+    that the inputs re-export as the file's payload."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -111,18 +112,22 @@ def load_snapshot(path: str | Path) -> Snapshot:
         raise SnapshotError(f"snapshot {path} failed its content hash check (corrupt or edited)")
     try:
         cfg = obj["config"]
-        config = _from_fields(RunConfig, {**cfg, "selection": _from_fields(SelectionSpec, cfg["selection"])})
+        config = RunConfig(**{**cfg, "selection": SelectionSpec(**cfg["selection"])})
         usage = UsageSet(
             queries=tuple((qid, frozenset(indices)) for qid, indices in obj["usage"]["queries"]),
             catalog=AttributeCatalog(tuple(obj["catalog"]["attributes"])),
             dropped=tuple(obj["usage"]["dropped"]),
             diagnostics=tuple(obj["usage"]["diagnostics"]),
         )
-        bundle = run_pipeline(usage)
+        snap = Snapshot(config=config, usage=usage, bundle=run_pipeline(usage))
     except (KeyError, TypeError, ValueError, AttributeError, IndexError, AttrScaleError) as exc:
         # a resealed edit can put any JSON value in any field
         raise SnapshotError(f"snapshot {path} is malformed: {exc}") from exc
-    return Snapshot(config=config, usage=usage, bundle=bundle)
+    # a missing key (loaded as its default), an extra or foreign one, or an unsorted or repeated
+    # index would re-export as other bytes: only what this version writes for its inputs loads
+    if _payload(snap) != payload:
+        raise SnapshotError(f"snapshot {path} is malformed: it is not what this version writes for its inputs")
+    return snap
 
 
 def render_outputs(snap: Snapshot) -> dict[str, str]:
@@ -135,7 +140,7 @@ def render_outputs(snap: Snapshot) -> dict[str, str]:
         if fmt in ("csv", "both"):
             files[f"{name}.csv"] = stage.to_csv(precision=snap.config.precision)
         if fmt in ("json", "both"):
-            files[f"{name}.json"] = stage.to_json() + "\n"
+            files[f"{name}.json"] = stage.to_json()
     files["warnings.json"] = json_text(list(bundle.warnings)) + "\n"
     diag_lines = [_DIAGNOSTIC_ENCODER.encode(entry) for entry in (*snap.usage.dropped, *snap.usage.diagnostics)]
     files["diagnostics.jsonl"] = "".join(line + "\n" for line in diag_lines)

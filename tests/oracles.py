@@ -113,3 +113,30 @@ def oracle_rank_row(nnsm: list[list[float | None]], names: tuple[str, ...]):
     ]
     entries.sort()
     return entries
+
+
+def _masked(cells: list, shown: list) -> list:
+    """cells (a row, or nested rows) with None wherever shown is False."""
+    return [_masked(c, s) if isinstance(c, list) else (c if s else None) for c, s in zip(cells, shown)]
+
+
+def json_obj(matrix) -> dict:
+    """The object a matrix's JSON file encodes: its kind, labels and grids, None at undefined cells.
+    The reference the matrix writers are checked against."""
+    kind = type(matrix).__name__
+    labels = list(matrix.attributes)
+    if kind == "UsageMatrix":
+        return {"kind": "QAUM", "query_ids": list(matrix.query_ids), "attributes": labels, "cells": matrix.cells.tolist()}
+    if kind == "DependencyMatrix":
+        off_diagonal = [[h != k for k in range(len(labels))] for h in range(len(labels))]
+        return {
+            "kind": "ADM",
+            "attributes": labels,
+            "counts": _masked(matrix.counts.tolist(), off_diagonal),
+            "total_measure": matrix.total_measure.tolist(),
+        }
+    if kind == "StatsTable":
+        shown = matrix.defined.tolist()
+        stats = {name: _masked(getattr(matrix, name).tolist(), shown) for name in ("mean", "variance", "sd")}
+        return {"kind": "MVSD", "attributes": labels, **stats}
+    return {"kind": matrix.kind, "attributes": labels, "values": _masked(matrix.values.tolist(), matrix.defined.tolist())}

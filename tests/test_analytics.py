@@ -77,12 +77,18 @@ def grouping_bundle():
     return bundle_of(*sets, names=("p", "q", "r", "s"))
 
 
+def named(ranking):
+    """(score, a, b) per ranked pair, the names read through attributes[entries]."""
+    pairs = np.array(ranking.attributes, dtype=object)[ranking.entries].tolist()
+    return [(score, a, b) for score, (a, b) in zip(ranking.nnsm.tolist(), pairs)]
+
+
 def test_rank_min_matches_full_scan(reference_bundle):
     names = reference_bundle.attributes
     nnsm = [[reference_bundle.nnsm.cell(h, k) for k in range(len(names))] for h in range(len(names))]
     expected = oracles.oracle_rank_min(nnsm, names)
     ranking = rank_pairs(reference_bundle, "nnsm-min")
-    assert [(e.nnsm, e.a, e.b) for e in ranking.entries] == expected
+    assert named(ranking) == expected
 
 
 def test_rankings_and_partners_match_oracles_on_random_bundles():
@@ -92,31 +98,32 @@ def test_rankings_and_partners_match_oracles_on_random_bundles():
         nnsm = [[bundle.nnsm.cell(h, k) for k in range(n)] for h in range(n)]
         by_row = oracles.oracle_rank_row(nnsm, names)
         for key, expected in (("nnsm-min", oracles.oracle_rank_min(nnsm, names)), ("nnsm-row", by_row)):
-            entries = rank_pairs(bundle, key).entries
-            assert [(e.nnsm, e.a, e.b) for e in entries] == expected
-            for e in entries:
-                h, k = names.index(e.a), names.index(e.b)
-                assert type(e.nnsm) is float and type(e.nsm) is float and type(e.adm) is int
-                assert e.nsm == bundle.nsm.cell(h, k)
-                assert e.adm == int(bundle.adm.counts[h, k])
+            ranking = rank_pairs(bundle, key)
+            assert ranking.key == key and ranking.attributes == names
+            assert named(ranking) == expected
+            count = len(expected)
+            assert ranking.entries.dtype == np.int64 and ranking.entries.shape == (count, 2)
+            assert ranking.nnsm.dtype == ranking.nsm.dtype == np.float64 and ranking.adm.dtype == np.int64
+            assert ranking.nsm.shape == ranking.adm.shape == (count,)
+            cells = ranking.entries.tolist()
+            assert ranking.nsm.tolist() == [bundle.nsm.cell(h, k) for h, k in cells]
+            assert ranking.adm.tolist() == [int(bundle.adm.counts[h, k]) for h, k in cells]
 
 
 def test_rank_min_scores_each_pair_once(reference_bundle):
     ranking = rank_pairs(reference_bundle, "nnsm-min")
-    pairs = [frozenset((e.a, e.b)) for e in ranking.entries]
+    pairs = [frozenset((a, b)) for _, a, b in named(ranking)]
     assert len(pairs) == len(set(pairs)) == 44  # 45 pairs minus the zero-count one
-    assert [e.nnsm for e in ranking.entries] == sorted(e.nnsm for e in ranking.entries)
+    assert ranking.nnsm.tolist() == sorted(ranking.nnsm.tolist())
 
 
 def test_rank_row_lists_directed_cells(reference_bundle):
     ranking = rank_pairs(reference_bundle, "nnsm-row")
     assert len(ranking.entries) == int(reference_bundle.nnsm.defined.sum())
-    for e in ranking.entries[:5]:
-        h = reference_bundle.attributes.index(e.a)
-        k = reference_bundle.attributes.index(e.b)
-        assert e.nnsm == reference_bundle.nnsm.cell(h, k)
-        assert e.nsm == reference_bundle.nsm.cell(h, k)
-        assert e.adm == int(reference_bundle.adm.counts[h, k])
+    for i, (h, k) in enumerate(ranking.entries[:5].tolist()):
+        assert ranking.nnsm[i] == reference_bundle.nnsm.cell(h, k)
+        assert ranking.nsm[i] == reference_bundle.nsm.cell(h, k)
+        assert ranking.adm[i] == int(reference_bundle.adm.counts[h, k])
 
 
 def test_rank_rejects_unknown_key(reference_bundle):
@@ -127,7 +134,8 @@ def test_rank_rejects_unknown_key(reference_bundle):
 def test_empty_ranking_carries_warning():
     bundle = bundle_of(("a",), ("b",), names=("a", "b"))
     ranking = rank_pairs(bundle, "nnsm-min")
-    assert ranking.entries == ()
+    assert len(ranking.entries) == 0
+    assert ranking.entries.shape == (0, 2) and len(ranking.nnsm) == len(ranking.nsm) == len(ranking.adm) == 0
 
 
 def test_explain_pair_reference_values(reference_bundle):

@@ -17,11 +17,21 @@ import numpy as np
 import pytest
 
 import attrscale
-from attrscale import AttributeCatalog, MaskedRealMatrix, UsageSet, load_snapshot, rank_pairs, run_pipeline
+from attrscale import (
+    AttributeCatalog,
+    DependencyMatrix,
+    MaskedRealMatrix,
+    UsageSet,
+    load_snapshot,
+    rank_pairs,
+    run_pipeline,
+)
 from attrscale.cli import EXIT_EMPTY_ANALYSIS, EXIT_INPUT_ERROR, EXIT_OK, main
 from attrscale.matrices import UNDEFINED_CSV, format_value
 from attrscale.snapshot import MATRIX_BASENAMES, render_outputs
 from test_acceptance import synthetic_usage
+
+import oracles
 
 # child processes import the same attrscale as this one, whether installed or not
 PACKAGE_ROOT = str(Path(attrscale.__file__).parents[1])
@@ -387,15 +397,17 @@ def test_diff_matches_attribute_names_case_insensitively(capsys, tmp_path):
 
 
 def reference_diff(old, new, precision: int) -> str:
-    """diff's stdout for two bundles by the row-at-a-time algorithm: rank_pairs entries
+    """diff's stdout for two bundles by the row-at-a-time algorithm: rank_pairs rows
     re-keyed by name pair in dicts, then format_value on every value."""
     old_names = {name.casefold() for name in old.attributes}
     spelling = {name.casefold(): name for name in new.attributes if name.casefold() in old_names}
 
     def scores(bundle):
-        shown = {name: spelling.get(name.casefold()) for name in bundle.attributes}
-        entries = (e for e in rank_pairs(bundle).entries if shown[e.a] is not None and shown[e.b] is not None)
-        return {tuple(sorted((shown[e.a], shown[e.b]))): (e.nnsm, pos) for pos, e in enumerate(entries, start=1)}
+        ranking = rank_pairs(bundle)
+        shown = [spelling.get(name.casefold()) for name in ranking.attributes]
+        pairs = [(shown[a], shown[b]) for a, b in ranking.entries.tolist()]
+        entries = ((pair, score) for pair, score in zip(pairs, ranking.nnsm.tolist()) if None not in pair)
+        return {tuple(sorted(pair)): (score, pos) for pos, (pair, score) in enumerate(entries, start=1)}
 
     def fmt(value):
         return format_value(value, precision)
@@ -528,6 +540,73 @@ def test_diff_of_random_scales_matches_the_reference_byte_for_byte(capsys, monke
         assert diff_stdout(capsys, monkeypatch, old, new, precision) == reference_diff(old, new, precision)
 
 
+def reference_rank(bundle, key: str, top: int, precision: int) -> tuple[str, str]:
+    """rank's stdout and stderr by the pair-at-a-time algorithm: the oracles' order (score, then
+    name pair), then format_value on every score and one print per line."""
+    names = bundle.attributes
+    nnsm = [[bundle.nnsm.cell(h, k) for k in range(len(names))] for h in range(len(names))]
+    ranked = (oracles.oracle_rank_min if key == "nnsm-min" else oracles.oracle_rank_row)(nnsm, names)
+    lines = [f"key: {key}  pairs ranked: {len(ranked)}  showing: {len(ranked[:top])}"]
+    if ranked[:top]:
+        lines.append("rank  pair                      nnsm        nsm         adm")
+    for pos, (score, a, b) in enumerate(ranked[:top], start=1):
+        h, k = names.index(a), names.index(b)
+        pair, nnsm, nsm = f"{a},{b}", format_value(score, precision), format_value(bundle.nsm.values[h, k], precision)
+        lines.append(f"{pos:<5} {pair:<25} {nnsm:<11} {nsm:<11} {int(bundle.adm.counts[h, k])}")
+    warning = "" if ranked else "warning: every scale cell is undefined; nothing to rank\n"
+    return "".join(line + "\n" for line in lines), warning
+
+
+RANK_LISTINGS = [(key, top) for key in ("nnsm-min", "nnsm-row") for top in (0, 3, 10**6)]
+
+
+def rank_output(capsys, monkeypatch, bundle, precision, key, top):
+    """rank's stdout and stderr for a bundle, at a display precision."""
+    snap = SimpleNamespace(bundle=bundle, config=SimpleNamespace(precision=precision))
+    monkeypatch.setattr("attrscale.cli.load_snapshot", lambda path: snap)
+    code, stdout, stderr = run_cli(capsys, "rank", "--snapshot", "snap", "--key", key, "--top", str(top))
+    assert code == EXIT_OK
+    return stdout, stderr
+
+
+@pytest.mark.parametrize("precision", [0, 2, 10])
+def test_rank_of_the_reference_run_matches_the_reference_byte_for_byte(capsys, data_dir, tmp_path, precision):
+    out = tmp_path / "out"
+    assert main(analyze_args(data_dir, out, **{"--precision": str(precision)})) == EXIT_OK
+    bundle = load_snapshot(out / "snapshot.json").bundle
+    capsys.readouterr()
+    for key, top in RANK_LISTINGS:
+        argv = ["rank", "--snapshot", str(out / "snapshot.json"), "--key", key, "--top", str(top)]
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert (stdout, stderr) == reference_rank(bundle, key, top, precision)
+
+
+def ranked_bundle(rng, size, density):
+    """A bundle over mixed-case names whose NNSM and NSM share one random mask, scores in eighths
+    (exact rounding ties, equal scores) and counts drawn at random; rank reads only these three."""
+    pool = rng.choice([f"n{i}" for i in range(14)], size, replace=False)
+    names = [name.upper() if rng.random() < 0.5 else name for name in pool]
+    defined = rng.random((size, size)) < density
+    np.fill_diagonal(defined, False)
+    counts = rng.integers(0, 9, (size, size))
+    np.fill_diagonal(counts, 0)
+    nsm_values = rng.integers(-80, 81, (size, size)) / 8
+    nsm = MaskedRealMatrix(kind="NSM", attributes=tuple(names), values=nsm_values, defined=defined)
+    bundle = nnsm_bundle(names, rng.integers(0, 81, (size, size)) / 8, defined)
+    return dataclasses.replace(bundle, nsm=nsm, adm=DependencyMatrix(tuple(names), counts, counts.sum(axis=1)))
+
+
+@pytest.mark.parametrize("seed, density", [(seed, 0.5) for seed in range(6)] + [(6, 0.0)])  # 0.0: nothing to rank
+def test_rank_of_random_scales_matches_the_reference_byte_for_byte(capsys, monkeypatch, seed, density):
+    rng = np.random.default_rng(seed)
+    bundle = ranked_bundle(rng, int(rng.integers(2, 14)), density)
+    for precision in (0, 2, 10):
+        for key, top in RANK_LISTINGS:
+            want = reference_rank(bundle, key, top, precision)
+            assert rank_output(capsys, monkeypatch, bundle, precision, key, top) == want
+
+
 def test_rank_with_no_defined_cell_warns_and_exits_0(capsys, tmp_path):
     workload = tmp_path / "w.jsonl"
     workload.write_text("".join(json.dumps({"id": f"q{i}", "attrs": [name]}) + "\n" for i, name in enumerate("abc")))
@@ -578,6 +657,40 @@ def run_cli_child(*argv):
     # a child process, so an uncaught exception shows as a traceback on stderr
     proc = subprocess.run([sys.executable, "-m", "attrscale.cli", *argv], capture_output=True, text=True, env=CHILD_ENV)
     return proc.returncode, proc.stderr
+
+
+def test_rerun_in_processes_with_other_string_hash_seeds_is_byte_identical(tmp_path):
+    # set and dict orders of strings differ between the two processes; no output may depend on them
+    rng = random.Random(31)
+    names = [f"c{i}" for i in range(12)] + ["rare"]
+    (tmp_path / "catalog.txt").write_text("".join(name + "\n" for name in names))
+    statements = ["SELECT f.rare, d.c0 FROM facts f JOIN dims d ON f.c1 = d.c2"]
+    for i in range(60):
+        a, b, c, d = rng.sample(names[:-1], 4)
+        statements.append(rng.choice([
+            f"SELECT f.{a}, d.{b} FROM facts f INNER JOIN dims d ON f.{c} = d.{d} WHERE f.{a} > {i}",
+            f"SELECT t.{a}, {b} FROM tbl t WHERE t.{c} < 10 GROUP BY t.{a}",
+            f"select {a}, mystery{i % 4}, ghost from t where {b} = 1 order by {c}",
+        ]))
+    (tmp_path / "w.jsonl").write_text("".join(
+        json.dumps({"id": f"q{i}", "ts": i, "sql": sql}) + "\n" for i, sql in enumerate(statements)
+    ))
+    out = tmp_path / "out"
+    argv = [
+        sys.executable, "-m", "attrscale.cli", "analyze", "--input", str(tmp_path / "w.jsonl"),
+        "--input-format", "jsonl-sql", "--catalog", str(tmp_path / "catalog.txt"),
+        "--select", "random:50", "--seed", "3", "--threshold", "0.05", "--out", str(out),
+    ]
+    runs = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(argv, capture_output=True, text=True, env={**CHILD_ENV, "PYTHONHASHSEED": hash_seed})
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        runs.append((proc.stdout, {path.name: path.read_bytes() for path in out.iterdir()}))
+    assert runs[0] == runs[1]
+    stdout, files = runs[0]
+    assert len(files) == 15
+    assert f"attributes analyzed (n): {len(names) - 1}" in stdout  # the threshold dropped "rare"
+    assert b"mystery" in files["diagnostics.jsonl"]  # unknown identifiers were recorded
 
 
 @pytest.mark.parametrize("value", UNPARSABLE_JSON.values(), ids=UNPARSABLE_JSON)

@@ -15,6 +15,8 @@ from attrscale.matrices import _float_texts, format_value, json_text
 from attrscale.catalog import AttributeCatalog
 from attrscale.workload import UsageSet
 
+import oracles
+
 
 @pytest.mark.parametrize(
     "value, precision, rendered",
@@ -87,7 +89,7 @@ def seeded_bundle(seed: int):
 def test_json_text_equals_indent_2_on_every_matrix_kind(reference_bundle):
     for bundle in (reference_bundle, seeded_bundle(9)):
         for name in ("qaum", "adm", "pdm", "mvsd", "nsm", "nnsm"):
-            obj = getattr(bundle, name).to_json_obj()
+            obj = oracles.json_obj(getattr(bundle, name))
             assert json_text(obj) == json.dumps(obj, indent=2, ensure_ascii=True), name
         warnings = list(bundle.warnings)
         assert json_text(warnings) == json.dumps(warnings, indent=2, ensure_ascii=True)
@@ -98,9 +100,9 @@ ODD_LABELS = ("", "a,b", 'c"d', "new\nline", "cr\r")  # empty, and each kind csv
 
 
 def csv_reference(matrix, precision) -> str:
-    """The matrix's object form written cell by cell by csv.writer: ints through str, floats through
-    format_value, undefined cells as '#'."""
-    obj = matrix.to_json_obj()
+    """The matrix's object form (oracles.json_obj) written cell by cell by csv.writer: ints through str,
+    floats through format_value, undefined cells as '#'."""
+    obj = oracles.json_obj(matrix)
     kind, names = obj["kind"], obj["attributes"]
     if kind == "QAUM":
         header, labels, rows = ["query", *names], obj["query_ids"], obj["cells"]
@@ -176,7 +178,8 @@ def fixture_rendered(request, reference_bundle):
 
 
 def test_to_json_equals_indent_2_of_to_json_obj(rendered):
-    assert rendered.to_json() == json.dumps(rendered.to_json_obj(), indent=2, ensure_ascii=True)
+    # a whole file: the object form in the json.dumps(indent=2) layout, then a newline
+    assert rendered.to_json() == json.dumps(oracles.json_obj(rendered), indent=2, ensure_ascii=True) + "\n"
 
 
 @pytest.mark.parametrize("precision", [None, *range(11)])
@@ -252,7 +255,7 @@ def test_usage_matrix_validation():
 def test_usage_matrix_csv_and_json():
     qaum = small_usage()
     assert qaum.to_csv() == "query,a,b,c\nq1,1,1,0\nq2,0,1,1\n"
-    assert qaum.to_json_obj()["cells"] == [[1, 1, 0], [0, 1, 1]]
+    assert json.loads(qaum.to_json())["cells"] == [[1, 1, 0], [0, 1, 1]]
 
 
 def test_usage_matrix_is_immutable():
@@ -292,7 +295,7 @@ def test_dependency_matrix_csv_and_json():
     assert adm.to_csv() == (
         "attribute,a,b,c,total_measure\na,#,2,1,3\nb,2,#,0,2\nc,1,0,#,1\n"
     )
-    obj = adm.to_json_obj()
+    obj = json.loads(adm.to_json())
     assert obj["counts"][0][0] is None and obj["counts"][0][1] == 2
 
 
@@ -329,7 +332,7 @@ def test_masked_matrix_csv_precision_and_hash_mark():
 
 def test_masked_matrix_json_round_trip():
     m = masked([[0, 1.0 / 3.0], [0.5, 0]], [[False, True], [True, False]])
-    obj = m.to_json_obj()
+    obj = json.loads(m.to_json())
     assert obj["values"][0][0] is None
     assert obj["values"][0][1] == 1.0 / 3.0  # full precision, no display rounding
 
@@ -361,5 +364,5 @@ def test_stats_table_undefined_column_is_nan_and_hash():
 
 def test_stats_table_json_round_trip():
     table = stats(defined=(True, False))
-    obj = table.to_json_obj()
+    obj = json.loads(table.to_json())
     assert obj["mean"] == [1.5, None]

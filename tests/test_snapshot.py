@@ -16,6 +16,7 @@ from attrscale import (
     load_snapshot,
     run_pipeline,
 )
+from attrscale.cli import EXIT_INPUT_ERROR, main
 from attrscale.snapshot import _content_hash, render_outputs, snapshot_to_obj, snapshot_to_text, write_outputs
 
 
@@ -114,8 +115,38 @@ def test_indented_files_load_and_config_keys_must_match(snap, tmp_path):
         obj["config"] = edited
         obj["content_hash"] = _content_hash(obj)
         path.write_text(json.dumps(obj))
-        with pytest.raises(SnapshotError, match="(RunConfig|SelectionSpec) fields"):
+        # an extra key fails the constructor; a missing one would load as its default, so it fails the
+        # check that the rebuilt inputs re-export as the file's payload
+        with pytest.raises(SnapshotError, match="malformed: (.*unexpected keyword argument 'extra'|it is not what)"):
             load_snapshot(path)
+
+
+def _resealed_edits():
+    """(id, edit) pairs: each edit changes a payload in place into one this version never writes."""
+    yield "extra-top-level-key", lambda obj: obj.update(extra_top=1)
+    yield "extra-catalog-key", lambda obj: obj["catalog"].update(database_attribute_count=10)
+    yield "extra-usage-key", lambda obj: obj["usage"].update(extra=[])
+    yield "foreign-generator", lambda obj: obj.update(generator="other-tool")
+    yield "unsorted-indices", lambda obj: obj["usage"]["queries"][0][1].reverse()
+    yield "repeated-index", lambda obj: obj["usage"]["queries"][0][1].append(obj["usage"]["queries"][0][1][0])
+
+
+RESEALED_EDITS = dict(_resealed_edits())
+
+
+@pytest.mark.parametrize("edit", RESEALED_EDITS.values(), ids=RESEALED_EDITS)
+def test_resealed_payload_this_version_never_writes_exits_1(snap, tmp_path, capsys, edit):
+    # each edit rebuilds the same inputs, but re-exporting them would give other bytes
+    obj = snapshot_to_obj(snap)
+    del obj["content_hash"]
+    edit(obj)
+    obj["content_hash"] = _content_hash(obj)
+    path = tmp_path / "snapshot.json"
+    path.write_text(json.dumps(obj))
+    assert main(["rank", "--snapshot", str(path)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: snapshot {path} is malformed: ") and captured.err.count("\n") == 1
 
 
 def _paths(node, path=()):
