@@ -7,20 +7,23 @@ JSON, never as a magic number. JSON always serializes values at full double
 precision; CSV takes a display precision (decimal half-up, the convention the
 reference tables use).
 
-Each file is rendered as a whole grid of cell texts; csv.writer and
-json.dumps see only the header and the labels, and rows are joined with
-str.join. The QAUM's cells are single digits, so every row of its files has
-a fixed width: the rows are cut from one uint8 byte template per file, its
-cells filled by one strided numpy assignment. Every other grid formats each
-distinct defined value once (np.unique over the float64 bit pattern, so
--0.0 and 0.0 stay apart): integers through str, floats through "%.{p}f" (or
-repr at full precision), and format_value, the one definition of the
-rounding, redoes only the values where its Decimal text can differ: exact
-binary ties. Undefined cells take one constant text. Every cell is
-fixed-point at every precision. to_json returns a whole JSON file: an object
-of the matrix's kind, labels and grids (nested lists, null at undefined
-cells) as json.dumps(indent=2, ensure_ascii=True) writes it, then a newline.
-No Python object form of a file is built.
+Each file is streamed: csv_pieces and json_pieces yield its text in row
+blocks of at most _BLOCK_CELLS cells (one row at least), so no whole file
+or whole grid of cell texts is held; to_csv and to_json join those pieces.
+csv.writer and json.dumps see only the header and the labels, and rows are
+joined with str.join. The QAUM's cells are single digits, so every row of
+its files has a fixed width: a block's rows are cut from one uint8 byte
+template, its cells filled by one strided numpy assignment. Every other
+block formats each distinct defined value once (np.unique over the float64
+bit pattern, so -0.0 and 0.0 stay apart): integers through str, floats
+through "%.{p}f" (or repr at full precision), and format_value, the one
+definition of the rounding, redoes only the values where its Decimal text
+can differ: exact binary ties. A value's text does not depend on the other
+values, so the bytes do not depend on the block size. Undefined cells take
+one constant text. Every cell is fixed-point at every precision. A JSON
+file is an object of the matrix's kind, labels and grids (nested lists,
+null at undefined cells) as json.dumps(indent=2, ensure_ascii=True) writes
+it, then a newline. No Python object form of a file is built.
 
 _frozen is the one intake path from caller input to stored arrays: every
 constructor hands it each array to convert, shape-check and freeze.
@@ -31,10 +34,10 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -56,6 +59,9 @@ def _json_layout(depth: int, brackets: str = "[]") -> _Layout:
 
 _JSON_LIST = _json_layout(1)  # a list valued by a top-level key
 _JSON_ROW = _json_layout(2)  # a list inside such a list
+# cells rendered at once: a file is streamed in blocks of rows that hold at most this many (one row at
+# least), so rendering memory stays flat as m and n grow, for the n×n grids as for the QAUM
+_BLOCK_CELLS = 1 << 14
 
 
 def _frozen(arr, dtype, shape: tuple[int, ...], defined: np.ndarray | None = None) -> np.ndarray:
@@ -110,8 +116,9 @@ def _float_texts(values: np.ndarray, precision: int | None) -> list[str]:
 
 
 def _cell_texts(values: np.ndarray, defined: np.ndarray, undefined: str, precision: int | None = None) -> list:
-    """The grid's cell texts as nested lists: each distinct defined value formatted once (integers
-    through str, floats as format_value renders them at precision), undefined at undefined cells."""
+    """The cell texts of a grid, or of a block of its rows, as nested lists: each distinct defined
+    value formatted once (integers through str, floats as format_value renders them at precision),
+    undefined at undefined cells."""
     shown = values[defined]
     if values.dtype.kind == "f":
         keys, inverse = np.unique(shown.view(np.int64), return_inverse=True)  # -0.0 and 0.0 render apart
@@ -124,25 +131,65 @@ def _cell_texts(values: np.ndarray, defined: np.ndarray, undefined: str, precisi
     return np.array([*texts, undefined], dtype=object)[index].tolist()
 
 
+def _blocks(rows: int, width: int) -> Iterator[slice]:
+    """range(rows) cut into consecutive slices of as many rows of width cells as _BLOCK_CELLS holds,
+    one row at least."""
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
+
+
 def _joined(texts: list[str], layout: _Layout) -> str:
     """One row of cell texts in a file's layout."""
     head, sep, tail, empty = layout
     return "".join((head, sep.join(texts), tail)) if texts else empty  # one copy of a large body
 
 
-def _digit_text(cells: np.ndarray, row_layout: _Layout, list_layout: _Layout = ("", "", "", "")) -> str:
-    """_joined([_joined(row, row_layout) for row in cells], list_layout) for a 0/1 grid, decoded from one
-    byte buffer: each row is a copy of one template whose cells one strided assignment fills."""
-    head, sep, tail, empty = list_layout  # head and sep have one length: the first row's sep becomes head
+def _joined_pieces(blocks: Iterable[list[str]], layout: _Layout) -> Iterator[str]:
+    """_joined of the texts of every block together, in pieces of at most one block each."""
+    head, sep, tail, empty = layout
+    started = False
+    for texts in blocks:
+        if texts:
+            yield sep if started else head
+            yield sep.join(texts)
+            started = True
+    yield tail if started else empty
+
+
+def _grid_rows(
+    block: Callable[[slice], tuple[np.ndarray, np.ndarray]],
+    shape: tuple[int, int],
+    undefined: str,
+    layout: _Layout,
+    precision: int | None = None,
+) -> Iterator[list[str]]:
+    """Each row of a grid of shape (rows, width) as its cell texts joined in layout, one list per
+    block of rows; block(rows) gives the values and the defined mask of a slice of rows."""
+    for rows in _blocks(*shape):
+        yield [_joined(row, layout) for row in _cell_texts(*block(rows), undefined, precision)]
+
+
+def _digit_text(
+    cells: np.ndarray,
+    row_layout: _Layout,
+    list_layout: _Layout = ("", "", "", ""),
+    first: bool = True,
+    last: bool = True,
+) -> str:
+    """The rows of a block of a 0/1 grid (one row at least) in _joined([_joined(row, row_layout) for row
+    in grid], list_layout), decoded from one byte buffer: each row is a copy of one template whose
+    cells one strided assignment fills. The first block opens with the list's head, every other with
+    its separator, and only the last ends with its tail."""
+    head, sep, tail, _ = list_layout  # head and sep have one length: the first row's sep becomes head
     m, n = cells.shape
-    if not m:
-        return empty
     row = sep + _joined(["0"] * n, row_layout)
     width = len(row)
+    tail = tail if last else ""
     buf = np.empty(m * width + len(tail), dtype=np.uint8)
     grid = buf[: m * width].reshape(m, width)
     grid[:] = np.frombuffer(row.encode("ascii"), dtype=np.uint8)
-    grid[0, : len(head)] = np.frombuffer(head.encode("ascii"), dtype=np.uint8)
+    if first:
+        grid[0, : len(head)] = np.frombuffer(head.encode("ascii"), dtype=np.uint8)
     buf[m * width :] = np.frombuffer(tail.encode("ascii"), dtype=np.uint8)
     row_head, row_sep, row_tail, _ = row_layout
     if n:
@@ -150,39 +197,33 @@ def _digit_text(cells: np.ndarray, row_layout: _Layout, list_layout: _Layout = (
     return str(buf, "ascii")
 
 
-def _csv_text(header: list[str], labels: Iterable[str], rows: list[str]) -> str:
-    """The header, then one line per label: its field as csv.writer writes it, then its row text."""
+def _csv_pieces(header: list[str], labels: Iterable[str], row_blocks: Iterable[list[str]]) -> Iterator[str]:
+    """The header, then one line per label: its field as csv.writer writes it, then its row text; one
+    piece per block of rows."""
     lines: list[str] = []
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(header)
-    # a label is quoted as the first of several fields, where an empty one is written as nothing;
-    # only a label alone on its line (no cells) is written as one field, '""' when it is empty
-    writer.writerows((label, "") if len(header) > 1 else (label,) for label in labels)
-    # CPython's csv.writer makes one write call per row; pairing lines with rows relies on it
-    assert len(lines) == 1 + len(rows), "csv.writer wrote a row in more than one piece"
-    fields = [line[:-1] for line in lines[1:]]
-    return "".join([lines[0], *chain.from_iterable(zip(fields, rows))])
+    yield "".join(lines)
+    labels = iter(labels)
+    for rows in row_blocks:
+        lines.clear()
+        # a label is quoted as the first of several fields, where an empty one is written as nothing;
+        # only a label alone on its line (no cells) is written as one field, '""' when it is empty
+        writer.writerows((label, "") if len(header) > 1 else (label,) for label in islice(labels, len(rows)))
+        # CPython's csv.writer makes one write call per row; pairing lines with rows relies on it
+        if len(lines) != len(rows):
+            raise AttrScaleError("csv.writer wrote a row in more than one piece")
+        yield "".join(chain.from_iterable(zip([line[:-1] for line in lines], rows)))
 
 
-def _grid_csv(
-    header: list[str], labels: Iterable[str], values: np.ndarray, defined: np.ndarray, precision: int | None = None
-) -> str:
-    rows = _cell_texts(values, defined, UNDEFINED_CSV, precision)
-    return _csv_text(header, labels, [_joined(row, _CSV_ROW) for row in rows])
-
-
-def _grid_json(values: np.ndarray, defined: np.ndarray) -> str:
-    rows = _cell_texts(values, defined, "null")
-    return _joined([_joined(row, _JSON_ROW) for row in rows], _JSON_LIST)
-
-
-def _json_object(fields: dict[str, str]) -> str:
-    """A JSON file: a top-level object in the json.dumps(indent=2) layout, from each key's rendered
-    value, and a final newline, joined once."""
+def _json_object(fields: dict[str, str | Iterable[str]]) -> Iterator[str]:
+    """A JSON file in pieces: a top-level object in the json.dumps(indent=2) layout, from each key's
+    rendered value (one text, or its pieces), and a final newline."""
     head, sep, tail, _ = _json_layout(0, "{}")
-    parts = [piece for key, text in fields.items() for piece in (sep, json.dumps(key), ": ", text)]
-    parts[0] = head
-    return "".join([*parts, tail, "\n"])
+    for i, (key, value) in enumerate(fields.items()):
+        yield f"{sep if i else head}{json.dumps(key)}: "
+        yield from (value,) if isinstance(value, str) else value
+    yield tail + "\n"
 
 
 def json_text(obj, depth: int = 0) -> str:
@@ -196,8 +237,19 @@ def json_text(obj, depth: int = 0) -> str:
     return json.dumps(obj, ensure_ascii=True)
 
 
+class _Exported:
+    """to_csv and to_json: a file's whole text, joined from the pieces csv_pieces or json_pieces
+    streams."""
+
+    def to_csv(self, precision: int | None = None) -> str:
+        return "".join(self.csv_pieces(precision))
+
+    def to_json(self) -> str:
+        return "".join(self.json_pieces())
+
+
 @dataclass(frozen=True, eq=False)
-class UsageMatrix:
+class UsageMatrix(_Exported):
     """Binary m×n query/attribute usage matrix (the pipeline's QAUM)."""
 
     query_ids: tuple[str, ...]
@@ -210,24 +262,35 @@ class UsageMatrix:
             raise AttrScaleError("usage matrix cells must be 0 or 1")
         object.__setattr__(self, "cells", cells)
 
-    def to_csv(self, precision: int | None = None) -> str:
+    def csv_pieces(self, precision: int | None = None) -> Iterator[str]:
         del precision  # binary cells, nothing to round
-        text = _digit_text(self.cells, _CSV_ROW)
         width = len(_joined(["0"] * len(self.attributes), _CSV_ROW))  # every row has this length
-        rows = [text[i : i + width] for i in range(0, len(text), width)]
-        return _csv_text(["query", *self.attributes], self.query_ids, rows)
 
-    def to_json(self) -> str:
+        def row_blocks():
+            for rows in _blocks(*self.cells.shape):
+                text = _digit_text(self.cells[rows], _CSV_ROW)
+                yield [text[i : i + width] for i in range(0, len(text), width)]
+
+        return _csv_pieces(["query", *self.attributes], self.query_ids, row_blocks())
+
+    def _cell_pieces(self) -> Iterator[str]:
+        m, n = self.cells.shape
+        if not m:
+            yield _JSON_LIST[3]
+        for rows in _blocks(m, n):
+            yield _digit_text(self.cells[rows], _JSON_ROW, _JSON_LIST, rows.start == 0, rows.stop == m)
+
+    def json_pieces(self) -> Iterator[str]:
         return _json_object({
             "kind": '"QAUM"',
             "query_ids": json_text(self.query_ids, 1),
             "attributes": json_text(self.attributes, 1),
-            "cells": _digit_text(self.cells, _JSON_ROW, _JSON_LIST),
+            "cells": self._cell_pieces(),
         })
 
 
 @dataclass(frozen=True, eq=False)
-class DependencyMatrix:
+class DependencyMatrix(_Exported):
     """n×n co-occurrence counts with per-row Total Measure.
 
     The diagonal is semantically undefined; it is stored as 0 and rendered
@@ -255,27 +318,34 @@ class DependencyMatrix:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total_measure", tm)
 
-    def _off_diagonal(self) -> np.ndarray:
-        return ~np.eye(len(self.attributes), dtype=bool)
+    def _off_diagonal(self, rows: slice, width: int) -> np.ndarray:
+        """Which of the first width columns of these rows are off the diagonal (column n, the total, is)."""
+        return np.arange(width) != np.arange(len(self.attributes))[rows, None]
 
-    def to_csv(self, precision: int | None = None) -> str:
+    def csv_pieces(self, precision: int | None = None) -> Iterator[str]:
         del precision
-        grid = np.column_stack([self.counts, self.total_measure])
-        defined = np.column_stack([self._off_diagonal(), np.ones(len(self.attributes), dtype=bool)])
-        return _grid_csv(["attribute", *self.attributes, "total_measure"], self.attributes, grid, defined)
+        n = len(self.attributes)
 
-    def to_json(self) -> str:
-        total = _cell_texts(self.total_measure, np.ones(len(self.attributes), dtype=bool), "null")
+        def block(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+            return np.column_stack([self.counts[rows], self.total_measure[rows]]), self._off_diagonal(rows, n + 1)
+
+        header = ["attribute", *self.attributes, "total_measure"]
+        return _csv_pieces(header, self.attributes, _grid_rows(block, (n, n + 1), UNDEFINED_CSV, _CSV_ROW))
+
+    def json_pieces(self) -> Iterator[str]:
+        n = len(self.attributes)
+        total = _cell_texts(self.total_measure, np.ones(n, dtype=bool), "null")
+        counts = _grid_rows(lambda rows: (self.counts[rows], self._off_diagonal(rows, n)), (n, n), "null", _JSON_ROW)
         return _json_object({
             "kind": '"ADM"',
             "attributes": json_text(self.attributes, 1),
-            "counts": _grid_json(self.counts, self._off_diagonal()),
+            "counts": _joined_pieces(counts, _JSON_LIST),
             "total_measure": _joined(total, _JSON_LIST),
         })
 
 
 @dataclass(frozen=True, eq=False)
-class MaskedRealMatrix:
+class MaskedRealMatrix(_Exported):
     """n×n real matrix where each cell is either defined or undefined (NaN in storage)."""
 
     kind: str  # PDM | NSM | NNSM
@@ -296,19 +366,23 @@ class MaskedRealMatrix:
     def cell(self, h: int, k: int) -> float | None:
         return float(self.values[h, k]) if self.defined[h, k] else None
 
-    def to_csv(self, precision: int | None = None) -> str:
-        return _grid_csv(["attribute", *self.attributes], self.attributes, self.values, self.defined, precision)
+    def _block(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        return self.values[rows], self.defined[rows]
 
-    def to_json(self) -> str:
+    def csv_pieces(self, precision: int | None = None) -> Iterator[str]:
+        rows = _grid_rows(self._block, self.values.shape, UNDEFINED_CSV, _CSV_ROW, precision)
+        return _csv_pieces(["attribute", *self.attributes], self.attributes, rows)
+
+    def json_pieces(self) -> Iterator[str]:
         return _json_object({
             "kind": json.dumps(self.kind),
             "attributes": json_text(self.attributes, 1),
-            "values": _grid_json(self.values, self.defined),
+            "values": _joined_pieces(_grid_rows(self._block, self.values.shape, "null", _JSON_ROW), _JSON_LIST),
         })
 
 
 @dataclass(frozen=True, eq=False)
-class StatsTable:
+class StatsTable(_Exported):
     """Per-attribute mean, variance, and standard deviation rows."""
 
     attributes: tuple[str, ...]
@@ -327,15 +401,18 @@ class StatsTable:
         if np.any(self.variance[defined] < 0):
             raise AttrScaleError("variance must be non-negative")
 
-    def _grid(self) -> tuple[np.ndarray, np.ndarray]:
+    def _rows(self, undefined: str, layout: _Layout, precision: int | None = None) -> Iterator[list[str]]:
+        """The mean, variance and sd rows through _grid_rows."""
         grid = np.stack([self.mean, self.variance, self.sd])
-        return grid, np.broadcast_to(self.defined, grid.shape)
+        defined = np.broadcast_to(self.defined, grid.shape)
+        return _grid_rows(lambda rows: (grid[rows], defined[rows]), grid.shape, undefined, layout, precision)
 
-    def to_csv(self, precision: int | None = None) -> str:
-        return _grid_csv(["statistic", *self.attributes], ("mean", "variance", "sd"), *self._grid(), precision)
+    def csv_pieces(self, precision: int | None = None) -> Iterator[str]:
+        rows = self._rows(UNDEFINED_CSV, _CSV_ROW, precision)
+        return _csv_pieces(["statistic", *self.attributes], ("mean", "variance", "sd"), rows)
 
-    def to_json(self) -> str:
-        mean, variance, sd = (_joined(row, _JSON_LIST) for row in _cell_texts(*self._grid(), "null"))
+    def json_pieces(self) -> Iterator[str]:
+        mean, variance, sd = chain.from_iterable(self._rows("null", _JSON_LIST))
         return _json_object({
             "kind": '"MVSD"',
             "attributes": json_text(self.attributes, 1),

@@ -19,6 +19,7 @@ import json
 import os
 import shutil
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -32,6 +33,7 @@ FORMAT_VERSION = 3  # v1 also stored every stage, v2 the catalog's M=; both are 
 EXPORT_FORMATS = ("csv", "json", "both")
 MATRIX_BASENAMES = ("qaum", "adm", "pdm", "mvsd", "nsm", "nnsm")
 _DIAGNOSTIC_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True)  # one line of diagnostics.jsonl
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)  # snapshot.json
 
 
 @dataclass(frozen=True)
@@ -58,12 +60,31 @@ class Snapshot:
     bundle: ScaleBundle
 
 
-def _canonical_bytes(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("utf-8")
+def _members(obj: dict) -> dict[str, str]:
+    """Key -> the key's member of obj in the canonical encoding: '"key":value', compact with sorted keys."""
+    return {key: _CANONICAL_ENCODER.encode(key) + ":" + _CANONICAL_ENCODER.encode(value) for key, value in obj.items()}
+
+
+def _canonical_pieces(members: dict[str, str]) -> Iterator[str]:
+    """The canonical encoding of the object with these members, in pieces."""
+    yield "{"
+    for i, key in enumerate(sorted(members)):
+        if i:
+            yield ","
+        yield members[key]
+    yield "}"
+
+
+def _hash_of(members: dict[str, str]) -> str:
+    """The content hash of the object with these members: sha256 of its canonical encoding."""
+    digest = hashlib.sha256()
+    for piece in _canonical_pieces(members):
+        digest.update(piece.encode("ascii"))
+    return "sha256:" + digest.hexdigest()
 
 
 def _content_hash(payload: dict) -> str:
-    return "sha256:" + hashlib.sha256(_canonical_bytes(payload)).hexdigest()
+    return _hash_of(_members(payload))
 
 
 def _payload(snap: Snapshot) -> dict:
@@ -87,9 +108,17 @@ def snapshot_to_obj(snap: Snapshot) -> dict:
     return {**payload, "content_hash": _content_hash(payload)}
 
 
+def _snapshot_pieces(snap: Snapshot) -> list[str]:
+    """The snapshot file in pieces: the payload's canonical encoding with the content hash member at
+    its sorted place, then a newline. Each member is encoded once, for the hash and for the file."""
+    members = _members(_payload(snap))
+    members.update(_members({"content_hash": _hash_of(members)}))
+    return [*_canonical_pieces(members), "\n"]
+
+
 def snapshot_to_text(snap: Snapshot) -> str:
     """The snapshot file: its canonical (hashed) encoding plus a newline; whitespace is not part of the format."""
-    return _canonical_bytes(snapshot_to_obj(snap)).decode("ascii") + "\n"
+    return "".join(_snapshot_pieces(snap))
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
@@ -130,50 +159,58 @@ def load_snapshot(path: str | Path) -> Snapshot:
     return snap
 
 
-def render_outputs(snap: Snapshot) -> dict[str, str]:
-    """Every output file of a run as name -> content, deterministically."""
+def _output_files(snap: Snapshot) -> Iterator[tuple[str, Iterable[str]]]:
+    """Every output file of a run as (name, its text in pieces), deterministically; each file is
+    rendered only as its pieces are read."""
     bundle = snap.bundle
-    files: dict[str, str] = {}
     fmt = snap.config.export_format
     for name in MATRIX_BASENAMES:
         stage = getattr(bundle, name)
         if fmt in ("csv", "both"):
-            files[f"{name}.csv"] = stage.to_csv(precision=snap.config.precision)
+            yield f"{name}.csv", stage.csv_pieces(snap.config.precision)
         if fmt in ("json", "both"):
-            files[f"{name}.json"] = stage.to_json()
-    files["warnings.json"] = json_text(list(bundle.warnings)) + "\n"
-    diag_lines = [_DIAGNOSTIC_ENCODER.encode(entry) for entry in (*snap.usage.dropped, *snap.usage.diagnostics)]
-    files["diagnostics.jsonl"] = "".join(line + "\n" for line in diag_lines)
-    files["snapshot.json"] = snapshot_to_text(snap)
-    return files
+            yield f"{name}.json", stage.json_pieces()
+    yield "warnings.json", (json_text(list(bundle.warnings)), "\n")
+    entries = (*snap.usage.dropped, *snap.usage.diagnostics)
+    yield "diagnostics.jsonl", (_DIAGNOSTIC_ENCODER.encode(entry) + "\n" for entry in entries)
+    yield "snapshot.json", _snapshot_pieces(snap)
 
 
 def write_outputs(snap: Snapshot, out_dir: str | Path) -> list[Path]:
-    """Render every output, stage it in a temp dir inside out_dir, then move each file in.
+    """Render every output into a temp dir inside out_dir, then move each file in.
 
-    Everything is rendered before out_dir is touched and staged before any
-    file moves, so a failure while rendering or staging lands nothing. Each
-    file is then replaced atomically with os.replace, one at a time. The set
-    is not atomic: a process killed while the files move can leave files
-    from two runs, and one killed after staging began leaves its
-    `.attrscale-stage-*` directory behind. Matrix files an earlier run wrote
-    in a format this run does not export are removed.
+    Each file is written into staging as it renders, in pieces of at most
+    a block of rows, so no whole file is held in memory. Every file is
+    staged before any moves, so a failure while rendering or staging lands
+    nothing: the staging directory is removed, and so is out_dir if this
+    call created it. Each file is then replaced atomically with os.replace,
+    one at a time. The set is not atomic: a process killed while the files
+    move can leave files from two runs, and one killed after staging began
+    leaves its `.attrscale-stage-*` directory behind. Matrix files an
+    earlier run wrote in a format this run does not export are removed.
     """
     out = Path(out_dir)
-    files = render_outputs(snap)  # render first: any failure aborts before touching disk
+    created = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".attrscale-stage-", dir=out))
     try:
-        for name, content in files.items():
-            (staging / name).write_text(content, encoding="utf-8")
+        names = []
+        for name, pieces in _output_files(snap):
+            with open(staging / name, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
+            names.append(name)
+    except BaseException:
+        shutil.rmtree(created or staging, ignore_errors=True)
+        raise
+    try:
         written = []
-        for name in files:
+        for name in names:
             target = out / name
             os.replace(staging / name, target)
             written.append(target)
         for name in MATRIX_BASENAMES:
             for ext in ("csv", "json"):
-                if f"{name}.{ext}" not in files:
+                if f"{name}.{ext}" not in names:
                     (out / f"{name}.{ext}").unlink(missing_ok=True)
         return written
     finally:

@@ -28,7 +28,7 @@ from attrscale import (
 )
 from attrscale.cli import EXIT_EMPTY_ANALYSIS, EXIT_INPUT_ERROR, EXIT_OK, main
 from attrscale.matrices import UNDEFINED_CSV, format_value
-from attrscale.snapshot import MATRIX_BASENAMES, render_outputs
+from attrscale.snapshot import MATRIX_BASENAMES, write_outputs
 from test_acceptance import synthetic_usage
 
 import oracles
@@ -85,8 +85,9 @@ def test_analyze_sql_input_produces_same_bundle(capsys, data_dir, tmp_path):
 def test_reloaded_snapshot_re_exports_every_file_byte_identically(capsys, data_dir, tmp_path):
     out = tmp_path / "out"
     assert run_cli(capsys, *analyze_args(data_dir, out))[0] == EXIT_OK
-    written = {p.name: p.read_text(encoding="utf-8") for p in out.iterdir()}
-    assert render_outputs(load_snapshot(out / "snapshot.json")) == written
+    again = tmp_path / "again"
+    write_outputs(load_snapshot(out / "snapshot.json"), again)
+    assert {p.name: p.read_bytes() for p in again.iterdir()} == {p.name: p.read_bytes() for p in out.iterdir()}
 
 
 def per_cell_csv(header: list[str], labels, grid: np.ndarray, defined: np.ndarray, precision: int) -> str:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from attrscale import AttrScaleError, DependencyMatrix, MaskedRealMatrix, StatsTable, UsageMatrix, run_pipeline
+from attrscale import matrices
 from attrscale.matrices import _float_texts, format_value, json_text
 from attrscale.catalog import AttributeCatalog
 from attrscale.workload import UsageSet
@@ -187,6 +188,38 @@ def test_to_csv_equals_a_per_cell_csv_writer_rendering(rendered, precision):
     assert rendered.to_csv(precision) == csv_reference(rendered, precision)
 
 
+BLOCK_ROWS = [1, 2, 7, None]  # None: the default block
+
+
+def set_block_rows(monkeypatch, rows, width) -> int:
+    """Make a block rows rows of width cells (leave the default when rows is None); return its rows.
+    A file whose grid is wider (the ADM's CSV adds a total column) gets fewer rows per block."""
+    if rows is not None:
+        monkeypatch.setattr(matrices, "_BLOCK_CELLS", rows * max(width, 1))
+    return max(1, matrices._BLOCK_CELLS // max(width, 1))
+
+
+@pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+def test_files_streamed_in_blocks_equal_the_references(rendered, block_rows, monkeypatch):
+    set_block_rows(monkeypatch, block_rows, len(rendered.attributes))
+    assert rendered.to_json() == json.dumps(oracles.json_obj(rendered), indent=2, ensure_ascii=True) + "\n"
+    for precision in (None, 0, 2, 10):
+        assert rendered.to_csv(precision) == csv_reference(rendered, precision)
+
+
+@pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+def test_qaum_rows_at_block_boundaries_equal_the_references(block_rows, monkeypatch):
+    names = ("a", "b,c", 'd"e')
+    block = set_block_rows(monkeypatch, block_rows, len(names))
+    rng = np.random.default_rng(block)
+    for m in sorted({0, 1, block - 1, block, block + 1}):
+        ids = tuple(f"{ODD_LABELS[i % len(ODD_LABELS)]}{i}" for i in range(m))
+        qaum = UsageMatrix(ids, names, rng.integers(0, 2, size=(m, len(names))))
+        assert qaum.to_json() == json.dumps(oracles.json_obj(qaum), indent=2, ensure_ascii=True) + "\n", m
+        assert qaum.to_csv() == csv_reference(qaum, None), m
+        assert len(list(qaum.csv_pieces())) == 1 + -(-m // block), m  # the header, then a piece per block
+
+
 def test_rendering_pins_ties_signed_zero_and_odd_labels():
     ties = RENDER_CASES["exact-ties"]
     assert ties.to_csv(2).splitlines()[1:] == ["x,#,0.13,0.50", "y,2.50,#,-0.13", "z,0.38,-0.50,#"]
@@ -209,7 +242,7 @@ def test_csv_rows_written_in_pieces_fail_loudly(monkeypatch):
 
     monkeypatch.setattr(csv, "writer", piecewise)
     for name in ("qaum", "pdm"):
-        with pytest.raises(AssertionError, match="more than one piece"):
+        with pytest.raises(AttrScaleError, match="more than one piece"):
             RENDER_CASES[f"odd-labels-{name}"].to_csv()
 
 

@@ -4,20 +4,28 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
+from itertools import islice
 
+import numpy as np
 import pytest
 
 from attrscale import (
+    AttributeCatalog,
     MaskedRealMatrix,
     RunConfig,
     SelectionSpec,
     Snapshot,
     SnapshotError,
+    UsageMatrix,
+    UsageSet,
     load_snapshot,
     run_pipeline,
 )
+from attrscale import matrices
 from attrscale.cli import EXIT_INPUT_ERROR, main
-from attrscale.snapshot import _content_hash, render_outputs, snapshot_to_obj, snapshot_to_text, write_outputs
+from attrscale.snapshot import _content_hash, snapshot_to_obj, snapshot_to_text, write_outputs
+from test_acceptance import synthetic_usage
 
 
 @pytest.fixture()
@@ -184,7 +192,7 @@ def test_resealed_edits_raise_only_snapshot_error(snap, tmp_path):
             loaded = load_snapshot(path)
         except SnapshotError:
             continue
-        render_outputs(loaded)  # an edit that loads must also export
+        write_outputs(loaded, tmp_path / "export")  # an edit that loads must also export
 
 
 @pytest.mark.parametrize("index", [0.5, 1.0, True, "1", 2**70, -1, "len(catalog)"])
@@ -214,33 +222,36 @@ def test_unreadable_and_invalid_files(tmp_path):
         load_snapshot(array)
 
 
-def test_render_outputs_file_sets(snap):
-    both = render_outputs(snap)
-    assert sorted(both) == sorted(
-        [f"{name}.{ext}" for name in ("qaum", "adm", "pdm", "mvsd", "nsm", "nnsm") for ext in ("csv", "json")]
-        + ["warnings.json", "diagnostics.jsonl", "snapshot.json"]
-    )
-    csv_only = render_outputs(Snapshot(config=RunConfig(
+ALL_FILES = sorted(
+    [f"{name}.{ext}" for name in ("qaum", "adm", "pdm", "mvsd", "nsm", "nnsm") for ext in ("csv", "json")]
+    + ["warnings.json", "diagnostics.jsonl", "snapshot.json"]
+)
+
+
+def test_render_outputs_file_sets(snap, tmp_path):
+    assert sorted(p.name for p in write_outputs(snap, tmp_path / "both")) == ALL_FILES
+    csv_only = {p.name for p in write_outputs(Snapshot(config=RunConfig(
         "w", "jsonl-attrs", "c", SelectionSpec(), snap.config.out_dir, export_format="csv",
-    ), usage=snap.usage, bundle=snap.bundle))
+    ), usage=snap.usage, bundle=snap.bundle), tmp_path / "csv")}
     assert sorted(n for n in csv_only if n.endswith(".csv")) == [
         "adm.csv", "mvsd.csv", "nnsm.csv", "nsm.csv", "pdm.csv", "qaum.csv",
     ]
     assert "pdm.json" not in csv_only and "snapshot.json" in csv_only
 
 
-def test_csv_uses_display_precision_and_json_full_precision(snap):
-    files = render_outputs(snap)
-    assert "0.12" in files["pdm.csv"].splitlines()[1]  # 3/26 displayed at 2 decimals
-    pdm = json.loads(files["pdm.json"])
+def test_csv_uses_display_precision_and_json_full_precision(snap, tmp_path):
+    out = tmp_path / "out"
+    write_outputs(snap, out)
+    assert "0.12" in (out / "pdm.csv").read_text(encoding="utf-8").splitlines()[1]  # 3/26 displayed at 2 decimals
+    pdm = json.loads((out / "pdm.json").read_bytes())
     assert pdm["values"][0][1] == 3 / 26  # untouched double
-    assert files["snapshot.json"] == snapshot_to_text(snap)
+    assert (out / "snapshot.json").read_bytes() == snapshot_to_text(snap).encode("ascii")
 
 
 def test_write_outputs_creates_files_atomically(snap, tmp_path):
     out = tmp_path / "out"
     written = write_outputs(snap, out)
-    assert sorted(p.name for p in written) == sorted(render_outputs(snap))
+    assert sorted(p.name for p in written) == ALL_FILES
     assert not [p for p in out.iterdir() if p.name.startswith(".attrscale-stage-")]
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     write_outputs(snap, out)
@@ -254,7 +265,47 @@ def test_write_outputs_failure_leaves_nothing_behind(snap, tmp_path, monkeypatch
     def boom(self, precision=None):
         raise RuntimeError("render failure")
 
-    monkeypatch.setattr(MaskedRealMatrix, "to_csv", boom)
+    monkeypatch.setattr(MaskedRealMatrix, "csv_pieces", boom)
     with pytest.raises(RuntimeError):
         write_outputs(snap, out)
     assert not out.exists()
+
+
+def test_failure_while_a_file_streams_keeps_the_previous_run(snap, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    write_outputs(snap, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr(matrices, "_BLOCK_CELLS", len(snap.bundle.attributes))  # one QAUM row per block
+    whole = UsageMatrix.json_pieces
+    staged = []
+
+    def fails_after_some_blocks(self):
+        for piece in islice(whole(self), 8):  # the object's head and key, then rows
+            yield piece
+            staged.extend(out.glob(".attrscale-stage-*/qaum.json"))
+        raise RuntimeError("write failure")
+
+    monkeypatch.setattr(UsageMatrix, "json_pieces", fails_after_some_blocks)
+    with pytest.raises(RuntimeError, match="write failure"):
+        write_outputs(snap, out)
+    assert staged  # the failure came while qaum.json was being staged
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert not list(out.glob(".attrscale-stage-*"))
+
+
+def test_write_outputs_memory_stays_below_a_quarter_of_the_qaum_file(tmp_path):
+    """Files are streamed in blocks of rows: rendering never holds a whole file, nor a whole grid's texts."""
+    usage = synthetic_usage(400, 5000, seed=11)
+    catalog = AttributeCatalog(usage.attributes)
+    queries = tuple((qid, frozenset(np.flatnonzero(row).tolist())) for qid, row in zip(usage.query_ids, usage.cells))
+    usage_set = UsageSet(queries=queries, catalog=catalog)
+    config = RunConfig("w", "jsonl-attrs", "c", SelectionSpec(), str(tmp_path / "out"))
+    snap = Snapshot(config=config, usage=usage_set, bundle=run_pipeline(usage_set))
+    tracemalloc.start()
+    try:
+        write_outputs(snap, tmp_path / "out")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    qaum_bytes = (tmp_path / "out" / "qaum.json").stat().st_size
+    assert peak < qaum_bytes / 4, f"peak {peak / 1e6:.2f} MB against a {qaum_bytes / 1e6:.2f} MB qaum.json"
