@@ -9,6 +9,27 @@ from pathlib import Path
 from .errors import WorkloadFormatError
 
 
+def encodes_as_utf8(text: str) -> bool:
+    """Whether text has a UTF-8 encoding; a lone surrogate, which a JSON \\ud800 escape can carry, has none."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def read_utf8(path: str | Path, what: str) -> str:
+    """The text of a UTF-8 input file (a byte order mark skipped), else WorkloadFormatError naming the
+    file, or the line of its first byte that is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except OSError as exc:
+        raise WorkloadFormatError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise WorkloadFormatError(f"{what} {path} is not UTF-8: {exc.reason}", line) from None
+
+
 @dataclass(frozen=True)
 class AttributeCatalog:
     """Ordered list of canonical attribute names; index = column position."""
@@ -24,6 +45,9 @@ class AttributeCatalog:
         if len(set(folded)) != len(folded):
             dup = next(a for a in folded if folded.count(a) > 1)
             raise WorkloadFormatError(f"duplicate attribute name (case-insensitive): {dup!r}")
+        if not encodes_as_utf8("".join(self.attributes)):
+            bad = next(a for a in self.attributes if not encodes_as_utf8(a))
+            raise WorkloadFormatError(f"attribute name {bad!r} has no UTF-8 encoding")
 
     def __len__(self) -> int:
         return len(self.attributes)
@@ -62,10 +86,7 @@ def load_catalog(path: str | Path) -> AttributeCatalog:
     attribute count; it is checked against the names listed and not kept.
     Blank lines and a UTF-8 byte order mark are skipped.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise WorkloadFormatError(f"cannot read catalog {path}: {exc.strerror or exc}") from exc
+    text = read_utf8(path, "catalog")
     names: list[str] = []
     count: int | None = None
     for lineno, raw in enumerate(text.split("\n"), start=1):  # not splitlines: U+2028 may sit in a name

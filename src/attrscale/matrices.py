@@ -9,7 +9,9 @@ reference tables use).
 
 Each file is streamed: csv_pieces and json_pieces yield its text in row
 blocks of at most _BLOCK_CELLS cells (one row at least), so no whole file
-or whole grid of cell texts is held; to_csv and to_json join those pieces.
+or whole grid of cell texts is held. Every matrix gives its file writer
+the same thing, one list of row texts per block; _csv_pieces puts a label
+field before each row and _joined_pieces frames the rows as a JSON list.
 csv.writer and json.dumps see only the header and the labels, and rows are
 joined with str.join. The QAUM's cells are single digits, so every row of
 its files has a fixed width: a block's rows are cut from one uint8 byte
@@ -169,32 +171,19 @@ def _grid_rows(
         yield [_joined(row, layout) for row in _cell_texts(*block(rows), undefined, precision)]
 
 
-def _digit_text(
-    cells: np.ndarray,
-    row_layout: _Layout,
-    list_layout: _Layout = ("", "", "", ""),
-    first: bool = True,
-    last: bool = True,
-) -> str:
-    """The rows of a block of a 0/1 grid (one row at least) in _joined([_joined(row, row_layout) for row
-    in grid], list_layout), decoded from one byte buffer: each row is a copy of one template whose
-    cells one strided assignment fills. The first block opens with the list's head, every other with
-    its separator, and only the last ends with its tail."""
-    head, sep, tail, _ = list_layout  # head and sep have one length: the first row's sep becomes head
+def _digit_rows(cells: np.ndarray, layout: _Layout) -> list[str]:
+    """Each row of a block of a 0/1 grid as _joined of its cell texts in layout, cut from one byte
+    buffer: each row is a copy of one template whose cells one strided assignment fills."""
     m, n = cells.shape
-    row = sep + _joined(["0"] * n, row_layout)
+    row = _joined(["0"] * n, layout)
     width = len(row)
-    tail = tail if last else ""
-    buf = np.empty(m * width + len(tail), dtype=np.uint8)
-    grid = buf[: m * width].reshape(m, width)
+    grid = np.empty((m, width), dtype=np.uint8)
     grid[:] = np.frombuffer(row.encode("ascii"), dtype=np.uint8)
-    if first:
-        grid[0, : len(head)] = np.frombuffer(head.encode("ascii"), dtype=np.uint8)
-    buf[m * width :] = np.frombuffer(tail.encode("ascii"), dtype=np.uint8)
-    row_head, row_sep, row_tail, _ = row_layout
+    head, sep, tail, _ = layout
     if n:
-        grid[:, len(sep) + len(row_head) : width - len(row_tail) : len(row_sep) + 1] = cells + ord("0")
-    return str(buf, "ascii")
+        grid[:, len(head) : width - len(tail) : len(sep) + 1] = cells + ord("0")
+    text = str(grid, "ascii")
+    return [text[i : i + width] for i in range(0, len(text), width)]
 
 
 def _csv_pieces(header: list[str], labels: Iterable[str], row_blocks: Iterable[list[str]]) -> Iterator[str]:
@@ -227,29 +216,13 @@ def _json_object(fields: dict[str, str | Iterable[str]]) -> Iterator[str]:
 
 
 def json_text(obj, depth: int = 0) -> str:
-    """obj as json.dumps(obj, indent=2, ensure_ascii=True) writes it, nested depth levels deep;
-    dict keys must be str. The matrix writers assemble the same layout from rendered pieces."""
-    if isinstance(obj, dict):
-        items = [json.dumps(key) + ": " + json_text(value, depth + 1) for key, value in obj.items()]
-        return _joined(items, _json_layout(depth, "{}"))
-    if isinstance(obj, (list, tuple)):
-        return _joined([json_text(item, depth + 1) for item in obj], _json_layout(depth))
-    return json.dumps(obj, ensure_ascii=True)
-
-
-class _Exported:
-    """to_csv and to_json: a file's whole text, joined from the pieces csv_pieces or json_pieces
-    streams."""
-
-    def to_csv(self, precision: int | None = None) -> str:
-        return "".join(self.csv_pieces(precision))
-
-    def to_json(self) -> str:
-        return "".join(self.json_pieces())
+    """obj as json.dumps(obj, indent=2, ensure_ascii=True) writes it, nested depth levels deep. JSON
+    escapes every newline inside a string, so each newline in the text is layout."""
+    return json.dumps(obj, indent=2, ensure_ascii=True).replace("\n", "\n" + "  " * depth)
 
 
 @dataclass(frozen=True, eq=False)
-class UsageMatrix(_Exported):
+class UsageMatrix:
     """Binary m×n query/attribute usage matrix (the pipeline's QAUM)."""
 
     query_ids: tuple[str, ...]
@@ -262,35 +235,25 @@ class UsageMatrix(_Exported):
             raise AttrScaleError("usage matrix cells must be 0 or 1")
         object.__setattr__(self, "cells", cells)
 
+    def _rows(self, layout: _Layout) -> Iterator[list[str]]:
+        """Each row of cells joined in layout, one list per block of rows."""
+        return (_digit_rows(self.cells[rows], layout) for rows in _blocks(*self.cells.shape))
+
     def csv_pieces(self, precision: int | None = None) -> Iterator[str]:
         del precision  # binary cells, nothing to round
-        width = len(_joined(["0"] * len(self.attributes), _CSV_ROW))  # every row has this length
-
-        def row_blocks():
-            for rows in _blocks(*self.cells.shape):
-                text = _digit_text(self.cells[rows], _CSV_ROW)
-                yield [text[i : i + width] for i in range(0, len(text), width)]
-
-        return _csv_pieces(["query", *self.attributes], self.query_ids, row_blocks())
-
-    def _cell_pieces(self) -> Iterator[str]:
-        m, n = self.cells.shape
-        if not m:
-            yield _JSON_LIST[3]
-        for rows in _blocks(m, n):
-            yield _digit_text(self.cells[rows], _JSON_ROW, _JSON_LIST, rows.start == 0, rows.stop == m)
+        return _csv_pieces(["query", *self.attributes], self.query_ids, self._rows(_CSV_ROW))
 
     def json_pieces(self) -> Iterator[str]:
         return _json_object({
             "kind": '"QAUM"',
             "query_ids": json_text(self.query_ids, 1),
             "attributes": json_text(self.attributes, 1),
-            "cells": self._cell_pieces(),
+            "cells": _joined_pieces(self._rows(_JSON_ROW), _JSON_LIST),
         })
 
 
 @dataclass(frozen=True, eq=False)
-class DependencyMatrix(_Exported):
+class DependencyMatrix:
     """n×n co-occurrence counts with per-row Total Measure.
 
     The diagonal is semantically undefined; it is stored as 0 and rendered
@@ -345,7 +308,7 @@ class DependencyMatrix(_Exported):
 
 
 @dataclass(frozen=True, eq=False)
-class MaskedRealMatrix(_Exported):
+class MaskedRealMatrix:
     """n×n real matrix where each cell is either defined or undefined (NaN in storage)."""
 
     kind: str  # PDM | NSM | NNSM
@@ -382,7 +345,7 @@ class MaskedRealMatrix(_Exported):
 
 
 @dataclass(frozen=True, eq=False)
-class StatsTable(_Exported):
+class StatsTable:
     """Per-attribute mean, variance, and standard deviation rows."""
 
     attributes: tuple[str, ...]

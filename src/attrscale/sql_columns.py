@@ -87,7 +87,7 @@ KIND, TEXT, OFFSET, DEPTH, WORD = range(5)
 
 
 def _byte_offset(sql: str, pos: int) -> int:
-    return len(sql[:pos].encode("utf-8"))
+    return len(sql[:pos].encode("utf-8", "surrogatepass"))  # a lone surrogate from a JSON escape counts 3 bytes
 
 
 def tokenize(sql: str) -> list[Token]:

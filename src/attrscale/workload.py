@@ -17,7 +17,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
-from .catalog import AttributeCatalog
+from .catalog import AttributeCatalog, encodes_as_utf8, read_utf8
 from .errors import EmptyAnalysisError, SelectionError, SqlSyntaxError, WorkloadFormatError
 from .sql_columns import extract_attributes
 
@@ -87,6 +87,7 @@ class UsageSet:
         # never reaches min/max; only a failure walks the queries, to name the first offender
         valid = (
             all(map(isinstance, map(itemgetter(0), self.queries), repeat(str)))
+            and encodes_as_utf8("".join(map(itemgetter(0), self.queries)))
             and all(map(len, map(itemgetter(1), self.queries)))
             and set(map(type, flat)) <= {int}
             and (not flat or (min(flat) >= 0 and max(flat) < n))
@@ -96,6 +97,8 @@ class UsageSet:
         for qid, indices in self.queries:
             if not isinstance(qid, str):
                 raise WorkloadFormatError(f"query id {qid!r} is not a string")
+            if not encodes_as_utf8(qid):
+                raise WorkloadFormatError(f"query id {qid!r} has no UTF-8 encoding")
             if not indices:
                 raise WorkloadFormatError(f"query {qid!r} has an empty attribute set")
             if any(type(i) is not int or not 0 <= i < n for i in indices):
@@ -118,10 +121,7 @@ def load_workload(path: str | Path, format: str) -> list[QueryRecord]:
     """
     if format not in WORKLOAD_FORMATS:
         raise WorkloadFormatError(f"unknown workload format {format!r}")
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise WorkloadFormatError(f"cannot read workload {path}: {exc.strerror or exc}") from exc
+    text = read_utf8(path, "workload")
 
     body_key = "attrs" if format == "jsonl-attrs" else "sql"
     other_key = "sql" if body_key == "attrs" else "attrs"

@@ -28,7 +28,7 @@ from attrscale import (
 )
 from attrscale.cli import EXIT_EMPTY_ANALYSIS, EXIT_INPUT_ERROR, EXIT_OK, main
 from attrscale.matrices import UNDEFINED_CSV, format_value
-from attrscale.snapshot import MATRIX_BASENAMES, write_outputs
+from attrscale.snapshot import MATRIX_BASENAMES, _content_hash, write_outputs
 from test_acceptance import synthetic_usage
 
 import oracles
@@ -712,6 +712,55 @@ def test_rank_unparsable_snapshot_exits_1(tmp_path, value):
     assert code == EXIT_INPUT_ERROR
     assert stderr.startswith(f"error: snapshot {snapshot} is not valid JSON: ") and stderr.count("\n") == 1
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("flag, kind, source", [
+    ("--input", "workload", "reference_workload_attrs.jsonl"),
+    ("--catalog", "catalog", "reference_catalog.txt"),
+], ids=["workload", "catalog"])
+def test_analyze_input_that_is_not_utf8_exits_1(data_dir, tmp_path, flag, kind, source):
+    lines = (data_dir / source).read_bytes().split(b"\n")
+    bad = tmp_path / source
+    bad.write_bytes(b"\n".join([*lines[:2], lines[2] + b"\xff", *lines[3:]]))
+    code, stderr = run_cli_child(*analyze_args(data_dir, tmp_path / "out", **{flag: str(bad)}))
+    assert code == EXIT_INPUT_ERROR
+    assert stderr == f"error: line 3: {kind} {bad} is not UTF-8: invalid start byte\n"
+    assert not (tmp_path / "out").exists()
+
+
+# a \ud800 escape is legal JSON, but the code point it decodes to has no UTF-8 encoding; the SQL text
+# before a syntax error is measured in bytes, where the surrogate counts 3
+@pytest.mark.parametrize("input_format, record, error", [
+    ("jsonl-attrs", '{"id": "q\\ud800", "attrs": ["a1"]}', "query id 'q\\ud800' has no UTF-8 encoding"),
+    ("jsonl-sql", '{"id": "q1", "sql": "SELECT a1 FROM t WHERE a1 = \'\\ud800\' @"}', "query 'q1': byte 34: unexpected character '@'"),
+], ids=["query-id", "sql-text"])
+def test_lone_surrogate_in_a_workload_exits_1(data_dir, tmp_path, input_format, record, error):
+    workload = tmp_path / "w.jsonl"
+    workload.write_text(record + "\n")
+    code, stderr = run_cli_child(*analyze_args(data_dir, tmp_path / "out", **{"--input": str(workload), "--input-format": input_format}))
+    assert code == EXIT_INPUT_ERROR
+    assert stderr == f"error: {error}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, argv", [
+    ("query id", ["explain", "--pair", "a1,a2"]),
+    ("attribute name", ["rank", "--top", "100"]),
+], ids=["explain-query-id", "rank-attribute-name"])
+def test_resealed_snapshot_with_a_lone_surrogate_exits_1(reference_snapshot, tmp_path, field, argv):
+    obj = json.loads(reference_snapshot.read_text())
+    del obj["content_hash"]
+    if field == "query id":
+        obj["usage"]["queries"][0][0] += "\ud800"  # q1, which uses a1 and a2
+    else:
+        obj["catalog"]["attributes"][0] += "\ud800"
+    obj["content_hash"] = _content_hash(obj)
+    bad = tmp_path / "resealed.json"
+    bad.write_text(json.dumps(obj))
+    code, stderr = run_cli_child(*argv, "--snapshot", str(bad))
+    assert code == EXIT_INPUT_ERROR
+    assert stderr.startswith(f"error: snapshot {bad} is malformed: {field} ") and stderr.count("\n") == 1, stderr
+    assert "has no UTF-8 encoding" in stderr
 
 
 @pytest.mark.parametrize("command", ["rank", "diff"])

@@ -100,6 +100,16 @@ MATRIX_NAMES = ("qaum", "adm", "pdm", "mvsd", "nsm", "nnsm")
 ODD_LABELS = ("", "a,b", 'c"d', "new\nline", "cr\r")  # empty, and each kind csv quotes
 
 
+def csv_file(matrix, precision=None) -> str:
+    """The matrix's CSV file as write_outputs writes it: the pieces of csv_pieces, joined."""
+    return "".join(matrix.csv_pieces(precision))
+
+
+def json_file(matrix) -> str:
+    """The matrix's JSON file as write_outputs writes it: the pieces of json_pieces, joined."""
+    return "".join(matrix.json_pieces())
+
+
 def csv_reference(matrix, precision) -> str:
     """The matrix's object form (oracles.json_obj) written cell by cell by csv.writer: ints through str,
     floats through format_value, undefined cells as '#'."""
@@ -180,12 +190,12 @@ def fixture_rendered(request, reference_bundle):
 
 def test_to_json_equals_indent_2_of_to_json_obj(rendered):
     # a whole file: the object form in the json.dumps(indent=2) layout, then a newline
-    assert rendered.to_json() == json.dumps(oracles.json_obj(rendered), indent=2, ensure_ascii=True) + "\n"
+    assert json_file(rendered) == json.dumps(oracles.json_obj(rendered), indent=2, ensure_ascii=True) + "\n"
 
 
 @pytest.mark.parametrize("precision", [None, *range(11)])
 def test_to_csv_equals_a_per_cell_csv_writer_rendering(rendered, precision):
-    assert rendered.to_csv(precision) == csv_reference(rendered, precision)
+    assert csv_file(rendered, precision) == csv_reference(rendered, precision)
 
 
 BLOCK_ROWS = [1, 2, 7, None]  # None: the default block
@@ -202,9 +212,9 @@ def set_block_rows(monkeypatch, rows, width) -> int:
 @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
 def test_files_streamed_in_blocks_equal_the_references(rendered, block_rows, monkeypatch):
     set_block_rows(monkeypatch, block_rows, len(rendered.attributes))
-    assert rendered.to_json() == json.dumps(oracles.json_obj(rendered), indent=2, ensure_ascii=True) + "\n"
+    assert json_file(rendered) == json.dumps(oracles.json_obj(rendered), indent=2, ensure_ascii=True) + "\n"
     for precision in (None, 0, 2, 10):
-        assert rendered.to_csv(precision) == csv_reference(rendered, precision)
+        assert csv_file(rendered, precision) == csv_reference(rendered, precision)
 
 
 @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
@@ -215,21 +225,21 @@ def test_qaum_rows_at_block_boundaries_equal_the_references(block_rows, monkeypa
     for m in sorted({0, 1, block - 1, block, block + 1}):
         ids = tuple(f"{ODD_LABELS[i % len(ODD_LABELS)]}{i}" for i in range(m))
         qaum = UsageMatrix(ids, names, rng.integers(0, 2, size=(m, len(names))))
-        assert qaum.to_json() == json.dumps(oracles.json_obj(qaum), indent=2, ensure_ascii=True) + "\n", m
-        assert qaum.to_csv() == csv_reference(qaum, None), m
+        assert json_file(qaum) == json.dumps(oracles.json_obj(qaum), indent=2, ensure_ascii=True) + "\n", m
+        assert csv_file(qaum) == csv_reference(qaum, None), m
         assert len(list(qaum.csv_pieces())) == 1 + -(-m // block), m  # the header, then a piece per block
 
 
 def test_rendering_pins_ties_signed_zero_and_odd_labels():
     ties = RENDER_CASES["exact-ties"]
-    assert ties.to_csv(2).splitlines()[1:] == ["x,#,0.13,0.50", "y,2.50,#,-0.13", "z,0.38,-0.50,#"]
-    assert ties.to_csv(0).splitlines()[1:] == ["x,#,0,1", "y,3,#,-0", "z,0,-1,#"]
+    assert csv_file(ties, 2).splitlines()[1:] == ["x,#,0.13,0.50", "y,2.50,#,-0.13", "z,0.38,-0.50,#"]
+    assert csv_file(ties, 0).splitlines()[1:] == ["x,#,0,1", "y,3,#,-0", "z,0,-1,#"]
     zeros = MaskedRealMatrix("PDM", ("a", "b", "c"), np.array([[0, -0.0, 0.0], [0.0, 0, -0.0], [5e-324, 1e16, 0]]), ~np.eye(3, dtype=bool))
-    assert zeros.to_csv(1) == "attribute,a,b,c\na,#,-0.0,0.0\nb,0.0,#,-0.0\nc,0.0,10000000000000000.0,#\n"
-    assert '"values": [\n    [\n      null,\n      -0.0,\n      0.0\n    ],' in zeros.to_json()
+    assert csv_file(zeros, 1) == "attribute,a,b,c\na,#,-0.0,0.0\nb,0.0,#,-0.0\nc,0.0,10000000000000000.0,#\n"
+    assert '"values": [\n    [\n      null,\n      -0.0,\n      0.0\n    ],' in json_file(zeros)
     qaum = UsageMatrix(("", "new\nline"), ("a",), np.array([[1], [0]], dtype=np.uint8))
-    assert qaum.to_csv() == 'query,a\n,1\n"new\nline",0\n'
-    assert UsageMatrix(("",), (), np.zeros((1, 0), dtype=np.uint8)).to_csv() == 'query\n""\n'
+    assert csv_file(qaum) == 'query,a\n,1\n"new\nline",0\n'
+    assert csv_file(UsageMatrix(("",), (), np.zeros((1, 0), dtype=np.uint8))) == 'query\n""\n'
 
 
 def test_csv_rows_written_in_pieces_fail_loudly(monkeypatch):
@@ -243,7 +253,7 @@ def test_csv_rows_written_in_pieces_fail_loudly(monkeypatch):
     monkeypatch.setattr(csv, "writer", piecewise)
     for name in ("qaum", "pdm"):
         with pytest.raises(AttrScaleError, match="more than one piece"):
-            RENDER_CASES[f"odd-labels-{name}"].to_csv()
+            csv_file(RENDER_CASES[f"odd-labels-{name}"])
 
 
 @pytest.mark.parametrize(
@@ -263,7 +273,12 @@ def test_csv_rows_written_in_pieces_fail_loudly(monkeypatch):
     ],
 )
 def test_json_text_equals_indent_2_on_hand_built_objects(obj):
-    assert json_text(obj) == json.dumps(obj, indent=2, ensure_ascii=True)
+    # at depth d, json_text(obj, d) is obj's text inside d dicts {"k": ...}: the re-indent of every line
+    for depth in (0, 1, 2):
+        wrapped, text = obj, json_text(obj, depth)
+        for level in reversed(range(depth)):
+            wrapped, text = {"k": wrapped}, "{\n" + "  " * (level + 1) + '"k": ' + text + "\n" + "  " * level + "}"
+        assert text == json.dumps(wrapped, indent=2, ensure_ascii=True), depth
 
 
 def small_usage():
@@ -287,8 +302,8 @@ def test_usage_matrix_validation():
 
 def test_usage_matrix_csv_and_json():
     qaum = small_usage()
-    assert qaum.to_csv() == "query,a,b,c\nq1,1,1,0\nq2,0,1,1\n"
-    assert json.loads(qaum.to_json())["cells"] == [[1, 1, 0], [0, 1, 1]]
+    assert csv_file(qaum) == "query,a,b,c\nq1,1,1,0\nq2,0,1,1\n"
+    assert json.loads(json_file(qaum))["cells"] == [[1, 1, 0], [0, 1, 1]]
 
 
 def test_usage_matrix_is_immutable():
@@ -325,10 +340,10 @@ def test_dependency_matrix_accepts_asymmetric_replay():
 
 def test_dependency_matrix_csv_and_json():
     adm = small_dependency()
-    assert adm.to_csv() == (
+    assert csv_file(adm) == (
         "attribute,a,b,c,total_measure\na,#,2,1,3\nb,2,#,0,2\nc,1,0,#,1\n"
     )
-    obj = json.loads(adm.to_json())
+    obj = json.loads(json_file(adm))
     assert obj["counts"][0][0] is None and obj["counts"][0][1] == 2
 
 
@@ -357,15 +372,15 @@ def test_masked_matrix_canonicalizes_undefined():
 
 def test_masked_matrix_csv_precision_and_hash_mark():
     m = masked([[0, 0.125], [2.0 / 3.0, 0]], [[False, True], [True, False]])
-    assert m.to_csv(precision=2) == "attribute,a,b\na,#,0.13\nb,0.67,#\n"
+    assert csv_file(m, precision=2) == "attribute,a,b\na,#,0.13\nb,0.67,#\n"
     # a label holding the delimiter is quoted in the header and in its row
     comma = MaskedRealMatrix("PDM", ("a,1", "b"), m.values, m.defined)
-    assert comma.to_csv(precision=2) == 'attribute,"a,1",b\n"a,1",#,0.13\nb,0.67,#\n'
+    assert csv_file(comma, precision=2) == 'attribute,"a,1",b\n"a,1",#,0.13\nb,0.67,#\n'
 
 
 def test_masked_matrix_json_round_trip():
     m = masked([[0, 1.0 / 3.0], [0.5, 0]], [[False, True], [True, False]])
-    obj = json.loads(m.to_json())
+    obj = json.loads(json_file(m))
     assert obj["values"][0][0] is None
     assert obj["values"][0][1] == 1.0 / 3.0  # full precision, no display rounding
 
@@ -392,10 +407,10 @@ def test_stats_table_validation():
 def test_stats_table_undefined_column_is_nan_and_hash():
     table = stats(defined=(True, False))
     assert np.isnan(table.mean[1]) and np.isnan(table.sd[1])
-    assert table.to_csv(precision=2) == "statistic,a,b\nmean,1.50,#\nvariance,0.25,#\nsd,0.50,#\n"
+    assert csv_file(table, precision=2) == "statistic,a,b\nmean,1.50,#\nvariance,0.25,#\nsd,0.50,#\n"
 
 
 def test_stats_table_json_round_trip():
     table = stats(defined=(True, False))
-    obj = json.loads(table.to_json())
+    obj = json.loads(json_file(table))
     assert obj["mean"] == [1.5, None]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -296,6 +297,26 @@ def test_catalog_skips_a_byte_order_mark(tmp_path, lines):
 def test_workload_skips_a_byte_order_mark(tmp_path):
     path = write_lines(tmp_path / "w.jsonl", ['\ufeff{"id": "q1", "attrs": ["a"]}', '{"id": "q2", "attrs": ["b"]}'])
     assert [r.id for r in load_workload(path, "jsonl-attrs")] == ["q1", "q2"]
+
+
+def test_files_that_are_not_utf8_name_the_line(tmp_path):
+    workload = tmp_path / "w.jsonl"
+    workload.write_bytes(b'{"id": "q1", "attrs": ["a"]}\n\n{"id": "q\xff", "attrs": ["a"]}\n')
+    with pytest.raises(WorkloadFormatError, match=f"^line 3: workload {re.escape(str(workload))} is not UTF-8: invalid start byte$"):
+        load_workload(workload, "jsonl-attrs")
+    catalog = tmp_path / "cat.txt"
+    catalog.write_bytes(b"\xef\xbb\xbfM=3\na\nb\xc3\n")  # after a byte order mark
+    with pytest.raises(WorkloadFormatError, match=f"^line 3: catalog {re.escape(str(catalog))} is not UTF-8: invalid continuation byte$"):
+        load_catalog(catalog)
+
+
+def test_names_without_a_utf8_encoding_are_refused(catalog):
+    # a JSON \ud800 escape decodes to a lone surrogate, which no UTF-8 output file can hold
+    with pytest.raises(WorkloadFormatError, match=r"^query id 'q\\ud800' has no UTF-8 encoding$"):
+        UsageSet(queries=(("q0", frozenset({0})), ("q\ud800", frozenset({1}))), catalog=catalog)
+    with pytest.raises(WorkloadFormatError, match=r"^attribute name 'b\\udfff' has no UTF-8 encoding$"):
+        AttributeCatalog(("a", "b\udfff"))
+    assert AttributeCatalog(("\U0001f600", "\u2028")).attributes == ("\U0001f600", "\u2028")
 
 
 def test_catalog_errors(tmp_path):
