@@ -17,16 +17,14 @@ class AffinityRanking:
     """Ranked pairs as columns, ascending by scale value (strongest dependence first).
 
     A pair is one row of entries: two indices into attributes, named in the
-    direction of its score. nnsm holds that score; nsm and adm hold the
-    bundle's cells in the same direction.
+    direction of its score. nnsm holds that score; a pair's other cells are
+    read from the bundle in the same direction.
     """
 
     key: str
     attributes: tuple[str, ...]
     entries: np.ndarray  # int64, shape (k, 2)
     nnsm: np.ndarray  # float64, shape (k,)
-    nsm: np.ndarray  # float64, shape (k,)
-    adm: np.ndarray  # int64, shape (k,)
 
 
 @dataclass(frozen=True)
@@ -120,14 +118,8 @@ def rank_pairs(bundle: ScaleBundle, key: str = "nnsm-min") -> AffinityRanking:
     name_rank = {name: pos for pos, name in enumerate(sorted(bundle.attributes))}
     rank = np.array([name_rank[name] for name in bundle.attributes], dtype=np.int64)
     order = np.lexsort((rank[b], rank[a], score))
-    a, b = a[order], b[order]
     return AffinityRanking(
-        key=key,
-        attributes=bundle.attributes,
-        entries=np.column_stack((a, b)),
-        nnsm=score[order],
-        nsm=bundle.nsm.values[a, b],
-        adm=bundle.adm.counts[a, b],
+        key=key, attributes=bundle.attributes, entries=np.column_stack((a[order], b[order])), nnsm=score[order]
     )
 
 

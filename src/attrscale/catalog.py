@@ -102,8 +102,6 @@ def load_catalog(path: str | Path) -> AttributeCatalog:
                 raise WorkloadFormatError(f"M must be non-negative, got {count}", lineno)
             continue
         names.append(line)
-    if not names:
-        raise WorkloadFormatError("catalog has no attributes")
     if count is not None and len(names) > count:
         raise WorkloadFormatError(f"catalog lists {len(names)} attributes but M={count}")
     return AttributeCatalog(tuple(names))

@@ -4,7 +4,8 @@ Each command calls the library (the pipeline, rank_pairs, explain_pair,
 diff_bundles) and only formats what it returns. rank and diff receive
 numpy columns: they slice the rows they show, round each score column with
 one matrices._float_texts call and write their lines with one
-sys.stdout.write. explain rounds its few values one at a time with
+sys.stdout.write. rank gathers the NSM and ADM cells of only the rows it
+shows, from the bundle. explain rounds its few values one at a time with
 matrices.format_value, which _float_texts agrees with.
 
 Exit codes: 0 success (warnings allowed, or a reader that closed stdout
@@ -111,17 +112,17 @@ def cmd_rank(args: argparse.Namespace) -> int:
     ranking = rank_pairs(snap.bundle, args.key)
     names, p = ranking.attributes, snap.config.precision
     top = slice(args.top)
-    shown = ranking.entries[top].tolist()
-    lines = [f"key: {ranking.key}  pairs ranked: {len(ranking.entries)}  showing: {len(shown)}\n"]
-    if shown:
+    a, b = ranking.entries[top].T
+    lines = [f"key: {ranking.key}  pairs ranked: {len(ranking.entries)}  showing: {len(a)}\n"]
+    if len(a):
         lines.append("rank  pair                      nnsm        nsm         adm\n")
         lines += map(
             "{:<5} {:<25} {:<11} {:<11} {}\n".format,
-            range(1, len(shown) + 1),
-            [f"{names[a]},{names[b]}" for a, b in shown],
+            range(1, len(a) + 1),
+            [f"{names[h]},{names[k]}" for h, k in zip(a.tolist(), b.tolist())],
             _float_texts(ranking.nnsm[top], p),
-            _float_texts(ranking.nsm[top], p),
-            ranking.adm[top].tolist(),
+            _float_texts(snap.bundle.nsm.values[a, b], p),
+            snap.bundle.adm.counts[a, b].tolist(),
         )
     sys.stdout.write("".join(lines))
     if not len(ranking.entries):

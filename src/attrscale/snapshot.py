@@ -102,12 +102,6 @@ def _payload(snap: Snapshot) -> dict:
     }
 
 
-def snapshot_to_obj(snap: Snapshot) -> dict:
-    """Full JSON form of the run's inputs, including the content hash."""
-    payload = _payload(snap)
-    return {**payload, "content_hash": _content_hash(payload)}
-
-
 def _snapshot_pieces(snap: Snapshot) -> list[str]:
     """The snapshot file in pieces: the payload's canonical encoding with the content hash member at
     its sorted place, then a newline. Each member is encoded once, for the hash and for the file."""
@@ -116,16 +110,19 @@ def _snapshot_pieces(snap: Snapshot) -> list[str]:
     return [*_canonical_pieces(members), "\n"]
 
 
-def snapshot_to_text(snap: Snapshot) -> str:
-    """The snapshot file: its canonical (hashed) encoding plus a newline; whitespace is not part of the format."""
-    return "".join(_snapshot_pieces(snap))
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
     """Parse, verify the content hash, rebuild the inputs, rerun the pipeline over them, and check
-    that the inputs re-export as the file's payload."""
+    that the inputs re-export as the file's payload.
+
+    This version writes the canonical (hashed) encoding plus a newline, but whitespace is not part
+    of the format. NaN, Infinity and -Infinity are not JSON, so a file holding one is refused.
+    """
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_refuse_constant)
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, an over-long integer, or too deep a nesting
@@ -133,7 +130,7 @@ def load_snapshot(path: str | Path) -> Snapshot:
     if not isinstance(obj, dict):
         raise SnapshotError(f"snapshot {path} is not a JSON object")
     version = obj.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # 3.0 == 3, but the format writes 3
         raise SnapshotError(f"unsupported snapshot format version {version!r}")
     stored_hash = obj.get("content_hash")
     payload = {k: v for k, v in obj.items() if k != "content_hash"}

@@ -52,6 +52,10 @@ class SelectionSpec:
     def __post_init__(self):
         if self.mode not in ("all", "random", "interval"):
             raise SelectionError(f"unknown selection mode {self.mode!r}")
+        for name in ("count", "seed", "start", "end"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise SelectionError(f"selection {name} must be an integer, got {value!r}")
         if self.mode == "random":
             if self.count is None or self.count < 1:
                 raise SelectionError("random selection needs count >= 1")

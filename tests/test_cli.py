@@ -763,6 +763,25 @@ def test_resealed_snapshot_with_a_lone_surrogate_exits_1(reference_snapshot, tmp
     assert "has no UTF-8 encoding" in stderr
 
 
+# Python's json reads and writes NaN and Infinity, but they are not JSON: a resealed snapshot holding one
+# must be refused, not loaded and written back into a re-exported snapshot.json
+@pytest.mark.parametrize("constant", ["NaN", "Infinity"])
+def test_resealed_snapshot_with_a_non_json_constant_exits_1(reference_snapshot, tmp_path, constant):
+    obj = json.loads(reference_snapshot.read_text())
+    del obj["content_hash"]
+    if constant == "NaN":
+        obj["config"]["selection"]["seed"] = float("nan")
+    else:
+        obj["usage"]["dropped"].append({"query_id": "qx", "reason": float("inf")})
+    obj["content_hash"] = _content_hash(obj)
+    bad = tmp_path / "resealed.json"
+    bad.write_text(json.dumps(obj))
+    assert constant in bad.read_text()
+    code, stderr = run_cli_child("rank", "--snapshot", str(bad))
+    assert code == EXIT_INPUT_ERROR
+    assert stderr == f"error: snapshot {bad} is not valid JSON: {constant} is not a JSON number\n"
+
+
 @pytest.mark.parametrize("command", ["rank", "diff"])
 def test_closed_stdout_pipe_exits_0_without_error(capsys, tmp_path, command):
     rng = random.Random(0)

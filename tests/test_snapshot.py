@@ -24,8 +24,18 @@ from attrscale import (
 )
 from attrscale import matrices
 from attrscale.cli import EXIT_INPUT_ERROR, main
-from attrscale.snapshot import _content_hash, snapshot_to_obj, snapshot_to_text, write_outputs
+from attrscale.snapshot import _content_hash, _snapshot_pieces, write_outputs
 from test_acceptance import synthetic_usage
+
+
+def snapshot_text(snap: Snapshot) -> str:
+    """The snapshot file as write_outputs writes it."""
+    return "".join(_snapshot_pieces(snap))
+
+
+def snapshot_obj(snap: Snapshot) -> dict:
+    """The snapshot file's JSON value, content hash included."""
+    return json.loads(snapshot_text(snap))
 
 
 @pytest.fixture()
@@ -51,9 +61,9 @@ def test_config_validation(tmp_path):
 
 def test_save_load_round_trip(snap, tmp_path):
     path = tmp_path / "snapshot.json"
-    path.write_text(snapshot_to_text(snap))
+    path.write_text(snapshot_text(snap))
     again = load_snapshot(path)
-    assert snapshot_to_obj(again) == snapshot_to_obj(snap)
+    assert snapshot_obj(again) == snapshot_obj(snap)
     assert again.config == snap.config
     assert again.usage.queries == snap.usage.queries
     assert again.bundle.warnings == snap.bundle.warnings
@@ -61,20 +71,20 @@ def test_save_load_round_trip(snap, tmp_path):
 
 def test_export_reload_export_is_byte_identical(snap, tmp_path):
     first = tmp_path / "first.json"
-    first.write_text(snapshot_to_text(snap))
+    first.write_text(snapshot_text(snap))
     second = tmp_path / "second.json"
-    second.write_text(snapshot_to_text(load_snapshot(first)))
+    second.write_text(snapshot_text(load_snapshot(first)))
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_snapshot_text_is_reproducible(reference_usage, snap):
     rebuilt = Snapshot(config=snap.config, usage=reference_usage, bundle=run_pipeline(reference_usage))
-    assert snapshot_to_text(rebuilt) == snapshot_to_text(snap)
+    assert snapshot_text(rebuilt) == snapshot_text(snap)
 
 
 def test_tampered_snapshot_fails_hash_check(snap, tmp_path):
     path = tmp_path / "snapshot.json"
-    path.write_text(snapshot_to_text(snap))
+    path.write_text(snapshot_text(snap))
     obj = json.loads(path.read_text())
     obj["usage"]["queries"][0][1].append(9)
     path.write_text(json.dumps(obj))
@@ -82,10 +92,10 @@ def test_tampered_snapshot_fails_hash_check(snap, tmp_path):
         load_snapshot(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 99])
+@pytest.mark.parametrize("version", [1, 2, 99, 3.0])
 def test_unsupported_version_rejected(snap, tmp_path, version):
     path = tmp_path / "snapshot.json"
-    obj = snapshot_to_obj(snap)
+    obj = snapshot_obj(snap)
     obj["format_version"] = version
     path.write_text(json.dumps(obj))
     with pytest.raises(SnapshotError, match=f"^unsupported snapshot format version {version}$"):
@@ -93,7 +103,7 @@ def test_unsupported_version_rejected(snap, tmp_path, version):
 
 
 def test_malformed_snapshot_with_valid_hash_rejected(snap, tmp_path):
-    obj = snapshot_to_obj(snap)
+    obj = snapshot_obj(snap)
     del obj["content_hash"], obj["config"]
     obj["content_hash"] = _content_hash(obj)
     path = tmp_path / "snapshot.json"
@@ -103,18 +113,18 @@ def test_malformed_snapshot_with_valid_hash_rejected(snap, tmp_path):
 
 
 def test_snapshot_holds_only_the_run_inputs(snap):
-    assert sorted(snapshot_to_obj(snap)) == ["catalog", "config", "content_hash", "format_version", "generator", "usage"]
+    assert sorted(snapshot_obj(snap)) == ["catalog", "config", "content_hash", "format_version", "generator", "usage"]
 
 
 def test_indented_files_load_and_config_keys_must_match(snap, tmp_path):
     # whitespace is not part of the format: an indented v2 file loads like the compact one
     path = tmp_path / "snapshot.json"
-    obj = snapshot_to_obj(snap)
-    assert snapshot_to_text(snap) == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    obj = snapshot_obj(snap)
+    assert snapshot_text(snap) == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     path.write_text(json.dumps(obj, sort_keys=True, indent=2))
     assert load_snapshot(path).config == snap.config
     # a resealed config missing a defaulted field, or carrying an extra one, is rejected
-    config = snapshot_to_obj(snap)["config"]
+    config = snapshot_obj(snap)["config"]
     edits = [{**config, "extra": 1}, {**config, "selection": {**config["selection"], "extra": 1}}]
     edits += [{k: v for k, v in config.items() if k != key} for key in ("precision", "export_format")]
     edits += [{**config, "selection": {k: v for k, v in config["selection"].items() if k != "usage_threshold"}}]
@@ -145,7 +155,7 @@ RESEALED_EDITS = dict(_resealed_edits())
 @pytest.mark.parametrize("edit", RESEALED_EDITS.values(), ids=RESEALED_EDITS)
 def test_resealed_payload_this_version_never_writes_exits_1(snap, tmp_path, capsys, edit):
     # each edit rebuilds the same inputs, but re-exporting them would give other bytes
-    obj = snapshot_to_obj(snap)
+    obj = snapshot_obj(snap)
     del obj["content_hash"]
     edit(obj)
     obj["content_hash"] = _content_hash(obj)
@@ -173,7 +183,7 @@ FUZZ_VALUES = (
 
 def test_resealed_edits_raise_only_snapshot_error(snap, tmp_path):
     rng = random.Random(20121206)
-    base = snapshot_to_obj(snap)
+    base = snapshot_obj(snap)
     del base["content_hash"]
     path = tmp_path / "snapshot.json"
     for _ in range(400):
@@ -198,7 +208,7 @@ def test_resealed_edits_raise_only_snapshot_error(snap, tmp_path):
 @pytest.mark.parametrize("index", [0.5, 1.0, True, "1", 2**70, -1, "len(catalog)"])
 def test_resealed_non_catalog_index_raises_snapshot_error(snap, tmp_path, index):
     # json.loads gives back 1.0 as a float and true as a bool; neither may pass as an index
-    obj = snapshot_to_obj(snap)
+    obj = snapshot_obj(snap)
     del obj["content_hash"]
     qid, indices = obj["usage"]["queries"][1]
     indices.append(len(obj["catalog"]["attributes"]) if index == "len(catalog)" else index)
@@ -245,7 +255,7 @@ def test_csv_uses_display_precision_and_json_full_precision(snap, tmp_path):
     assert "0.12" in (out / "pdm.csv").read_text(encoding="utf-8").splitlines()[1]  # 3/26 displayed at 2 decimals
     pdm = json.loads((out / "pdm.json").read_bytes())
     assert pdm["values"][0][1] == 3 / 26  # untouched double
-    assert (out / "snapshot.json").read_bytes() == snapshot_to_text(snap).encode("ascii")
+    assert (out / "snapshot.json").read_bytes() == snapshot_text(snap).encode("ascii")
 
 
 def test_write_outputs_creates_files_atomically(snap, tmp_path):

@@ -180,6 +180,16 @@ def test_select_interval_requires_timestamps():
         {"mode": "interval"},
         {"mode": "all", "usage_threshold": 1.5},
         {"mode": "all", "usage_threshold": -0.1},
+        {"mode": "random", "count": float("nan"), "seed": 1},
+        {"mode": "random", "count": 3.0, "seed": 1},
+        {"mode": "random", "count": True, "seed": 1},
+        {"mode": "random", "count": 3, "seed": float("nan")},
+        {"mode": "random", "count": 3, "seed": float("inf")},
+        {"mode": "random", "count": 3, "seed": "1"},
+        {"mode": "all", "seed": float("nan")},
+        {"mode": "interval", "start": float("nan"), "end": 5},
+        {"mode": "interval", "start": 1, "end": float("inf")},
+        {"mode": "interval", "start": False, "end": 5},
     ],
 )
 def test_selection_spec_validation(kwargs):
