@@ -1,12 +1,12 @@
 """Command-line front end: analyze, rank, explain, diff.
 
-Each command calls the library (the pipeline, rank_pairs, explain_pair,
-diff_bundles) and only formats what it returns. rank and diff receive
-numpy columns: they slice the rows they show, round each score column with
-one matrices._float_texts call and write their lines with one
-sys.stdout.write. rank gathers the NSM and ADM cells of only the rows it
-shows, from the bundle. explain rounds its few values one at a time with
-matrices.format_value, which _float_texts agrees with.
+Each command calls the library (a Snapshot's bundle, which runs the
+pipeline, rank_pairs, explain_pair, diff_bundles) and only formats what it
+returns. rank and diff receive numpy columns: they slice the rows they show,
+round each score column with one matrices._float_texts call and write their
+lines with one sys.stdout.write. rank gathers the NSM and ADM cells of only
+the rows it shows, from the bundle. explain rounds its few values one at a
+time with matrices.format_value, which _float_texts agrees with.
 
 Exit codes: 0 success (warnings allowed, or a reader that closed stdout
 early), 1 input/parse error, 2 empty analysis. One command per process; no
@@ -23,7 +23,6 @@ from .analytics import RANK_KEYS, diff_bundles, explain_pair, rank_pairs
 from .catalog import load_catalog
 from .errors import AttrScaleError, EmptyAnalysisError, UnknownAttributeError
 from .matrices import UNDEFINED_CSV, _float_texts, format_value
-from .pipeline import run_pipeline
 from .snapshot import EXPORT_FORMATS, RunConfig, Snapshot, load_snapshot, write_outputs
 from .workload import WORKLOAD_FORMATS, SelectionSpec, build_usage_set, load_workload, select_queries
 
@@ -90,8 +89,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     records = load_workload(config.input_path, config.input_format)
     selected = select_queries(records, selection)
     usage = build_usage_set(selected, catalog, selection.usage_threshold)
-    bundle = run_pipeline(usage)
-    snap = Snapshot(config=config, usage=usage, bundle=bundle)
+    snap = Snapshot(config=config, usage=usage)
+    bundle = snap.bundle  # the pipeline runs before anything is created on disk
     write_outputs(snap, out_dir)
 
     isolated = sum(1 for w in bundle.warnings if w.get("code") == "isolated_attribute")

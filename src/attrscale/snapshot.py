@@ -3,9 +3,9 @@
 A snapshot is a versioned, self-describing JSON container holding the run's
 inputs: its configuration (including any random seed), the catalog, and the
 usage set, sealed with a content hash. Every pipeline matrix and warning
-derives from the usage set, so none is stored: loading reruns the pipeline.
-Counts are exact integers and every later stage is a fixed sequence of IEEE
-operations, so the rebuilt bundle is bit-identical to the original run's.
+derives from the usage set, so none is stored: Snapshot.bundle runs the
+pipeline on first read. Counts are exact integers and every later stage is a
+fixed sequence of IEEE operations, so the bundle is bit-identical to the run's.
 Reloading a snapshot and re-exporting yields byte-identical files: a file
 loads only if it holds exactly what this version writes for the inputs it
 rebuilds, so an extra, missing or foreign key, or an unsorted or repeated
@@ -21,13 +21,14 @@ import shutil
 import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .catalog import AttributeCatalog
 from .errors import AttrScaleError, SnapshotError
 from .matrices import json_text
 from .pipeline import ScaleBundle, run_pipeline
-from .workload import SelectionSpec, UsageSet
+from .workload import WORKLOAD_FORMATS, SelectionSpec, UsageSet
 
 FORMAT_VERSION = 3  # v1 also stored every stage, v2 the catalog's M=; both are rejected, not read
 EXPORT_FORMATS = ("csv", "json", "both")
@@ -47,6 +48,11 @@ class RunConfig:
     precision: int = 2
 
     def __post_init__(self):
+        for name in ("input_path", "catalog_path", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise SnapshotError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if self.input_format not in WORKLOAD_FORMATS:
+            raise SnapshotError(f"unknown input format {self.input_format!r}")
         if self.export_format not in EXPORT_FORMATS:
             raise SnapshotError(f"unknown export format {self.export_format!r}")
         if isinstance(self.precision, bool) or not isinstance(self.precision, int) or not 0 <= self.precision <= 10:
@@ -55,9 +61,14 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Snapshot:
+    """One run's inputs; everything else derives from them."""
+
     config: RunConfig
     usage: UsageSet
-    bundle: ScaleBundle
+
+    @cached_property
+    def bundle(self) -> ScaleBundle:
+        return run_pipeline(self.usage)
 
 
 def _members(obj: dict) -> dict[str, str]:
@@ -115,8 +126,8 @@ def _refuse_constant(name: str):
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
-    """Parse, verify the content hash, rebuild the inputs, rerun the pipeline over them, and check
-    that the inputs re-export as the file's payload.
+    """Parse, verify the content hash, rebuild the inputs, and check that they re-export as the
+    file's payload. The pipeline runs on the first read of the snapshot's bundle.
 
     This version writes the canonical (hashed) encoding plus a newline, but whitespace is not part
     of the format. NaN, Infinity and -Infinity are not JSON, so a file holding one is refused.
@@ -145,7 +156,7 @@ def load_snapshot(path: str | Path) -> Snapshot:
             dropped=tuple(obj["usage"]["dropped"]),
             diagnostics=tuple(obj["usage"]["diagnostics"]),
         )
-        snap = Snapshot(config=config, usage=usage, bundle=run_pipeline(usage))
+        snap = Snapshot(config=config, usage=usage)
     except (KeyError, TypeError, ValueError, AttributeError, IndexError, AttrScaleError) as exc:
         # a resealed edit can put any JSON value in any field
         raise SnapshotError(f"snapshot {path} is malformed: {exc}") from exc

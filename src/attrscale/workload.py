@@ -50,11 +50,16 @@ class SelectionSpec:
     usage_threshold: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("all", "random", "interval"):
+        used = {"all": (), "random": ("count", "seed"), "interval": ("start", "end")}.get(self.mode)
+        if used is None:
             raise SelectionError(f"unknown selection mode {self.mode!r}")
         for name in ("count", "seed", "start", "end"):
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            if value is None:
+                continue
+            if name not in used:
+                raise SelectionError(f"{self.mode} selection takes no {name}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise SelectionError(f"selection {name} must be an integer, got {value!r}")
         if self.mode == "random":
             if self.count is None or self.count < 1:
@@ -64,6 +69,8 @@ class SelectionSpec:
         if self.mode == "interval":
             if self.start is None or self.end is None or self.start > self.end:
                 raise SelectionError("interval selection needs start <= end")
+        if not isinstance(self.usage_threshold, float):  # a bool or an int is not what analyze writes
+            raise SelectionError(f"usage threshold must be a float, got {self.usage_threshold!r}")
         if not 0.0 <= self.usage_threshold <= 1.0:
             raise SelectionError(f"usage threshold must be in [0,1], got {self.usage_threshold}")
 
@@ -72,11 +79,12 @@ class SelectionSpec:
 class UsageSet:
     """Selected queries as attribute index sets over the surviving catalog.
 
-    Every index is a Python int within the catalog; a bool, float, string or
-    numpy integer is refused. dropped holds one entry per query removed for
-    an empty attribute set; diagnostics holds one entry per query with
-    identifiers that matched no catalog attribute. Both are reporting-only
-    and do not affect matrices.
+    Query ids are distinct strings. Every index is a Python int within the
+    catalog; a bool, float, string or numpy integer is refused. dropped holds
+    one {"query_id", "reason"} entry per query removed for an empty attribute
+    set; diagnostics holds one {"query_id", "unknown_identifiers"} entry per
+    query with identifiers that matched no catalog attribute. Both are
+    reporting-only and do not affect matrices.
     """
 
     queries: tuple[tuple[str, frozenset[int]], ...]
@@ -86,27 +94,42 @@ class UsageSet:
 
     def __post_init__(self):
         n = len(self.catalog)
+        ids = list(map(itemgetter(0), self.queries))
         flat = list(chain.from_iterable(map(itemgetter(1), self.queries)))
         # every index at once: the type test comes before any comparison, so a bool, float or string
         # never reaches min/max; only a failure walks the queries, to name the first offender
         valid = (
-            all(map(isinstance, map(itemgetter(0), self.queries), repeat(str)))
-            and encodes_as_utf8("".join(map(itemgetter(0), self.queries)))
+            all(map(isinstance, ids, repeat(str)))
+            and encodes_as_utf8("".join(ids))
+            and len(set(ids)) == len(ids)
             and all(map(len, map(itemgetter(1), self.queries)))
             and set(map(type, flat)) <= {int}
             and (not flat or (min(flat) >= 0 and max(flat) < n))
         )
-        if valid:
-            return
-        for qid, indices in self.queries:
-            if not isinstance(qid, str):
-                raise WorkloadFormatError(f"query id {qid!r} is not a string")
-            if not encodes_as_utf8(qid):
-                raise WorkloadFormatError(f"query id {qid!r} has no UTF-8 encoding")
-            if not indices:
-                raise WorkloadFormatError(f"query {qid!r} has an empty attribute set")
-            if any(type(i) is not int or not 0 <= i < n for i in indices):
-                raise WorkloadFormatError(f"query {qid!r} has an attribute index outside the catalog")
+        if not valid:
+            seen: set[str] = set()
+            for qid, indices in self.queries:
+                if not isinstance(qid, str):
+                    raise WorkloadFormatError(f"query id {qid!r} is not a string")
+                if not encodes_as_utf8(qid):
+                    raise WorkloadFormatError(f"query id {qid!r} has no UTF-8 encoding")
+                if qid in seen:
+                    raise WorkloadFormatError(f"duplicate query id {qid!r}")
+                seen.add(qid)
+                if not indices:
+                    raise WorkloadFormatError(f"query {qid!r} has an empty attribute set")
+                if any(type(i) is not int or not 0 <= i < n for i in indices):
+                    raise WorkloadFormatError(f"query {qid!r} has an attribute index outside the catalog")
+        # the shapes build_usage_set writes, and nothing else
+        for entry in self.dropped:
+            if not (isinstance(entry, dict) and entry.keys() == {"query_id", "reason"}
+                    and all(map(isinstance, entry.values(), repeat(str)))):
+                raise WorkloadFormatError(f"dropped entry {entry!r} is not a query_id and a reason")
+        for entry in self.diagnostics:
+            if not (isinstance(entry, dict) and entry.keys() == {"query_id", "unknown_identifiers"}
+                    and isinstance(entry["query_id"], str) and isinstance(entry["unknown_identifiers"], list)
+                    and all(map(isinstance, entry["unknown_identifiers"], repeat(str)))):
+                raise WorkloadFormatError(f"diagnostics entry {entry!r} is not a query_id and a list of identifiers")
 
     @property
     def query_count(self) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -20,7 +21,6 @@ from attrscale import (
     UsageMatrix,
     UsageSet,
     load_snapshot,
-    run_pipeline,
 )
 from attrscale import matrices
 from attrscale.cli import EXIT_INPUT_ERROR, main
@@ -39,7 +39,7 @@ def snapshot_obj(snap: Snapshot) -> dict:
 
 
 @pytest.fixture()
-def snap(reference_usage, reference_bundle, tmp_path):
+def snap(reference_usage, tmp_path):
     config = RunConfig(
         input_path="workload.jsonl",
         input_format="jsonl-attrs",
@@ -47,7 +47,7 @@ def snap(reference_usage, reference_bundle, tmp_path):
         selection=SelectionSpec(mode="all"),
         out_dir=str(tmp_path / "out"),
     )
-    return Snapshot(config=config, usage=reference_usage, bundle=reference_bundle)
+    return Snapshot(config=config, usage=reference_usage)
 
 
 def test_config_validation(tmp_path):
@@ -57,6 +57,21 @@ def test_config_validation(tmp_path):
         RunConfig("w", "jsonl-attrs", "c", SelectionSpec(), str(tmp_path), precision=11)
     with pytest.raises(SnapshotError, match="precision"):
         RunConfig("w", "jsonl-attrs", "c", SelectionSpec(), str(tmp_path), precision=2.0)
+    with pytest.raises(SnapshotError, match="^unknown input format 'xml'$"):
+        RunConfig("w", "xml", "c", SelectionSpec(), str(tmp_path))
+    with pytest.raises(SnapshotError, match="^input_path must be a string, got 5$"):
+        RunConfig(5, "jsonl-attrs", "c", SelectionSpec(), str(tmp_path))
+    with pytest.raises(SnapshotError, match="^catalog_path must be a string, got None$"):
+        RunConfig("w", "jsonl-attrs", None, SelectionSpec(), str(tmp_path))
+    with pytest.raises(SnapshotError, match=r"^out_dir must be a string, got \['x'\]$"):
+        RunConfig("w", "jsonl-attrs", "c", SelectionSpec(), ["x"])
+
+
+def test_snapshot_holds_only_the_run_inputs_and_derives_its_bundle(snap, reference_bundle):
+    assert [f.name for f in dataclasses.fields(Snapshot)] == ["config", "usage"]
+    assert snap.bundle is snap.bundle  # the pipeline runs once, on the first read
+    assert snap.bundle.warnings == reference_bundle.warnings
+    assert np.array_equal(snap.bundle.nnsm.values, reference_bundle.nnsm.values, equal_nan=True)
 
 
 def test_save_load_round_trip(snap, tmp_path):
@@ -78,7 +93,7 @@ def test_export_reload_export_is_byte_identical(snap, tmp_path):
 
 
 def test_snapshot_text_is_reproducible(reference_usage, snap):
-    rebuilt = Snapshot(config=snap.config, usage=reference_usage, bundle=run_pipeline(reference_usage))
+    rebuilt = Snapshot(config=snap.config, usage=reference_usage)
     assert snapshot_text(rebuilt) == snapshot_text(snap)
 
 
@@ -147,6 +162,19 @@ def _resealed_edits():
     yield "foreign-generator", lambda obj: obj.update(generator="other-tool")
     yield "unsorted-indices", lambda obj: obj["usage"]["queries"][0][1].reverse()
     yield "repeated-index", lambda obj: obj["usage"]["queries"][0][1].append(obj["usage"]["queries"][0][1][0])
+    # fields the constructors refuse, each a value analyze never writes
+    yield "bool-threshold", lambda obj: obj["config"]["selection"].update(usage_threshold=True)
+    yield "int-threshold-1", lambda obj: obj["config"]["selection"].update(usage_threshold=1)
+    yield "int-threshold-0", lambda obj: obj["config"]["selection"].update(usage_threshold=0)
+    yield "count-on-mode-all", lambda obj: obj["config"]["selection"].update(count=5)
+    yield "unknown-input-format", lambda obj: obj["config"].update(input_format="xml")
+    yield "int-input-path", lambda obj: obj["config"].update(input_path=5)
+    yield "list-out-dir", lambda obj: obj["config"].update(out_dir=["x"])
+    yield "repeated-query-id", lambda obj: obj["usage"]["queries"][1].__setitem__(0, obj["usage"]["queries"][0][0])
+    yield "int-dropped-entry", lambda obj: obj["usage"]["dropped"].append(5)
+    yield "string-unknown-identifiers", lambda obj: obj["usage"]["diagnostics"].append(
+        {"query_id": obj["usage"]["queries"][0][0], "unknown_identifiers": "zz"}
+    )
 
 
 RESEALED_EDITS = dict(_resealed_edits())
@@ -242,7 +270,7 @@ def test_render_outputs_file_sets(snap, tmp_path):
     assert sorted(p.name for p in write_outputs(snap, tmp_path / "both")) == ALL_FILES
     csv_only = {p.name for p in write_outputs(Snapshot(config=RunConfig(
         "w", "jsonl-attrs", "c", SelectionSpec(), snap.config.out_dir, export_format="csv",
-    ), usage=snap.usage, bundle=snap.bundle), tmp_path / "csv")}
+    ), usage=snap.usage), tmp_path / "csv")}
     assert sorted(n for n in csv_only if n.endswith(".csv")) == [
         "adm.csv", "mvsd.csv", "nnsm.csv", "nsm.csv", "pdm.csv", "qaum.csv",
     ]
@@ -310,7 +338,8 @@ def test_write_outputs_memory_stays_below_a_quarter_of_the_qaum_file(tmp_path):
     queries = tuple((qid, frozenset(np.flatnonzero(row).tolist())) for qid, row in zip(usage.query_ids, usage.cells))
     usage_set = UsageSet(queries=queries, catalog=catalog)
     config = RunConfig("w", "jsonl-attrs", "c", SelectionSpec(), str(tmp_path / "out"))
-    snap = Snapshot(config=config, usage=usage_set, bundle=run_pipeline(usage_set))
+    snap = Snapshot(config=config, usage=usage_set)
+    snap.bundle  # the pipeline runs outside the measured region: only rendering is measured
     tracemalloc.start()
     try:
         write_outputs(snap, tmp_path / "out")

@@ -190,6 +190,14 @@ def test_select_interval_requires_timestamps():
         {"mode": "interval", "start": float("nan"), "end": 5},
         {"mode": "interval", "start": 1, "end": float("inf")},
         {"mode": "interval", "start": False, "end": 5},
+        {"mode": "all", "usage_threshold": True},
+        {"mode": "all", "usage_threshold": 1},
+        {"mode": "all", "usage_threshold": 0},
+        {"mode": "all", "count": 5},
+        {"mode": "all", "start": 1},
+        {"mode": "random", "count": 3, "seed": 1, "end": 5},
+        {"mode": "interval", "start": 1, "end": 5, "seed": 1},
+        {"mode": "interval", "start": 1, "end": 5, "count": 2},
     ],
 )
 def test_selection_spec_validation(kwargs):
@@ -282,6 +290,22 @@ def test_usage_set_validation(catalog):
     for index in (True, 0.5, 1.0, "1", np.int64(1), 2**70, len(catalog)):
         with pytest.raises(WorkloadFormatError, match="^query 'q1' has an attribute index outside the catalog$"):
             UsageSet(queries=(ok, ("q1", frozenset({0, index}))), catalog=catalog)
+
+
+def test_usage_set_refuses_repeated_ids_and_report_entries_build_usage_set_never_writes(catalog):
+    ok = ("q0", frozenset({0, 1}))
+    with pytest.raises(WorkloadFormatError, match="^duplicate query id 'q0'$"):
+        UsageSet(queries=(ok, ("q1", frozenset({0})), ("q0", frozenset({1}))), catalog=catalog)
+    dropped = {"query_id": "q9", "reason": "empty attribute set after filtering"}
+    diagnostic = {"query_id": "q0", "unknown_identifiers": ["zz"]}
+    assert UsageSet(queries=(ok,), catalog=catalog, dropped=(dropped,), diagnostics=(diagnostic,)).dropped == (dropped,)
+    for entry in (5, "q9", {"query_id": "q9"}, {**dropped, "extra": 1}, {**dropped, "reason": None}):
+        with pytest.raises(WorkloadFormatError, match="^dropped entry .* is not a query_id and a reason$"):
+            UsageSet(queries=(ok,), catalog=catalog, dropped=(entry,))
+    for entry in (5, dropped, {**diagnostic, "unknown_identifiers": "zz"}, {**diagnostic, "unknown_identifiers": [5]},
+                  {**diagnostic, "query_id": 0}, {**diagnostic, "extra": 1}):
+        with pytest.raises(WorkloadFormatError, match="^diagnostics entry .* is not a query_id and a list of identifiers$"):
+            UsageSet(queries=(ok,), catalog=catalog, diagnostics=(entry,))
 
 
 def test_catalog_loading(tmp_path):
