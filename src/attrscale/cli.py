@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_selection(select: str, seed: int | None, threshold: float) -> SelectionSpec:
     if select == "all":
-        return SelectionSpec(mode="all", usage_threshold=threshold)
+        return SelectionSpec(mode="all", seed=seed, usage_threshold=threshold)
     if select.startswith("random:"):
         try:
             count = int(select.split(":", 1)[1])
@@ -63,7 +63,7 @@ def _parse_selection(select: str, seed: int | None, threshold: float) -> Selecti
             start, end = int(lo), int(hi)
         except ValueError:
             raise _UsageError(f"bad --select value {select!r}: interval bounds must be integers") from None
-        return SelectionSpec(mode="interval", start=start, end=end, usage_threshold=threshold)
+        return SelectionSpec(mode="interval", start=start, end=end, seed=seed, usage_threshold=threshold)
     raise _UsageError(f"bad --select value {select!r} (expected all, random:K, or interval:T1..T2)")
 
 

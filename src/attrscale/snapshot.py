@@ -71,31 +71,9 @@ class Snapshot:
         return run_pipeline(self.usage)
 
 
-def _members(obj: dict) -> dict[str, str]:
-    """Key -> the key's member of obj in the canonical encoding: '"key":value', compact with sorted keys."""
-    return {key: _CANONICAL_ENCODER.encode(key) + ":" + _CANONICAL_ENCODER.encode(value) for key, value in obj.items()}
-
-
-def _canonical_pieces(members: dict[str, str]) -> Iterator[str]:
-    """The canonical encoding of the object with these members, in pieces."""
-    yield "{"
-    for i, key in enumerate(sorted(members)):
-        if i:
-            yield ","
-        yield members[key]
-    yield "}"
-
-
-def _hash_of(members: dict[str, str]) -> str:
-    """The content hash of the object with these members: sha256 of its canonical encoding."""
-    digest = hashlib.sha256()
-    for piece in _canonical_pieces(members):
-        digest.update(piece.encode("ascii"))
-    return "sha256:" + digest.hexdigest()
-
-
 def _content_hash(payload: dict) -> str:
-    return _hash_of(_members(payload))
+    """sha256 of the payload's canonical encoding: compact, with sorted keys and ASCII escapes."""
+    return "sha256:" + hashlib.sha256(_CANONICAL_ENCODER.encode(payload).encode("ascii")).hexdigest()
 
 
 def _payload(snap: Snapshot) -> dict:
@@ -113,12 +91,10 @@ def _payload(snap: Snapshot) -> dict:
     }
 
 
-def _snapshot_pieces(snap: Snapshot) -> list[str]:
-    """The snapshot file in pieces: the payload's canonical encoding with the content hash member at
-    its sorted place, then a newline. Each member is encoded once, for the hash and for the file."""
-    members = _members(_payload(snap))
-    members.update(_members({"content_hash": _hash_of(members)}))
-    return [*_canonical_pieces(members), "\n"]
+def _snapshot_text(snap: Snapshot) -> str:
+    """The snapshot file: the canonical encoding of the payload with its content hash added, then a newline."""
+    payload = _payload(snap)
+    return _CANONICAL_ENCODER.encode({**payload, "content_hash": _content_hash(payload)}) + "\n"
 
 
 def _refuse_constant(name: str):
@@ -181,7 +157,7 @@ def _output_files(snap: Snapshot) -> Iterator[tuple[str, Iterable[str]]]:
     yield "warnings.json", (json_text(list(bundle.warnings)), "\n")
     entries = (*snap.usage.dropped, *snap.usage.diagnostics)
     yield "diagnostics.jsonl", (_DIAGNOSTIC_ENCODER.encode(entry) + "\n" for entry in entries)
-    yield "snapshot.json", _snapshot_pieces(snap)
+    yield "snapshot.json", (_snapshot_text(snap),)
 
 
 def write_outputs(snap: Snapshot, out_dir: str | Path) -> list[Path]:

@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import repeat
 from pathlib import Path
 
 from .catalog import AttributeCatalog, encodes_as_utf8, read_utf8
@@ -84,7 +83,11 @@ class UsageSet:
     one {"query_id", "reason"} entry per query removed for an empty attribute
     set; diagnostics holds one {"query_id", "unknown_identifiers"} entry per
     query with identifiers that matched no catalog attribute. Both are
-    reporting-only and do not affect matrices.
+    reporting-only and do not affect matrices. Across fields, as
+    build_usage_set writes them: a dropped id is neither kept nor repeated,
+    and a diagnostics id names a kept or dropped query, is not repeated and
+    lists at least one identifier. Each rule is written once, in one walk
+    over each field, and the first offending query or entry is named.
     """
 
     queries: tuple[tuple[str, frozenset[int]], ...]
@@ -94,42 +97,46 @@ class UsageSet:
 
     def __post_init__(self):
         n = len(self.catalog)
-        ids = list(map(itemgetter(0), self.queries))
-        flat = list(chain.from_iterable(map(itemgetter(1), self.queries)))
-        # every index at once: the type test comes before any comparison, so a bool, float or string
-        # never reaches min/max; only a failure walks the queries, to name the first offender
-        valid = (
-            all(map(isinstance, ids, repeat(str)))
-            and encodes_as_utf8("".join(ids))
-            and len(set(ids)) == len(ids)
-            and all(map(len, map(itemgetter(1), self.queries)))
-            and set(map(type, flat)) <= {int}
-            and (not flat or (min(flat) >= 0 and max(flat) < n))
-        )
-        if not valid:
-            seen: set[str] = set()
-            for qid, indices in self.queries:
-                if not isinstance(qid, str):
-                    raise WorkloadFormatError(f"query id {qid!r} is not a string")
-                if not encodes_as_utf8(qid):
-                    raise WorkloadFormatError(f"query id {qid!r} has no UTF-8 encoding")
-                if qid in seen:
-                    raise WorkloadFormatError(f"duplicate query id {qid!r}")
-                seen.add(qid)
-                if not indices:
-                    raise WorkloadFormatError(f"query {qid!r} has an empty attribute set")
-                if any(type(i) is not int or not 0 <= i < n for i in indices):
-                    raise WorkloadFormatError(f"query {qid!r} has an attribute index outside the catalog")
-        # the shapes build_usage_set writes, and nothing else
+        seen: set[str] = set()
+        for qid, indices in self.queries:
+            if not isinstance(qid, str):
+                raise WorkloadFormatError(f"query id {qid!r} is not a string")
+            if not encodes_as_utf8(qid):
+                raise WorkloadFormatError(f"query id {qid!r} has no UTF-8 encoding")
+            if qid in seen:
+                raise WorkloadFormatError(f"duplicate query id {qid!r}")
+            seen.add(qid)
+            if not indices:
+                raise WorkloadFormatError(f"query {qid!r} has an empty attribute set")
+            if any(type(i) is not int or not 0 <= i < n for i in indices):
+                raise WorkloadFormatError(f"query {qid!r} has an attribute index outside the catalog")
+        # the entries build_usage_set writes, and nothing else: one per dropped query, and at most
+        # one per kept or dropped query that had unknown identifiers
+        dropped_ids: set[str] = set()
         for entry in self.dropped:
             if not (isinstance(entry, dict) and entry.keys() == {"query_id", "reason"}
                     and all(map(isinstance, entry.values(), repeat(str)))):
                 raise WorkloadFormatError(f"dropped entry {entry!r} is not a query_id and a reason")
+            qid = entry["query_id"]
+            if qid in seen:
+                raise WorkloadFormatError(f"dropped query {qid!r} is also a kept query")
+            if qid in dropped_ids:
+                raise WorkloadFormatError(f"duplicate dropped query id {qid!r}")
+            dropped_ids.add(qid)
+        diagnosed: set[str] = set()
         for entry in self.diagnostics:
             if not (isinstance(entry, dict) and entry.keys() == {"query_id", "unknown_identifiers"}
                     and isinstance(entry["query_id"], str) and isinstance(entry["unknown_identifiers"], list)
                     and all(map(isinstance, entry["unknown_identifiers"], repeat(str)))):
                 raise WorkloadFormatError(f"diagnostics entry {entry!r} is not a query_id and a list of identifiers")
+            qid = entry["query_id"]
+            if not entry["unknown_identifiers"]:
+                raise WorkloadFormatError(f"diagnostics entry for query {qid!r} lists no unknown identifiers")
+            if qid not in seen and qid not in dropped_ids:
+                raise WorkloadFormatError(f"diagnostics entry names query {qid!r}, which is neither kept nor dropped")
+            if qid in diagnosed:
+                raise WorkloadFormatError(f"duplicate diagnostics query id {qid!r}")
+            diagnosed.add(qid)
 
     @property
     def query_count(self) -> int:

@@ -183,6 +183,8 @@ def test_selection_flags(capsys, data_dir, tmp_path):
         ({"--threshold": "1.5"}, "usage threshold"),
         ({"--input": "absent.jsonl"}, "cannot read workload"),
         ({"--catalog": "absent.txt"}, "cannot read catalog"),
+        ({"--seed": "1"}, "all selection takes no seed, got 1"),
+        ({"--select": "interval:1000..3000", "--seed": "1"}, "interval selection takes no seed, got 1"),
     ],
 )
 def test_analyze_input_errors_exit_1(capsys, data_dir, tmp_path, overrides, fragment):

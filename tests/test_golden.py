@@ -3,12 +3,15 @@
 The other export tests compare a run with its own re-export, so a change that
 alters every renderer the same way would pass them. These SHA-256 digests pin
 the bytes themselves. The attrs and SQL forms of the reference workload use
-the same queries, so they must produce the same files.
+the same queries, so they must produce the same files. snapshot.json records
+its run's paths, so its digest is pinned on a run with relative ones.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import shutil
 
 import pytest
 
@@ -51,3 +54,24 @@ def test_analyze_outputs_match_golden_digests(capsys, data_dir, tmp_path, worklo
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir() if p.name != "snapshot.json"
     }
     assert digests == GOLDEN_SHA256
+
+
+SNAPSHOT_SHA256 = "a6048c5921af4b7c65f65c755f76360e49ff24d41e7c384cd3345b8a4182df80"
+
+
+def test_snapshot_of_a_run_with_relative_paths_matches_its_golden_digest(capsys, data_dir, tmp_path, monkeypatch):
+    # a snapshot one version writes must load in the next, so its bytes are pinned too
+    shutil.copy(data_dir / "reference_catalog.txt", tmp_path / "catalog.txt")
+    shutil.copy(data_dir / "reference_workload_attrs.jsonl", tmp_path / "workload.jsonl")
+    monkeypatch.chdir(tmp_path)
+    code = main([
+        "analyze", "--input", "workload.jsonl", "--input-format", "jsonl-attrs", "--catalog", "catalog.txt", "--out", "out",
+    ])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    data = (tmp_path / "out" / "snapshot.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SNAPSHOT_SHA256
+    payload = json.loads(data)
+    stored = payload.pop("content_hash")
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    assert stored == "sha256:" + hashlib.sha256(canonical.encode("ascii")).hexdigest()

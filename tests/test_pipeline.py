@@ -280,7 +280,7 @@ def test_an_unused_attribute_adds_one_undefined_row_and_changes_no_other_cell(se
     # Inserted mid-catalog instead, the attribute moves the later columns, so
     # compute_mvsd's row sums add the same terms in another order and may move
     # a last bit. Whether catalog order may do that is still open (ROADMAP
-    # item 7), so only the exact parts are asserted: counts, PDM and the masks.
+    # item 2), so only the exact parts are asserted: counts, PDM and the masks.
     mid = n // 2
     moved = [(qid, frozenset(k + (k >= mid) for k in used)) for qid, used in rows]
     inserted = run_rows(moved, names[:mid] + ("unused",) + names[mid:])

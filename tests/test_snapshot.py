@@ -24,13 +24,13 @@ from attrscale import (
 )
 from attrscale import matrices
 from attrscale.cli import EXIT_INPUT_ERROR, main
-from attrscale.snapshot import _content_hash, _snapshot_pieces, write_outputs
+from attrscale.snapshot import _content_hash, _snapshot_text, write_outputs
 from test_acceptance import synthetic_usage
 
 
 def snapshot_text(snap: Snapshot) -> str:
     """The snapshot file as write_outputs writes it."""
-    return "".join(_snapshot_pieces(snap))
+    return _snapshot_text(snap)
 
 
 def snapshot_obj(snap: Snapshot) -> dict:
@@ -174,6 +174,22 @@ def _resealed_edits():
     yield "int-dropped-entry", lambda obj: obj["usage"]["dropped"].append(5)
     yield "string-unknown-identifiers", lambda obj: obj["usage"]["diagnostics"].append(
         {"query_id": obj["usage"]["queries"][0][0], "unknown_identifiers": "zz"}
+    )
+    # facts across fields that build_usage_set never writes
+    yield "dropped-id-also-kept", lambda obj: obj["usage"]["dropped"].append(
+        {"query_id": obj["usage"]["queries"][0][0], "reason": "empty attribute set after filtering"}
+    )
+    yield "repeated-dropped-id", lambda obj: obj["usage"]["dropped"].extend(
+        2 * [{"query_id": "q-dropped", "reason": "empty attribute set after filtering"}]
+    )
+    yield "diagnostics-id-names-no-query", lambda obj: obj["usage"]["diagnostics"].append(
+        {"query_id": "q-nowhere", "unknown_identifiers": ["zz"]}
+    )
+    yield "repeated-diagnostics-id", lambda obj: obj["usage"]["diagnostics"].extend(
+        2 * [{"query_id": obj["usage"]["queries"][0][0], "unknown_identifiers": ["zz"]}]
+    )
+    yield "empty-unknown-identifiers", lambda obj: obj["usage"]["diagnostics"].append(
+        {"query_id": obj["usage"]["queries"][0][0], "unknown_identifiers": []}
     )
 
 

@@ -306,6 +306,18 @@ def test_usage_set_refuses_repeated_ids_and_report_entries_build_usage_set_never
                   {**diagnostic, "query_id": 0}, {**diagnostic, "extra": 1}):
         with pytest.raises(WorkloadFormatError, match="^diagnostics entry .* is not a query_id and a list of identifiers$"):
             UsageSet(queries=(ok,), catalog=catalog, diagnostics=(entry,))
+    # facts across fields: a dropped query is not kept and is dropped once; a diagnostics entry names a
+    # kept or dropped query, once, with at least one identifier
+    assert UsageSet(queries=(ok,), catalog=catalog, dropped=(dropped,), diagnostics=({**diagnostic, "query_id": "q9"},))
+    for dropped_entries, diagnostics_entries, message in (
+        (({**dropped, "query_id": "q0"},), (), "dropped query 'q0' is also a kept query"),
+        ((dropped, dropped), (), "duplicate dropped query id 'q9'"),
+        ((), ({**diagnostic, "query_id": "q9"},), "diagnostics entry names query 'q9', which is neither kept nor dropped"),
+        ((dropped,), (diagnostic, diagnostic), "duplicate diagnostics query id 'q0'"),
+        ((), ({**diagnostic, "unknown_identifiers": []},), "diagnostics entry for query 'q0' lists no unknown identifiers"),
+    ):
+        with pytest.raises(WorkloadFormatError, match=f"^{re.escape(message)}$"):
+            UsageSet(queries=(ok,), catalog=catalog, dropped=dropped_entries, diagnostics=diagnostics_entries)
 
 
 def test_catalog_loading(tmp_path):
