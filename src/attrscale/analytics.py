@@ -123,15 +123,15 @@ def rank_pairs(bundle: ScaleBundle, key: str = "nnsm-min") -> AffinityRanking:
     )
 
 
-def _cohesion(bundle: ScaleBundle, members: list[int]) -> float | None:
-    """Mean of defined internal NNSM cells, both directions; None if none defined."""
+def _cohesion(bundle: ScaleBundle, members: list[int]) -> float:
+    """Mean of defined internal NNSM cells, both directions; suggest_groups asks only about groups holding one."""
     total, cells = 0.0, 0
     for h in members:
         for k in members:
-            if h != k and bundle.nnsm.defined[h, k]:
+            if bundle.nnsm.defined[h, k]:
                 total += float(bundle.nnsm.values[h, k])
                 cells += 1
-    return (total / cells) if cells else None
+    return total / cells
 
 
 def suggest_groups(bundle: ScaleBundle, cutoff: float, max_size: int) -> list[AttributeGroup]:
@@ -157,24 +157,19 @@ def suggest_groups(bundle: ScaleBundle, cutoff: float, max_size: int) -> list[At
             continue
         members = sorted((a, b))
         cohesion = _cohesion(bundle, members)
-        if cohesion is None or cohesion > cutoff:
+        if cohesion > cutoff:
             continue
         available[members] = False
         while len(members) < max_size:
-            best: tuple[float, str, int] | None = None
-            for c in np.flatnonzero(available & linked[members].any(axis=0)).tolist():
-                grown = _cohesion(bundle, members + [c])
-                if grown is None or grown > cutoff:
-                    continue
-                cand = (grown, names[c], c)
-                if best is None or cand < best:
-                    best = cand
+            grown = ((_cohesion(bundle, members + [c]), names[c], c)
+                     for c in np.flatnonzero(available & linked[members].any(axis=0)).tolist())
+            best = min((cand for cand in grown if cand[0] <= cutoff), default=None)
             if best is None:
                 break
-            members.append(best[2])
+            cohesion, _, c = best
+            members.append(c)
             members.sort()
-            available[best[2]] = False
-            cohesion = best[0]
+            available[c] = False
         groups.append(AttributeGroup(attributes=tuple(names[i] for i in members), cohesion=cohesion))
     return groups
 

@@ -32,7 +32,7 @@ def read_utf8(path: str | Path, what: str) -> str:
 
 @dataclass(frozen=True)
 class AttributeCatalog:
-    """Ordered list of canonical attribute names; index = column position."""
+    """Ordered attribute names, index = column position; the duplicate check builds _by_name, their casefold index."""
 
     attributes: tuple[str, ...]
 
@@ -42,19 +42,17 @@ class AttributeCatalog:
         folded = [a.casefold() for a in self.attributes]
         if any(not a for a in self.attributes):
             raise WorkloadFormatError("catalog contains an empty attribute name")
-        if len(set(folded)) != len(folded):
+        by_name = dict(zip(folded, range(len(folded))))
+        if len(by_name) != len(folded):
             dup = next(a for a in folded if folded.count(a) > 1)
             raise WorkloadFormatError(f"duplicate attribute name (case-insensitive): {dup!r}")
         if not encodes_as_utf8("".join(self.attributes)):
             bad = next(a for a in self.attributes if not encodes_as_utf8(a))
             raise WorkloadFormatError(f"attribute name {bad!r} has no UTF-8 encoding")
+        object.__setattr__(self, "_by_name", by_name)
 
     def __len__(self) -> int:
         return len(self.attributes)
-
-    @cached_property
-    def _by_name(self) -> dict[str, int]:
-        return {a.casefold(): i for i, a in enumerate(self.attributes)}
 
     @cached_property
     def _by_suffix(self) -> dict[str, int | None]:

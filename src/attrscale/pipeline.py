@@ -146,17 +146,16 @@ def compute_nnsm(nsm: MaskedRealMatrix) -> MaskedRealMatrix:
     """Scale each row so its maximum maps to 10.
 
     Rows whose defined cells are all zero (a degenerate tie: every partner
-    equally strong) map to all zeros; fully undefined rows stay undefined.
-    Uses full-precision inputs, never displayed values.
+    equally strong) map to all zeros; fully undefined rows stay undefined, as
+    the constructor stores NaN there. Uses full-precision inputs, never displayed values.
     """
     if nsm.kind != "NSM":
         raise AttrScaleError("compute_nnsm expects an NSM matrix")
     row_max = np.where(nsm.defined, nsm.values, -np.inf).max(axis=1, initial=-np.inf)
-    has_cells, positive = nsm.defined.any(axis=1), row_max > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         # divide before scaling: v/max <= 1 exactly, so cells never exceed 10
         scaled = (nsm.values / row_max[:, None]) * 10.0
-    values = np.where(positive[:, None], scaled, np.where(has_cells, 0.0, np.nan)[:, None])
+    values = np.where((row_max > 0.0)[:, None], scaled, 0.0)
     return MaskedRealMatrix(kind="NNSM", attributes=nsm.attributes, values=values, defined=nsm.defined)
 
 

@@ -78,16 +78,16 @@ class SelectionSpec:
 class UsageSet:
     """Selected queries as attribute index sets over the surviving catalog.
 
-    Query ids are distinct strings. Every index is a Python int within the
+    Query ids are distinct non-empty strings. Every index is a Python int within the
     catalog; a bool, float, string or numpy integer is refused. dropped holds
     one {"query_id", "reason"} entry per query removed for an empty attribute
     set; diagnostics holds one {"query_id", "unknown_identifiers"} entry per
     query with identifiers that matched no catalog attribute. Both are
     reporting-only and do not affect matrices. Across fields, as
-    build_usage_set writes them: a dropped id is neither kept nor repeated,
+    build_usage_set writes them: a dropped id is non-empty, neither kept nor repeated,
     and a diagnostics id names a kept or dropped query, is not repeated and
-    lists at least one identifier. Each rule is written once, in one walk
-    over each field, and the first offending query or entry is named.
+    lists at least one identifier, none twice (an empty one and case variants pass).
+    Each rule is written once, in one walk over each field, and the first offending query or entry is named.
     """
 
     queries: tuple[tuple[str, frozenset[int]], ...]
@@ -101,6 +101,8 @@ class UsageSet:
         for qid, indices in self.queries:
             if not isinstance(qid, str):
                 raise WorkloadFormatError(f"query id {qid!r} is not a string")
+            if not qid:
+                raise WorkloadFormatError("empty query id")
             if not encodes_as_utf8(qid):
                 raise WorkloadFormatError(f"query id {qid!r} has no UTF-8 encoding")
             if qid in seen:
@@ -118,6 +120,8 @@ class UsageSet:
                     and all(map(isinstance, entry.values(), repeat(str)))):
                 raise WorkloadFormatError(f"dropped entry {entry!r} is not a query_id and a reason")
             qid = entry["query_id"]
+            if not qid:
+                raise WorkloadFormatError(f"dropped entry {entry!r} has an empty query id")
             if qid in seen:
                 raise WorkloadFormatError(f"dropped query {qid!r} is also a kept query")
             if qid in dropped_ids:
@@ -129,9 +133,11 @@ class UsageSet:
                     and isinstance(entry["query_id"], str) and isinstance(entry["unknown_identifiers"], list)
                     and all(map(isinstance, entry["unknown_identifiers"], repeat(str)))):
                 raise WorkloadFormatError(f"diagnostics entry {entry!r} is not a query_id and a list of identifiers")
-            qid = entry["query_id"]
-            if not entry["unknown_identifiers"]:
+            qid, identifiers = entry["query_id"], entry["unknown_identifiers"]
+            if not identifiers:
                 raise WorkloadFormatError(f"diagnostics entry for query {qid!r} lists no unknown identifiers")
+            if len(set(identifiers)) != len(identifiers):
+                raise WorkloadFormatError(f"diagnostics entry for query {qid!r} repeats an unknown identifier")
             if qid not in seen and qid not in dropped_ids:
                 raise WorkloadFormatError(f"diagnostics entry names query {qid!r}, which is neither kept nor dropped")
             if qid in diagnosed:

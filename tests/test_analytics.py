@@ -179,6 +179,17 @@ def test_suggest_groups_max_size_bounds_growth(grouping_bundle):
     assert [g.attributes for g in groups] == [("q", "r")]
 
 
+def test_suggest_groups_breaks_a_growth_tie_by_name_before_index():
+    # y and x are interchangeable, so either grows {p,q} to the same cohesion; x sorts first by name
+    # but comes last by index
+    sets = [("p", "q")] * 4 + [("p", "y"), ("q", "y"), ("p", "x"), ("q", "x")]
+    bundle = bundle_of(*sets, names=("p", "q", "y", "x"))
+    swap = [0, 1, 3, 2]
+    assert np.array_equal(bundle.nnsm.values[np.ix_(swap, swap)], bundle.nnsm.values, equal_nan=True)
+    groups = suggest_groups(bundle, cutoff=10.0, max_size=3)
+    assert [(g.attributes, g.cohesion) for g in groups] == [(("p", "q", "x"), 20 / 3)]
+
+
 def test_suggest_groups_is_deterministic(grouping_bundle):
     assert suggest_groups(grouping_bundle, 5.0, 3) == suggest_groups(grouping_bundle, 5.0, 3)
 

@@ -191,6 +191,13 @@ def _resealed_edits():
     yield "empty-unknown-identifiers", lambda obj: obj["usage"]["diagnostics"].append(
         {"query_id": obj["usage"]["queries"][0][0], "unknown_identifiers": []}
     )
+    yield "empty-query-id", lambda obj: obj["usage"]["queries"][0].__setitem__(0, "")
+    yield "empty-dropped-id", lambda obj: obj["usage"]["dropped"].append(
+        {"query_id": "", "reason": "empty attribute set after filtering"}
+    )
+    yield "repeated-unknown-identifier", lambda obj: obj["usage"]["diagnostics"].append(
+        {"query_id": obj["usage"]["queries"][0][0], "unknown_identifiers": ["x", "x"]}
+    )
 
 
 RESEALED_EDITS = dict(_resealed_edits())

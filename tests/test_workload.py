@@ -296,6 +296,8 @@ def test_usage_set_refuses_repeated_ids_and_report_entries_build_usage_set_never
     ok = ("q0", frozenset({0, 1}))
     with pytest.raises(WorkloadFormatError, match="^duplicate query id 'q0'$"):
         UsageSet(queries=(ok, ("q1", frozenset({0})), ("q0", frozenset({1}))), catalog=catalog)
+    with pytest.raises(WorkloadFormatError, match="^empty query id$"):
+        UsageSet(queries=(ok, ("", frozenset({0}))), catalog=catalog)
     dropped = {"query_id": "q9", "reason": "empty attribute set after filtering"}
     diagnostic = {"query_id": "q0", "unknown_identifiers": ["zz"]}
     assert UsageSet(queries=(ok,), catalog=catalog, dropped=(dropped,), diagnostics=(diagnostic,)).dropped == (dropped,)
@@ -307,14 +309,20 @@ def test_usage_set_refuses_repeated_ids_and_report_entries_build_usage_set_never
         with pytest.raises(WorkloadFormatError, match="^diagnostics entry .* is not a query_id and a list of identifiers$"):
             UsageSet(queries=(ok,), catalog=catalog, diagnostics=(entry,))
     # facts across fields: a dropped query is not kept and is dropped once; a diagnostics entry names a
-    # kept or dropped query, once, with at least one identifier
+    # kept or dropped query, once, with at least one identifier and none twice; analyze writes an empty
+    # identifier (for SELECT "") and case variants, so they pass
     assert UsageSet(queries=(ok,), catalog=catalog, dropped=(dropped,), diagnostics=({**diagnostic, "query_id": "q9"},))
+    assert UsageSet(queries=(ok,), catalog=catalog, diagnostics=({**diagnostic, "unknown_identifiers": ["", "zz", "ZZ"]},))
+    unnamed = {**dropped, "query_id": ""}
     for dropped_entries, diagnostics_entries, message in (
         (({**dropped, "query_id": "q0"},), (), "dropped query 'q0' is also a kept query"),
         ((dropped, dropped), (), "duplicate dropped query id 'q9'"),
         ((), ({**diagnostic, "query_id": "q9"},), "diagnostics entry names query 'q9', which is neither kept nor dropped"),
         ((dropped,), (diagnostic, diagnostic), "duplicate diagnostics query id 'q0'"),
         ((), ({**diagnostic, "unknown_identifiers": []},), "diagnostics entry for query 'q0' lists no unknown identifiers"),
+        ((unnamed,), (), f"dropped entry {unnamed!r} has an empty query id"),
+        ((), ({**diagnostic, "unknown_identifiers": ["x", "x"]},),
+         "diagnostics entry for query 'q0' repeats an unknown identifier"),
     ):
         with pytest.raises(WorkloadFormatError, match=f"^{re.escape(message)}$"):
             UsageSet(queries=(ok,), catalog=catalog, dropped=dropped_entries, diagnostics=diagnostics_entries)
