@@ -180,7 +180,11 @@ def explain_pair(bundle: ScaleBundle, a: str, b: str) -> PairExplanation:
     if h == k:
         raise DiagonalPairError(bundle.attributes[h])
     qaum = bundle.qaum
-    co_ids = tuple(qaum.query_ids[q] for q in np.flatnonzero(qaum.cells[:, h] & qaum.cells[:, k]).tolist())
+
+    def using(i: int) -> np.ndarray:  # the queries whose slices of qaum.indices hold i, ascending
+        return np.searchsorted(qaum.indptr, np.flatnonzero(qaum.indices == i), side="right") - 1
+
+    co_ids = tuple(qaum.query_ids[q] for q in np.intersect1d(using(h), using(k), assume_unique=True).tolist())
     return PairExplanation(
         a=bundle.attributes[h],
         b=bundle.attributes[k],

@@ -15,7 +15,8 @@ field before each row and _joined_pieces frames the rows as a JSON list.
 csv.writer and json.dumps see only the header and the labels, and rows are
 joined with str.join. The QAUM's cells are single digits, so every row of
 its files has a fixed width: a block's rows are cut from one uint8 byte
-template, its cells filled by one strided numpy assignment. Every other
+template of zeros, its ones written by one scatter from the block's slice of
+the QAUM's CSR arrays. Every other
 block formats each distinct defined value once (np.unique over the float64
 bit pattern, so -0.0 and 0.0 stay apart): integers through str, floats
 through "%.{p}f" (or repr at full precision), and format_value, the one
@@ -171,17 +172,16 @@ def _grid_rows(
         yield [_joined(row, layout) for row in _cell_texts(*block(rows), undefined, precision)]
 
 
-def _digit_rows(cells: np.ndarray, layout: _Layout) -> list[str]:
-    """Each row of a block of a 0/1 grid as _joined of its cell texts in layout, cut from one byte
-    buffer: each row is a copy of one template whose cells one strided assignment fills."""
-    m, n = cells.shape
+def _digit_rows(lengths: np.ndarray, columns: np.ndarray, n: int, layout: _Layout) -> list[str]:
+    """Each row of a block of a 0/1 grid of width n as _joined of its cell texts in layout, cut from
+    one byte buffer: each row is a copy of one template of zeros, and one scatter writes the ones.
+    Row r of the block has ones at the next lengths[r] of columns."""
     row = _joined(["0"] * n, layout)
     width = len(row)
-    grid = np.empty((m, width), dtype=np.uint8)
+    grid = np.empty((len(lengths), width), dtype=np.uint8)
     grid[:] = np.frombuffer(row.encode("ascii"), dtype=np.uint8)
-    head, sep, tail, _ = layout
-    if n:
-        grid[:, len(head) : width - len(tail) : len(sep) + 1] = cells + ord("0")
+    head, sep, _, _ = layout
+    grid[np.repeat(np.arange(len(lengths)), lengths), len(head) + columns * (len(sep) + 1)] = ord("1")
     text = str(grid, "ascii")
     return [text[i : i + width] for i in range(0, len(text), width)]
 
@@ -221,23 +221,63 @@ def json_text(obj, depth: int = 0) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=True).replace("\n", "\n" + "  " * depth)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class UsageMatrix:
-    """Binary m×n query/attribute usage matrix (the pipeline's QAUM)."""
+    """Binary m×n query/attribute usage matrix (the pipeline's QAUM), held as CSR.
+
+    Query q uses the attributes indices[indptr[q]:indptr[q + 1]], in ascending
+    order, so the matrix takes memory in its used cells, never in m·n. The
+    constructor takes those two arrays or, in their place, dense 0/1 cells of
+    shape (m, n); cells is derived from the CSR arrays on each read, read-only.
+    """
 
     query_ids: tuple[str, ...]
     attributes: tuple[str, ...]
-    cells: np.ndarray  # uint8, shape (m, n)
+    indptr: np.ndarray  # int64, shape (m + 1,): 0, then the end of each query's slice of indices
+    indices: np.ndarray  # int64, shape (indptr[m],): each query's attribute indices, ascending
 
-    def __post_init__(self):
-        cells = _frozen(self.cells, np.uint8, (len(self.query_ids), len(self.attributes)))
-        if cells.size and cells.max() > 1:
-            raise AttrScaleError("usage matrix cells must be 0 or 1")
-        object.__setattr__(self, "cells", cells)
+    def __init__(self, query_ids, attributes, cells=None, *, indptr=None, indices=None):
+        m, n = len(query_ids), len(attributes)
+        if cells is not None:
+            if indptr is not None or indices is not None:
+                raise AttrScaleError("a usage matrix takes cells or indptr and indices, not both")
+            cells = _frozen(cells, np.uint8, (m, n))
+            if cells.size and cells.max() > 1:
+                raise AttrScaleError("usage matrix cells must be 0 or 1")
+            indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(cells, axis=1))))
+            indices = np.nonzero(cells)[1]  # row-major, so each row's columns ascend
+        elif indptr is None or indices is None:
+            raise AttrScaleError("a usage matrix takes cells, or indptr and indices")
+        indptr = _frozen(indptr, np.int64, (m + 1,))
+        if indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
+            raise AttrScaleError("usage matrix indptr must start at 0 and never decrease")
+        indices = _frozen(indices, np.int64, (int(indptr[-1]),))
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise AttrScaleError("usage matrix has an attribute index outside the catalog")
+        ascending = indices[1:] > indices[:-1]
+        starts = indptr[1:-1]
+        ascending[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # a new row may start lower
+        if not ascending.all():
+            raise AttrScaleError("usage matrix indices must ascend strictly within each query")
+        object.__setattr__(self, "query_ids", query_ids)
+        object.__setattr__(self, "attributes", attributes)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+
+    @property
+    def cells(self) -> np.ndarray:
+        """The dense uint8 grid of shape (m, n), built on each read; read-only."""
+        cells = np.zeros((len(self.query_ids), len(self.attributes)), dtype=np.uint8)
+        cells[np.repeat(np.arange(len(self.query_ids)), np.diff(self.indptr)), self.indices] = 1
+        cells.setflags(write=False)
+        return cells
 
     def _rows(self, layout: _Layout) -> Iterator[list[str]]:
-        """Each row of cells joined in layout, one list per block of rows."""
-        return (_digit_rows(self.cells[rows], layout) for rows in _blocks(*self.cells.shape))
+        """Each row of cells joined in layout, one list per block of rows, from that block's CSR slice."""
+        n = len(self.attributes)
+        for rows in _blocks(len(self.query_ids), n):
+            bounds = self.indptr[rows.start : rows.stop + 1]
+            yield _digit_rows(np.diff(bounds), self.indices[bounds[0] : bounds[-1]], n, layout)
 
     def csv_pieces(self, precision: int | None = None) -> Iterator[str]:
         del precision  # binary cells, nothing to round

@@ -6,11 +6,11 @@ mean/variance/SD (MVSD), the numeric scale |SD_h - SD_k| / ADM[h,k] (NSM),
 and its row-wise normalization to [0,10] (NNSM). Lower scale values mean
 stronger inter-attribute dependence; each row's weakest partner maps to 10.
 
-All arithmetic runs at full double precision; counts are exact (they stay
-far below 2^53, so the BLAS-backed matrix product in build_adm is exact
-integer arithmetic). Undefined cells propagate forward: a cell with no
-probability has no scale value. Every stage is a pure function of its
-inputs; a bundle derives its warnings from its own matrices.
+All arithmetic runs at full double precision; counts are exact int64,
+tallied from pair codes, and no stage builds a dense m×n array. Undefined
+cells propagate forward: a cell with no probability has no scale value.
+Every stage is a pure function of its inputs; a bundle derives its
+warnings from its own matrices.
 """
 
 from __future__ import annotations
@@ -62,31 +62,85 @@ class ScaleBundle:
 
 
 def build_qaum(usage: UsageSet) -> UsageMatrix:
-    """Binary m×n matrix: cell (h,k) = 1 iff query h uses attribute k."""
+    """Binary m×n matrix: cell (h,k) = 1 iff query h uses attribute k, filled as CSR arrays."""
     m, n = usage.query_count, usage.attribute_count
     index_sets = tuple(map(itemgetter(1), usage.queries))
-    lengths = np.fromiter(map(len, index_sets), dtype=np.intp, count=m)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    indptr[1:] = np.fromiter(map(len, index_sets), dtype=np.int64, count=m)
+    np.cumsum(indptr, out=indptr)
     # UsageSet admits only Python ints within the catalog, so fromiter converts every index exactly
-    columns = np.fromiter(chain.from_iterable(index_sets), dtype=np.intp, count=int(lengths.sum()))
-    cells = np.zeros((m, n), dtype=np.uint8)
-    cells[np.repeat(np.arange(m), lengths), columns] = 1
+    indices = np.fromiter(chain.from_iterable(index_sets), dtype=np.int64, count=int(indptr[-1]))
+    # one sort orders each query's indices: shifted by q·n, query q's stay above query q - 1's
+    offsets = np.repeat(np.arange(m, dtype=np.int64) * n, np.diff(indptr))
+    indices += offsets
+    indices.sort()
+    indices -= offsets
     return UsageMatrix(
         query_ids=tuple(map(itemgetter(0), usage.queries)),
         attributes=usage.catalog.attributes,
-        cells=cells,
+        indptr=indptr,
+        indices=indices,
     )
+
+
+def _pair_codes(bounds: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
+    """The code h·n + k of every pair h < k of attributes one query uses, over the queries whose
+    slices of indices the offsets bounds delimit; at most two arrays of codes are alive at once."""
+    lo, hi = bounds[0], bounds[-1]
+    later = np.repeat(bounds[1:], np.diff(bounds))  # each entry's query end, less the entry and
+    later -= np.arange(lo + 1, hi + 1)  # itself: the entries after it in its ascending slice
+    runs = np.flatnonzero(later)  # the entries with a later one; each has a run of codes
+    count = later[runs]
+    runs += lo
+    # the later entries' positions, as a running sum: +1 within a run, and at a run's start a jump
+    # from the last position of the run before (0 before the first) to the entry after its own
+    jump = runs + 1
+    jump[1:] -= (runs + count)[:-1]
+    partner = np.ones(int(count.sum()), dtype=np.int64)
+    partner[np.cumsum(count) - count] = jump
+    np.cumsum(partner, out=partner)
+    codes = indices[partner]
+    del partner
+    codes += np.repeat(indices[runs] * n, count)
+    return codes
+
+
+_TILE = 256  # the side of the square tiles build_adm mirrors its counts in
 
 
 def build_adm(qaum: UsageMatrix) -> DependencyMatrix:
     """Count, for every attribute pair, the queries using both.
 
-    Computed as QAUMᵀ·QAUM in float64 (exact for these integer magnitudes),
-    which is symmetric by construction; the diagonal is discarded as
-    undefined and Total Measure is the remaining row sum.
+    np.bincount counts the pair codes h·n + k (h < k) of every query in exact
+    int64 arithmetic, over chunks of consecutive queries whose codes and
+    indices fit a budget of max(n², 2¹⁶), so the temporaries stay within
+    O(max(n², 2¹⁶)) however large m grows; the counts are then mirrored, so
+    they are symmetric by construction. The diagonal is never counted and
+    stays 0 (undefined), and Total Measure is the row sum.
     """
-    cells = qaum.cells.astype(np.float64)
-    counts = np.rint(cells.T @ cells).astype(np.int64)
-    np.fill_diagonal(counts, 0)
+    n, m = len(qaum.attributes), len(qaum.query_ids)
+    cost = np.diff(qaum.indptr)
+    cost *= cost + 1
+    cost //= 2  # a query's L(L-1)/2 codes and its L indices
+    before = np.concatenate(([0], np.cumsum(cost)))  # the cost of the queries before each one
+    # a query costs at most n(n+1)/2, under the budget, so every chunk takes at least one query
+    budget = max(n * n, 1 << 16)
+
+    def tally(start: int) -> tuple[np.ndarray, int]:
+        """The counts of the codes of the queries from start on that fit the budget, and where they stop."""
+        stop = int(np.searchsorted(before, before[start] + budget, side="right")) - 1
+        return np.bincount(_pair_codes(qaum.indptr[start : stop + 1], qaum.indices, n), minlength=n * n), stop
+
+    counts, stop = tally(0)  # a first chunk even when m = 0 gives counts its size
+    while stop < m:
+        chunk, stop = tally(stop)
+        counts += chunk
+    counts = counts.reshape(n, n)
+    # mirror the upper triangle onto the lower, whose cells are 0, a pair of tiles at a time: a
+    # transposed read of the whole array strides across memory and grows faster than n²
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            counts[j : j + _TILE, i : i + _TILE] += counts[i : i + _TILE, j : j + _TILE].T
     return DependencyMatrix(
         attributes=qaum.attributes,
         counts=counts,

@@ -17,6 +17,7 @@ from attrscale import (
     ScaleBundle,
     UnknownAttributeError,
     UsageMatrix,
+    UsageSet,
     build_adm,
     build_pdm,
     build_usage_set,
@@ -150,6 +151,19 @@ def test_explain_pair_zero_count_pair():
     assert info.co_occurring_queries == ()
     assert info.adm == 0
     assert info.nsm is None and info.nnsm_ab is None
+
+
+def test_explain_pair_queries_equal_a_column_scan_on_a_seeded_bundle():
+    rng = np.random.default_rng(12)
+    names = tuple(f"c{k}" for k in range(25))
+    rows = [(f"q{i}", frozenset(rng.choice(23, size=rng.integers(1, 6), replace=False).tolist())) for i in range(300)]
+    bundle = run_pipeline(UsageSet(tuple(rows), AttributeCatalog(names)))  # c23 and c24 are never used
+    unused = 0
+    for h, k in itertools.permutations(range(len(names)), 2):
+        expected = tuple(qid for qid, used in rows if h in used and k in used)
+        assert explain_pair(bundle, names[h], names[k]).co_occurring_queries == expected, (h, k)
+        unused += not expected
+    assert unused > 2 * 2 * 23  # zero-count pairs give (), the unused attributes' among them
 
 
 def test_explain_pair_errors(reference_bundle):

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from attrscale import AttrScaleError, DependencyMatrix, MaskedRealMatrix, StatsTable, UsageMatrix, run_pipeline
+from attrscale import AttrScaleError, DependencyMatrix, MaskedRealMatrix, StatsTable, UsageMatrix, build_adm, run_pipeline
 from attrscale import matrices
 from attrscale.matrices import _float_texts, format_value, json_text
 from attrscale.catalog import AttributeCatalog
@@ -310,6 +310,92 @@ def test_usage_matrix_is_immutable():
     qaum = small_usage()
     with pytest.raises(ValueError):
         qaum.cells[0, 0] = 0
+
+
+def csr_by_rows(cells) -> tuple[list[int], list[int]]:
+    """indptr and indices of a 0/1 grid, one row at a time: the reference for the dense intake."""
+    indptr, indices = [0], []
+    for row in cells:
+        indices += [k for k, cell in enumerate(row) if cell]
+        indptr.append(len(indices))
+    return indptr, indices
+
+
+def usage_grids():
+    """0/1 grids: empty shapes, all-zero rows, full rows and seeded densities."""
+    rng = np.random.default_rng(23)
+    yield np.zeros((0, 0), dtype=bool)
+    yield np.zeros((0, 4), dtype=bool)
+    yield np.zeros((3, 0), dtype=bool)
+    yield np.zeros((4, 5), dtype=bool)
+    grid = rng.random((40, 13)) < 0.3
+    grid[[0, 7, 39]] = False
+    grid[5] = True
+    yield grid
+    for _ in range(4):
+        yield rng.random((int(rng.integers(1, 60)), int(rng.integers(1, 30)))) < rng.random()
+
+
+def test_dense_and_csr_intake_build_the_same_matrix():
+    for cells in usage_grids():
+        m, n = cells.shape
+        ids, names = tuple(f"q{i}" for i in range(m)), tuple(f"c{k}" for k in range(n))
+        indptr, indices = csr_by_rows(cells.tolist())
+        dense = UsageMatrix(ids, names, cells)
+        sparse = UsageMatrix(ids, names, indptr=indptr, indices=indices)
+        assert dense.indptr.tolist() == indptr and dense.indices.tolist() == indices, cells.shape
+        assert np.array_equal(dense.cells, cells) and np.array_equal(sparse.cells, cells), cells.shape
+        assert csv_file(sparse) == csv_file(dense) and json_file(sparse) == json_file(dense), cells.shape
+        adm, sparse_adm = build_adm(dense), build_adm(sparse)
+        assert np.array_equal(adm.counts, sparse_adm.counts), cells.shape
+        assert np.array_equal(adm.total_measure, sparse_adm.total_measure), cells.shape
+
+
+def test_usage_matrix_csr_is_a_frozen_copy_and_rows_may_restart_low():
+    indptr, indices = np.array([0, 2, 2, 3]), np.array([1, 2, 0])  # the third row starts below the first's end
+    qaum = UsageMatrix(("q1", "q2", "q3"), ("a", "b", "c"), indptr=indptr, indices=indices)
+    indptr[1], indices[0] = 1, 2
+    assert qaum.indptr.tolist() == [0, 2, 2, 3] and qaum.indices.tolist() == [1, 2, 0]
+    assert qaum.indptr.dtype == qaum.indices.dtype == np.int64
+    for arr in (qaum.indptr, qaum.indices, qaum.cells):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert qaum.cells.tolist() == [[0, 1, 1], [0, 0, 0], [1, 0, 0]]
+
+
+@pytest.mark.parametrize(
+    "indptr, indices, message",
+    [
+        ([0, 1, 2], [0, 3], "outside the catalog"),
+        ([0, 1, 2], [-1, 0], "outside the catalog"),
+        ([0, 2, 2], [1, 1], "ascend"),  # repeated within a row
+        ([0, 1, 3], [0, 2, 1], "ascend"),  # descending within a row
+        ([0, 2], [0, 1], "shape"),  # one offset short of m + 1
+        ([0, 1, 2, 2], [0, 1], "shape"),
+        ([[0, 1, 2]], [0, 1], "shape"),
+        ([1, 1, 2], [0, 1], "start at 0"),
+        ([-1, 1, 2], [0, 1], "start at 0"),
+        ([0, 2, 1], [0, 1], "never decrease"),
+        ([0, 1, 2], [0, 1, 2], "shape"),  # indptr ends before len(indices)
+        ([0, 1, 3], [0, 1], "shape"),  # and past it
+        ([0, 1.5, 2], [0, 1], "change its values"),
+        ([0, 1, 2], [0.5, 1], "change its values"),
+        ([0, 1, 2], [[0], [1, 2]], "cannot store"),  # ragged
+        ([0, 1, 2], ["a", "b"], "cannot store"),
+    ],
+)
+def test_usage_matrix_refuses_malformed_csr(indptr, indices, message):
+    with pytest.raises(AttrScaleError, match=message):
+        UsageMatrix(("q1", "q2"), ("a", "b", "c"), indptr=indptr, indices=indices)
+
+
+def test_usage_matrix_takes_cells_or_csr():
+    with pytest.raises(AttrScaleError, match="not both"):
+        UsageMatrix(("q1",), ("a",), [[1]], indptr=[0, 1], indices=[0])
+    with pytest.raises(AttrScaleError, match="indptr and indices"):
+        UsageMatrix(("q1",), ("a",), indptr=[0, 1])
+    with pytest.raises(AttrScaleError, match="indptr and indices"):
+        UsageMatrix(("q1",), ("a",))
 
 
 def small_dependency():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from attrscale import (
     compute_nsm,
     run_pipeline,
 )
+from attrscale import pipeline
 
 import oracles
 from reference_tables import ATTRIBUTES, TRUE_TM, USAGE_ROWS
@@ -81,6 +83,45 @@ def test_build_adm_equals_recount_and_is_symmetric(reference_bundle):
     assert np.array_equal(reference_bundle.adm.total_measure, np.array(tm))
     assert np.array_equal(reference_bundle.adm.counts, reference_bundle.adm.counts.T)
     assert tuple(int(v) for v in reference_bundle.adm.total_measure) == TRUE_TM
+
+
+def test_build_adm_counts_across_chunks_equal_the_oracle(monkeypatch):
+    # rows of several lengths, 1 and n among them, whose pair codes fill at least three chunks
+    rng = np.random.default_rng(31)
+    n = 60
+    lengths = rng.choice([1, 2, 3, 7, 20, 45, n], size=700)
+    rows = [(f"q{i}", frozenset(rng.choice(n, size=size, replace=False).tolist())) for i, size in enumerate(lengths)]
+    chunks = []  # each chunk's codes and indices
+
+    def recorded(bounds, indices, n):
+        codes = pair_codes(bounds, indices, n)
+        chunks.append((codes.size, int(bounds[-1] - bounds[0])))
+        return codes
+
+    pair_codes = pipeline._pair_codes
+    monkeypatch.setattr(pipeline, "_pair_codes", recorded)
+    adm = build_adm(build_qaum(UsageSet(tuple(rows), AttributeCatalog(tuple(f"c{k}" for k in range(n))))))
+    assert len(chunks) >= 3 and max(map(sum, chunks)) <= max(n * n, 1 << 16)
+    assert sum(codes for codes, _ in chunks) == sum(size * (size - 1) // 2 for size in lengths.tolist())
+    counts, tm = oracles.oracle_adm([set(used) for _, used in rows], n)
+    assert np.array_equal(adm.counts, np.array(counts))
+    assert np.array_equal(adm.total_measure, np.array(tm))
+
+
+def test_run_pipeline_on_a_tall_log_allocates_less_than_a_dense_qaum():
+    # m ≫ n: the m·n bytes of a dense uint8 QAUM alone exceed the pipeline's whole allocation peak
+    rng = np.random.default_rng(5)
+    n, m = 200, 40_000
+    picks, sizes = rng.integers(0, n, size=(m, 4)).tolist(), rng.integers(1, 5, size=m).tolist()
+    rows = tuple((f"q{i}", frozenset(row[:size])) for i, (row, size) in enumerate(zip(picks, sizes)))
+    usage = UsageSet(rows, AttributeCatalog(tuple(f"c{k}" for k in range(n))))
+    tracemalloc.start()
+    try:
+        run_pipeline(usage)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * n, peak
 
 
 def test_build_pdm_rows_are_distributions(reference_bundle):
