@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import codecs
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -18,16 +20,21 @@ def encodes_as_utf8(text: str) -> bool:
     return True
 
 
-def read_utf8(path: str | Path, what: str) -> str:
-    """The text of a UTF-8 input file (a byte order mark skipped), else WorkloadFormatError naming the
-    file, or the line of its first byte that is not UTF-8."""
+def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
+    """(1-based number, text) of each line of a UTF-8 input file, read one line at a time and split at
+    "\\n" only (U+2028 may sit in a name, and is legal raw in JSON); a byte order mark opening the file
+    is skipped. WorkloadFormatError names the file it cannot read, or the line of a byte that is not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if lineno == 1 and raw.startswith(codecs.BOM_UTF8):
+                    raw = raw[len(codecs.BOM_UTF8):]
+                try:
+                    yield lineno, raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise WorkloadFormatError(f"{what} {path} is not UTF-8: {exc.reason}", lineno) from None
     except OSError as exc:
         raise WorkloadFormatError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        line = exc.object[: exc.start].count(b"\n") + 1
-        raise WorkloadFormatError(f"{what} {path} is not UTF-8: {exc.reason}", line) from None
 
 
 @dataclass(frozen=True)
@@ -84,10 +91,9 @@ def load_catalog(path: str | Path) -> AttributeCatalog:
     attribute count; it is checked against the names listed and not kept.
     Blank lines and a UTF-8 byte order mark are skipped.
     """
-    text = read_utf8(path, "catalog")
     names: list[str] = []
     count: int | None = None
-    for lineno, raw in enumerate(text.split("\n"), start=1):  # not splitlines: U+2028 may sit in a name
+    for lineno, raw in read_lines(path, "catalog"):
         line = raw.strip()
         if not line:
             continue

@@ -86,9 +86,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         precision=args.precision,
     )
     catalog = load_catalog(config.catalog_path)
-    records = load_workload(config.input_path, config.input_format)
-    selected = select_queries(records, selection)
-    usage = build_usage_set(selected, catalog, selection.usage_threshold)
+    # nested, so the records and the selection are freed as soon as the call that reads each returns
+    usage = build_usage_set(
+        select_queries(load_workload(config.input_path, config.input_format), selection),
+        catalog,
+        selection.usage_threshold,
+    )
     snap = Snapshot(config=config, usage=usage)
     bundle = snap.bundle  # the pipeline runs before anything is created on disk
     write_outputs(snap, out_dir)

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -62,24 +60,12 @@ class ScaleBundle:
 
 
 def build_qaum(usage: UsageSet) -> UsageMatrix:
-    """Binary m×n matrix: cell (h,k) = 1 iff query h uses attribute k, filled as CSR arrays."""
-    m, n = usage.query_count, usage.attribute_count
-    index_sets = tuple(map(itemgetter(1), usage.queries))
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    indptr[1:] = np.fromiter(map(len, index_sets), dtype=np.int64, count=m)
-    np.cumsum(indptr, out=indptr)
-    # UsageSet admits only Python ints within the catalog, so fromiter converts every index exactly
-    indices = np.fromiter(chain.from_iterable(index_sets), dtype=np.int64, count=int(indptr[-1]))
-    # one sort orders each query's indices: shifted by q·n, query q's stay above query q - 1's
-    offsets = np.repeat(np.arange(m, dtype=np.int64) * n, np.diff(indptr))
-    indices += offsets
-    indices.sort()
-    indices -= offsets
+    """Binary m×n matrix: cell (h,k) = 1 iff query h uses attribute k, from the usage set's CSR arrays."""
     return UsageMatrix(
-        query_ids=tuple(map(itemgetter(0), usage.queries)),
+        query_ids=usage.query_ids,
         attributes=usage.catalog.attributes,
-        indptr=indptr,
-        indices=indices,
+        indptr=usage.indptr,
+        indices=usage.indices,
     )
 
 

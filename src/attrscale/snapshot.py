@@ -28,13 +28,14 @@ from .catalog import AttributeCatalog
 from .errors import AttrScaleError, SnapshotError
 from .matrices import json_text
 from .pipeline import ScaleBundle, run_pipeline
-from .workload import WORKLOAD_FORMATS, SelectionSpec, UsageSet
+from .workload import WORKLOAD_FORMATS, SelectionSpec, UsageSet, _csr
 
 FORMAT_VERSION = 3  # v1 also stored every stage, v2 the catalog's M=; both are rejected, not read
 EXPORT_FORMATS = ("csv", "json", "both")
 MATRIX_BASENAMES = ("qaum", "adm", "pdm", "mvsd", "nsm", "nnsm")
 _DIAGNOSTIC_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True)  # one line of diagnostics.jsonl
 _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)  # snapshot.json
+_BLOCK_ENTRIES = 1 << 10  # usage entries encoded at once: snapshot.json is hashed and written a block at a time
 
 
 @dataclass(frozen=True)
@@ -71,30 +72,69 @@ class Snapshot:
         return run_pipeline(self.usage)
 
 
+def _digest(pieces: Iterable[str]) -> str:
+    """The content hash, "sha256:" and a hex digest, of text given in ASCII pieces."""
+    sha = hashlib.sha256()
+    for piece in pieces:
+        sha.update(piece.encode("ascii"))
+    return "sha256:" + sha.hexdigest()
+
+
 def _content_hash(payload: dict) -> str:
     """sha256 of the payload's canonical encoding: compact, with sorted keys and ASCII escapes."""
-    return "sha256:" + hashlib.sha256(_CANONICAL_ENCODER.encode(payload).encode("ascii")).hexdigest()
+    return _digest((_CANONICAL_ENCODER.encode(payload),))
 
 
-def _payload(snap: Snapshot) -> dict:
-    """The hashed part of the snapshot: the run's inputs as JSON values."""
+def _head(snap: Snapshot) -> dict:
+    """The hashed part of the snapshot but its usage set: the run's other inputs as JSON values."""
     return {
         "format_version": FORMAT_VERSION,
         "generator": "attrscale",
         "config": asdict(snap.config),
         "catalog": {"attributes": list(snap.usage.catalog.attributes)},
-        "usage": {
-            "queries": [[qid, sorted(indices)] for qid, indices in snap.usage.queries],
-            "dropped": list(snap.usage.dropped),
-            "diagnostics": list(snap.usage.diagnostics),
-        },
     }
 
 
-def _snapshot_text(snap: Snapshot) -> str:
-    """The snapshot file: the canonical encoding of the payload with its content hash added, then a newline."""
-    payload = _payload(snap)
-    return _CANONICAL_ENCODER.encode({**payload, "content_hash": _content_hash(payload)}) + "\n"
+def _blocks(count: int) -> Iterator[slice]:
+    """range(count) cut into consecutive slices of _BLOCK_ENTRIES entries, the last one shorter."""
+    return (slice(start, start + _BLOCK_ENTRIES) for start in range(0, count, _BLOCK_ENTRIES))
+
+
+def _query_rows(usage: UsageSet) -> Iterator[list]:
+    """The [id, indices] row of every kept query, a block of rows per list."""
+    for rows in _blocks(usage.query_count):
+        bounds = usage.indptr[rows.start : rows.stop + 1]
+        flat, ends = usage.indices[bounds[0] : bounds[-1]].tolist(), (bounds - bounds[0]).tolist()
+        yield [[qid, flat[lo:hi]] for qid, lo, hi in zip(usage.query_ids[rows], ends, ends[1:])]
+
+
+def _elements(blocks: Iterable) -> Iterator[str]:
+    """The canonical encoding of the concatenated non-empty lists in blocks, less its brackets, one
+    block per piece."""
+    for i, block in enumerate(blocks):
+        yield ("," if i else "") + _CANONICAL_ENCODER.encode(block)[1:-1]
+
+
+def _payload_pieces(snap: Snapshot, **members) -> Iterator[str]:
+    """The canonical encoding of the payload with members added, in pieces of at most a block of
+    usage entries. "usage" sorts after every other top-level key, so the head's encoding, less its
+    closing brace, opens it, and the usage set's lists follow in their keys' sorted order."""
+    usage = snap.usage
+    yield _CANONICAL_ENCODER.encode({**_head(snap), **members})[:-1] + ',"usage":{"diagnostics":['
+    yield from _elements(map(usage.diagnostics.__getitem__, _blocks(len(usage.diagnostics))))
+    yield '],"dropped":['
+    yield from _elements(map(usage.dropped.__getitem__, _blocks(len(usage.dropped))))
+    yield '],"queries":['
+    yield from _elements(_query_rows(usage))
+    yield "]}}"
+
+
+def _snapshot_pieces(snap: Snapshot) -> Iterator[str]:
+    """The snapshot file: the canonical encoding of the payload with its content hash added, then a
+    newline. The payload's pieces are made twice, once for the hash and once for the file, so neither
+    the payload's JSON values nor its text is ever whole in memory."""
+    yield from _payload_pieces(snap, content_hash=_digest(_payload_pieces(snap)))
+    yield "\n"
 
 
 def _refuse_constant(name: str):
@@ -126,9 +166,16 @@ def load_snapshot(path: str | Path) -> Snapshot:
     try:
         cfg = obj["config"]
         config = RunConfig(**{**cfg, "selection": SelectionSpec(**cfg["selection"])})
+        catalog = AttributeCatalog(tuple(obj["catalog"]["attributes"]))
+        rows = obj["usage"]["queries"]
+        if type(rows) is not list:
+            raise TypeError(f"usage queries must be a list, got {rows!r}")
+        indptr, indices = _csr([indices for _, indices in rows], len(catalog))
         usage = UsageSet(
-            queries=tuple((qid, frozenset(indices)) for qid, indices in obj["usage"]["queries"]),
-            catalog=AttributeCatalog(tuple(obj["catalog"]["attributes"])),
+            catalog=catalog,
+            query_ids=tuple(qid for qid, _ in rows),
+            indptr=indptr,
+            indices=indices,
             dropped=tuple(obj["usage"]["dropped"]),
             diagnostics=tuple(obj["usage"]["diagnostics"]),
         )
@@ -137,8 +184,13 @@ def load_snapshot(path: str | Path) -> Snapshot:
         # a resealed edit can put any JSON value in any field
         raise SnapshotError(f"snapshot {path} is malformed: {exc}") from exc
     # a missing key (loaded as its default), an extra or foreign one, or an unsorted or repeated
-    # index would re-export as other bytes: only what this version writes for its inputs loads
-    if _payload(snap) != payload:
+    # index would re-export as other bytes: only what this version writes for its inputs loads. The
+    # rows are not rebuilt for this: the usage set refuses any row but an [id, ascending indices] list,
+    # since any other value that unpacks into two entries gives a string, a key or nothing as its indices
+    written = {**_head(snap), "usage": {
+        "queries": rows, "dropped": list(usage.dropped), "diagnostics": list(usage.diagnostics),
+    }}
+    if written != payload:
         raise SnapshotError(f"snapshot {path} is malformed: it is not what this version writes for its inputs")
     return snap
 
@@ -157,7 +209,7 @@ def _output_files(snap: Snapshot) -> Iterator[tuple[str, Iterable[str]]]:
     yield "warnings.json", (json_text(list(bundle.warnings)), "\n")
     entries = (*snap.usage.dropped, *snap.usage.diagnostics)
     yield "diagnostics.jsonl", (_DIAGNOSTIC_ENCODER.encode(entry) + "\n" for entry in entries)
-    yield "snapshot.json", (_snapshot_text(snap),)
+    yield "snapshot.json", _snapshot_pieces(snap)
 
 
 def write_outputs(snap: Snapshot, out_dir: str | Path) -> list[Path]:

@@ -4,19 +4,21 @@ A workload is a JSON-lines file of queries, either with explicit attribute
 lists (jsonl-attrs) or raw SQL (jsonl-sql). Selection picks the m queries to
 analyze (all, seeded random sample, or timestamp interval); the usage
 threshold then decides which attributes are frequent enough to keep. The
-result is a UsageSet: per-query attribute index sets over a densely packed
-catalog view, ready for the matrix pipeline.
+result is a UsageSet: each kept query's attribute indices over a densely
+packed catalog view, held as the CSR arrays the matrix pipeline reads.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from pathlib import Path
 
-from .catalog import AttributeCatalog, encodes_as_utf8, read_utf8
+import numpy as np
+
+from .catalog import AttributeCatalog, encodes_as_utf8, read_lines
 from .errors import EmptyAnalysisError, SelectionError, SqlSyntaxError, WorkloadFormatError
 from .sql_columns import extract_attributes
 
@@ -74,46 +76,142 @@ class SelectionSpec:
             raise SelectionError(f"usage threshold must be in [0,1], got {self.usage_threshold}")
 
 
-@dataclass(frozen=True)
+def _id_fault(qid, earlier: set[str]) -> str | None:
+    """What is wrong with a kept query's id, given the ids before it, by the first rule it breaks."""
+    if not isinstance(qid, str):
+        return f"query id {qid!r} is not a string"
+    if not qid:
+        return "empty query id"
+    if not encodes_as_utf8(qid):
+        return f"query id {qid!r} has no UTF-8 encoding"
+    if qid in earlier:
+        return f"duplicate query id {qid!r}"
+    return None
+
+
+def _first_id_fault(query_ids: tuple) -> int:
+    """The position of the first query id that breaks a rule of _id_fault, else len(query_ids); the
+    ids are distinct if a dict of them, which packs its keys tighter than a set, is as long."""
+    if (all(map(isinstance, query_ids, repeat(str))) and all(query_ids)
+            and len(dict.fromkeys(query_ids)) == len(query_ids) and encodes_as_utf8("".join(query_ids))):
+        return len(query_ids)
+    seen: set[str] = set()
+    for position, qid in enumerate(query_ids):
+        if _id_fault(qid, seen):
+            return position
+        seen.add(qid)
+    return len(query_ids)
+
+
+def _csr(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """indptr and indices of rows of attribute indices, each row's in its own order. Only a Python int
+    within [0, n) is an index: any other entry (a bool, a float, a string, a numpy integer, 2**70) is
+    stored as -1, so the usage set names its query, and no array is built from what it cannot hold."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    indptr[1:] = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    np.cumsum(indptr, out=indptr)
+    flat = list(chain.from_iterable(rows))
+    if flat and not (set(map(type, flat)) == {int} and min(flat) >= 0 and max(flat) < n):
+        flat = [i if type(i) is int and 0 <= i < n else -1 for i in flat]
+    return indptr, np.array(flat, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class UsageSet:
     """Selected queries as attribute index sets over the surviving catalog.
 
-    Query ids are distinct non-empty strings. Every index is a Python int within the
-    catalog; a bool, float, string or numpy integer is refused. dropped holds
-    one {"query_id", "reason"} entry per query removed for an empty attribute
-    set; diagnostics holds one {"query_id", "unknown_identifiers"} entry per
-    query with identifiers that matched no catalog attribute. Both are
-    reporting-only and do not affect matrices. Across fields, as
-    build_usage_set writes them: a dropped id is non-empty, neither kept nor repeated,
-    and a diagnostics id names a kept or dropped query, is not repeated and
-    lists at least one identifier, none twice (an empty one and case variants pass).
-    Each rule is written once, in one walk over each field, and the first offending query or entry is named.
+    Kept queries are held as the QAUM's CSR arrays: query q, named query_ids[q],
+    uses the attributes indices[indptr[q]:indptr[q + 1]], strictly ascending;
+    both arrays are read-only int64. The constructor takes those three, or in
+    their place queries, (id, index set) pairs; queries is derived from the
+    arrays on each read. Query ids are distinct non-empty strings. Every index
+    is a Python int within the catalog; a bool, float, string or numpy integer
+    is refused. dropped holds one {"query_id", "reason"} entry per query
+    removed for an empty attribute set; diagnostics holds one {"query_id",
+    "unknown_identifiers"} entry per query with identifiers that matched no
+    catalog attribute. Both are reporting-only and do not affect matrices.
+    Across fields, as build_usage_set writes them: a dropped id is non-empty,
+    neither kept nor repeated, and a diagnostics id names a kept or dropped
+    query, is not repeated and lists at least one identifier, none twice (an
+    empty one and case variants pass). The kept queries are checked over
+    whole arrays, the entries in one walk over each field, and the first
+    offending query or entry is named.
     """
 
-    queries: tuple[tuple[str, frozenset[int]], ...]
+    query_ids: tuple[str, ...]
     catalog: AttributeCatalog
-    dropped: tuple[dict, ...] = field(default_factory=tuple)
-    diagnostics: tuple[dict, ...] = field(default_factory=tuple)
+    indptr: np.ndarray  # int64, shape (m + 1,): 0, then the end of each query's slice of indices
+    indices: np.ndarray  # int64, shape (indptr[m],): each query's attribute indices, ascending
+    dropped: tuple[dict, ...]
+    diagnostics: tuple[dict, ...]
 
-    def __post_init__(self):
-        n = len(self.catalog)
-        seen: set[str] = set()
-        for qid, indices in self.queries:
-            if not isinstance(qid, str):
-                raise WorkloadFormatError(f"query id {qid!r} is not a string")
-            if not qid:
-                raise WorkloadFormatError("empty query id")
-            if not encodes_as_utf8(qid):
-                raise WorkloadFormatError(f"query id {qid!r} has no UTF-8 encoding")
-            if qid in seen:
-                raise WorkloadFormatError(f"duplicate query id {qid!r}")
-            seen.add(qid)
-            if not indices:
-                raise WorkloadFormatError(f"query {qid!r} has an empty attribute set")
-            if any(type(i) is not int or not 0 <= i < n for i in indices):
-                raise WorkloadFormatError(f"query {qid!r} has an attribute index outside the catalog")
+    def __init__(self, queries=None, catalog=None, dropped=(), diagnostics=(), *,
+                 query_ids=None, indptr=None, indices=None):
+        if not isinstance(catalog, AttributeCatalog):
+            raise TypeError(f"a usage set needs an AttributeCatalog, got {catalog!r}")
+        n = len(catalog)
+        if queries is not None:
+            if query_ids is not None or indptr is not None or indices is not None:
+                raise TypeError("a usage set takes queries or query_ids, indptr and indices, not both")
+            queries = tuple(queries)
+            query_ids = tuple(qid for qid, _ in queries)
+            indptr, indices = _csr([index_set for _, index_set in queries], n)
+            # a set has no order: one sort orders every query's indices, each shifted by q·(n + 1)
+            # so that query q's, -1 among them, stay above query q - 1's
+            shift = np.repeat(np.arange(len(query_ids), dtype=np.int64) * (n + 1), np.diff(indptr))
+            indices += shift
+            indices.sort()
+            indices -= shift
+        elif query_ids is None or indptr is None or indices is None:
+            raise TypeError("a usage set takes queries, or query_ids, indptr and indices")
+        query_ids = tuple(query_ids)
+        indptr, indices = np.asarray(indptr), np.asarray(indices)
+        if any(a.size and a.dtype.kind not in "iu" for a in (indptr, indices)):  # a bool or a float is no index
+            raise WorkloadFormatError(
+                f"usage set indptr and indices must be integers, got {indptr.dtype} and {indices.dtype}"
+            )
+        indptr, indices = indptr.astype(np.int64), indices.astype(np.int64)
+        m = len(query_ids)
+        if indptr.shape != (m + 1,) or indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+            raise WorkloadFormatError(
+                "usage set indptr must run from 0 to len(indices), one step per query, never decreasing"
+            )
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        for name, value in (("query_ids", query_ids), ("catalog", catalog), ("indptr", indptr),
+                            ("indices", indices), ("dropped", tuple(dropped)), ("diagnostics", tuple(diagnostics))):
+            object.__setattr__(self, name, value)
+        self._check_queries()
+        self._check_entries()
+
+    def _check_queries(self) -> None:
+        ids, indptr, indices = self.query_ids, self.indptr, self.indices
+        m, n = len(ids), len(self.catalog)
+        lengths = np.diff(indptr)
+        outside = (indices < 0) | (indices >= n)
+        unordered = indices[1:] <= indices[:-1]
+        starts = indptr[1:-1]
+        unordered[starts[(starts > 0) & (starts < indices.size)] - 1] = False  # a new query may start lower
+        # the first query that breaks each rule; the first of them all is named, by its first broken rule
+        firsts = [_first_id_fault(ids), int(np.argmin(lengths)) if m and not lengths.all() else m]
+        for mask in (outside, unordered):
+            if mask.any():  # the query whose slice holds the first offending entry
+                firsts.append(int(np.searchsorted(indptr, mask.argmax(), side="right")) - 1)
+        first = min(firsts)
+        if first == m:
+            return
+        qid, (lo, hi) = ids[first], indptr[first : first + 2]
+        fault = _id_fault(qid, set(ids[:first]))
+        if fault is None:
+            fault = (f"query {qid!r} has an empty attribute set" if lo == hi
+                     else f"query {qid!r} has an attribute index outside the catalog" if outside[lo:hi].any()
+                     else f"query {qid!r} lists an attribute index twice or out of ascending order")
+        raise WorkloadFormatError(fault)
+
+    def _check_entries(self) -> None:
         # the entries build_usage_set writes, and nothing else: one per dropped query, and at most
         # one per kept or dropped query that had unknown identifiers
+        kept = dict.fromkeys(self.query_ids) if self.dropped or self.diagnostics else {}
         dropped_ids: set[str] = set()
         for entry in self.dropped:
             if not (isinstance(entry, dict) and entry.keys() == {"query_id", "reason"}
@@ -122,7 +220,7 @@ class UsageSet:
             qid = entry["query_id"]
             if not qid:
                 raise WorkloadFormatError(f"dropped entry {entry!r} has an empty query id")
-            if qid in seen:
+            if qid in kept:
                 raise WorkloadFormatError(f"dropped query {qid!r} is also a kept query")
             if qid in dropped_ids:
                 raise WorkloadFormatError(f"duplicate dropped query id {qid!r}")
@@ -138,15 +236,29 @@ class UsageSet:
                 raise WorkloadFormatError(f"diagnostics entry for query {qid!r} lists no unknown identifiers")
             if len(set(identifiers)) != len(identifiers):
                 raise WorkloadFormatError(f"diagnostics entry for query {qid!r} repeats an unknown identifier")
-            if qid not in seen and qid not in dropped_ids:
+            if qid not in kept and qid not in dropped_ids:
                 raise WorkloadFormatError(f"diagnostics entry names query {qid!r}, which is neither kept nor dropped")
             if qid in diagnosed:
                 raise WorkloadFormatError(f"duplicate diagnostics query id {qid!r}")
             diagnosed.add(qid)
 
+    def __eq__(self, other):
+        """Equal when every field is: the arrays element by element, the rest as values."""
+        if not isinstance(other, UsageSet):
+            return NotImplemented
+        return (self.query_ids == other.query_ids and self.catalog == other.catalog
+                and np.array_equal(self.indptr, other.indptr) and np.array_equal(self.indices, other.indices)
+                and self.dropped == other.dropped and self.diagnostics == other.diagnostics)
+
+    @property
+    def queries(self) -> tuple[tuple[str, frozenset[int]], ...]:
+        """(id, index set) per kept query, built from the CSR arrays on each read."""
+        flat, bounds = self.indices.tolist(), self.indptr.tolist()
+        return tuple((qid, frozenset(flat[lo:hi])) for qid, lo, hi in zip(self.query_ids, bounds, bounds[1:]))
+
     @property
     def query_count(self) -> int:
-        return len(self.queries)
+        return len(self.query_ids)
 
     @property
     def attribute_count(self) -> int:
@@ -156,18 +268,18 @@ class UsageSet:
 def load_workload(path: str | Path, format: str) -> list[QueryRecord]:
     """Parse a JSON-lines workload file into records, preserving file order.
 
-    Malformed lines raise WorkloadFormatError carrying the 1-based line
-    number; duplicate query ids are rejected. A UTF-8 byte order mark is skipped.
+    The file is read a line at a time, never whole. Malformed lines raise
+    WorkloadFormatError carrying the 1-based line number; duplicate query ids
+    are rejected. A UTF-8 byte order mark is skipped.
     """
     if format not in WORKLOAD_FORMATS:
         raise WorkloadFormatError(f"unknown workload format {format!r}")
-    text = read_utf8(path, "workload")
 
     body_key = "attrs" if format == "jsonl-attrs" else "sql"
     other_key = "sql" if body_key == "attrs" else "attrs"
     records: list[QueryRecord] = []
     seen_ids: set[str] = set()
-    for lineno, raw in enumerate(text.split("\n"), start=1):  # not splitlines: U+2028 is legal raw in JSON
+    for lineno, raw in read_lines(path, "workload"):
         line = raw.strip()
         if not line:
             continue
@@ -246,39 +358,47 @@ def build_usage_set(
     if not records:
         raise EmptyAnalysisError("no queries selected")
 
-    per_query: list[tuple[str, set[int]]] = []
+    ids: list[str] = []
+    flat: list[int] = []  # every query's indices, each query's ascending, end to end
+    lengths: list[int] = []
     diagnostics: list[dict] = []
-    uses = [0] * len(catalog)
     for rec in records:
         indices, unknown = _record_indices(rec, catalog)
         if unknown:
             diagnostics.append({"query_id": rec.id, "unknown_identifiers": unknown})
-        per_query.append((rec.id, indices))
-        for i in indices:
-            uses[i] += 1
+        ids.append(rec.id)
+        flat += sorted(indices)
+        lengths.append(len(indices))
+    indices = np.array(flat, dtype=np.int64)
+    del flat
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
 
     denominator = len(records)
-    keep = [i for i in range(len(catalog)) if uses[i] / denominator >= usage_threshold]
-    if not keep:
+    uses = np.bincount(indices, minlength=len(catalog))
+    keep = np.flatnonzero(uses / denominator >= usage_threshold)
+    if not keep.size:
         raise EmptyAnalysisError(
             f"usage threshold {usage_threshold} removes every attribute ({denominator} queries selected)"
         )
-    remap = {old: new for new, old in enumerate(keep)}
-
-    queries: list[tuple[str, frozenset[int]]] = []
-    dropped: list[dict] = []
-    for qid, indices in per_query:
-        packed = frozenset(remap[i] for i in indices if i in remap)
-        if packed:
-            queries.append((qid, packed))
-        else:
-            dropped.append({"query_id": qid, "reason": "empty attribute set after filtering"})
-    if not queries:
+    if keep.size < len(catalog):
+        remap = np.full(len(catalog), -1, dtype=np.int64)  # old index -> new, -1 for a removed attribute
+        remap[keep] = np.arange(keep.size)
+        indices = remap[indices]  # remap ascends, so each query's indices still do
+        used = indices >= 0
+        indptr = np.concatenate(([0], np.cumsum(used)))[indptr]
+        indices = indices[used]
+    kept = indptr[1:] > indptr[:-1]
+    if not kept.any():
         raise EmptyAnalysisError("every query was dropped: no attribute usage to analyze")
+    dropped = [{"query_id": qid, "reason": "empty attribute set after filtering"}
+               for qid in compress(ids, (~kept).tolist())]
 
     return UsageSet(
-        queries=tuple(queries),
-        catalog=catalog.subset(keep),
+        query_ids=tuple(compress(ids, kept.tolist())),
+        catalog=catalog.subset(keep.tolist()),
+        indptr=np.concatenate(([0], indptr[1:][kept])),  # a dropped query's slice is empty
+        indices=indices,
         dropped=tuple(dropped),
         diagnostics=tuple(diagnostics),
     )

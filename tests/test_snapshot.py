@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import random
 import tracemalloc
@@ -14,23 +15,27 @@ import pytest
 from attrscale import (
     AttributeCatalog,
     MaskedRealMatrix,
+    QueryRecord,
     RunConfig,
     SelectionSpec,
     Snapshot,
     SnapshotError,
     UsageMatrix,
     UsageSet,
+    build_usage_set,
     load_snapshot,
+    load_workload,
 )
 from attrscale import matrices
 from attrscale.cli import EXIT_INPUT_ERROR, main
-from attrscale.snapshot import _content_hash, _snapshot_text, write_outputs
+from attrscale.snapshot import _BLOCK_ENTRIES, FORMAT_VERSION, _content_hash, _snapshot_pieces, write_outputs
 from test_acceptance import synthetic_usage
+from test_workload import unknown_identifier_log
 
 
 def snapshot_text(snap: Snapshot) -> str:
     """The snapshot file as write_outputs writes it."""
-    return _snapshot_text(snap)
+    return "".join(_snapshot_pieces(snap))
 
 
 def snapshot_obj(snap: Snapshot) -> dict:
@@ -371,3 +376,63 @@ def test_write_outputs_memory_stays_below_a_quarter_of_the_qaum_file(tmp_path):
         tracemalloc.stop()
     qaum_bytes = (tmp_path / "out" / "qaum.json").stat().st_size
     assert peak < qaum_bytes / 4, f"peak {peak / 1e6:.2f} MB against a {qaum_bytes / 1e6:.2f} MB qaum.json"
+
+
+def canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def test_snapshot_json_written_in_blocks_is_the_canonical_encoding(tmp_path):
+    # kept queries span four blocks, diagnostics end on a block edge, dropped entries pass one by one
+    kept, dropped = 3 * _BLOCK_ENTRIES + 5, _BLOCK_ENTRIES + 1
+    records = []
+    for q in range(kept):
+        attrs = ["c0"] + ["c1"] * (q % 2) + ["c2"] * (q % 5 == 0) + [f"zz{q}"] * (q < 2 * _BLOCK_ENTRIES)
+        records.append(QueryRecord(f"q{q}", attrs=tuple(attrs)))
+    for q in range(dropped):
+        records.append(QueryRecord(f"d{q}", attrs=("rare", "yy") if q < 3 else ("rare",)))
+    # c2 (0.15) and rare (0.25) fall below the threshold; c0 and c1 stay
+    usage = build_usage_set(records, AttributeCatalog(("c0", "rare", "c1", "c2")), 0.3)
+    assert usage.catalog.attributes == ("c0", "c1")
+    assert (usage.query_count, len(usage.dropped), len(usage.diagnostics)) == (kept, dropped, 2 * _BLOCK_ENTRIES + 3)
+    config = RunConfig("w.jsonl", "jsonl-attrs", "c.txt", SelectionSpec(usage_threshold=0.3), str(tmp_path / "out"))
+    write_outputs(Snapshot(config=config, usage=usage), tmp_path / "out")
+    payload = {
+        "format_version": FORMAT_VERSION,
+        "generator": "attrscale",
+        "config": dataclasses.asdict(config),
+        "catalog": {"attributes": list(usage.catalog.attributes)},
+        "usage": {
+            "queries": [[qid, sorted(indices)] for qid, indices in usage.queries],
+            "dropped": list(usage.dropped),
+            "diagnostics": list(usage.diagnostics),
+        },
+    }
+    sealed = {**payload, "content_hash": "sha256:" + hashlib.sha256(canonical(payload).encode("ascii")).hexdigest()}
+    written, expected = (tmp_path / "out" / "snapshot.json").read_text(encoding="utf-8"), canonical(sealed) + "\n"
+    same = written == expected  # not compared inside the assert: a diff of two long lines takes minutes to show
+    assert same, f"first difference at character {next(i for i, (a, b) in enumerate(zip(written, expected)) if a != b)}"
+    reloaded = load_snapshot(tmp_path / "out" / "snapshot.json")
+    assert reloaded == Snapshot(config=config, usage=usage)  # snapshots and usage sets compare by value
+    write_outputs(reloaded, tmp_path / "again")
+    for path in sorted((tmp_path / "out").iterdir()):
+        same = (tmp_path / "again" / path.name).read_bytes() == path.read_bytes()
+        assert same, f"{path.name} differs after a reload"
+
+
+def test_write_outputs_memory_stays_below_twice_the_snapshot(tmp_path):
+    # snapshot.json is encoded a block of usage entries at a time, twice (for its hash, then for the
+    # file), and never held whole as JSON values or text. The seed's peak was 7 times the file
+    path, catalog = unknown_identifier_log(tmp_path / "w.jsonl", 20000, 20, 5)
+    usage = build_usage_set(load_workload(path, "jsonl-attrs"), catalog)
+    snap = Snapshot(RunConfig(str(path), "jsonl-attrs", "c.txt", SelectionSpec(), str(tmp_path / "out")), usage)
+    snap.bundle  # the pipeline runs outside the measured region
+    tracemalloc.start()
+    try:
+        write_outputs(snap, tmp_path / "out")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "out" / "snapshot.json").stat().st_size
+    assert size > 1_000_000
+    assert peak < 2 * size, f"peak {peak / 1e6:.2f} MB against a {size / 1e6:.2f} MB snapshot.json"

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,12 +26,25 @@ from attrscale import (
     select_queries,
 )
 
+from attrscale.cli import EXIT_INPUT_ERROR, main
 from reference_tables import USAGE_ROWS
 
 
 def write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return path
+
+
+def unknown_identifier_log(path, m: int, n: int, seed: int):
+    """A jsonl-attrs log of m queries over the attributes c0..c{n-1}: each query uses 1 to 8 of them,
+    and every odd one also names one unknown identifier. Returns (path, catalog)."""
+    rng = random.Random(seed)
+    names = [f"c{k}" for k in range(n)]
+    with open(path, "w", encoding="utf-8") as fh:
+        for q in range(m):
+            attrs = rng.sample(names, rng.randint(1, min(8, n))) + ([f"zz{q}"] if q % 2 else [])
+            fh.write(json.dumps({"id": f"q{q:05d}", "attrs": attrs}) + "\n")
+    return path, AttributeCatalog(tuple(names))
 
 
 def test_load_attrs_fixture(data_dir):
@@ -121,6 +136,8 @@ def test_unknown_format_and_missing_file(tmp_path):
         load_workload(tmp_path / "w.jsonl", "csv")
     with pytest.raises(WorkloadFormatError, match="cannot read workload"):
         load_workload(tmp_path / "absent.jsonl", "jsonl-attrs")
+    with pytest.raises(WorkloadFormatError, match="^cannot read workload .*: Is a directory$"):
+        load_workload(tmp_path, "jsonl-attrs")
 
 
 def test_record_needs_exactly_one_body():
@@ -351,6 +368,10 @@ def test_catalog_skips_a_byte_order_mark(tmp_path, lines):
 def test_workload_skips_a_byte_order_mark(tmp_path):
     path = write_lines(tmp_path / "w.jsonl", ['\ufeff{"id": "q1", "attrs": ["a"]}', '{"id": "q2", "attrs": ["b"]}'])
     assert [r.id for r in load_workload(path, "jsonl-attrs")] == ["q1", "q2"]
+    # only where it opens the file
+    path = write_lines(tmp_path / "w.jsonl", ['{"id": "q1", "attrs": ["a"]}', '\ufeff{"id": "q2", "attrs": ["b"]}'])
+    with pytest.raises(WorkloadFormatError, match="^line 2: invalid JSON: Unexpected UTF-8 BOM"):
+        load_workload(path, "jsonl-attrs")
 
 
 def test_files_that_are_not_utf8_name_the_line(tmp_path):
@@ -362,6 +383,69 @@ def test_files_that_are_not_utf8_name_the_line(tmp_path):
     catalog.write_bytes(b"\xef\xbb\xbfM=3\na\nb\xc3\n")  # after a byte order mark
     with pytest.raises(WorkloadFormatError, match=f"^line 3: catalog {re.escape(str(catalog))} is not UTF-8: invalid continuation byte$"):
         load_catalog(catalog)
+
+
+def test_a_byte_that_is_not_utf8_past_the_first_read_buffer_names_its_line(tmp_path, capsys):
+    # the file is read a line at a time: line 3000 sits well past the first 64 KiB
+    lines = [json.dumps({"id": f"q{q}", "attrs": ["a1", "a2"]}).encode() for q in range(1, 4001)]
+    lines[2999] = b'{"id": "q3000", "attrs": ["a\xff"]}'
+    workload = tmp_path / "w.jsonl"
+    workload.write_bytes(b"\n".join(lines) + b"\n")
+    assert len(b"\n".join(lines[:2999])) > 65536
+    with pytest.raises(WorkloadFormatError, match=f"^line 3000: workload {re.escape(str(workload))} is not UTF-8: invalid start byte$"):
+        load_workload(workload, "jsonl-attrs")
+    catalog = write_lines(tmp_path / "cat.txt", ["a1", "a2"])
+    argv = ["analyze", "--input", str(workload), "--input-format", "jsonl-attrs", "--catalog", str(catalog),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: line 3000: workload {workload} is not UTF-8: invalid start byte\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_usage_set_csr_arrays(catalog):
+    usage = UsageSet(queries=(("q0", frozenset({2, 0})), ("q1", frozenset({1}))), catalog=catalog)
+    assert usage.query_ids == ("q0", "q1")
+    assert usage.indptr.tolist() == [0, 2, 3] and usage.indices.tolist() == [0, 2, 1]
+    assert usage.indptr.dtype == usage.indices.dtype == np.int64
+    assert not usage.indptr.flags.writeable and not usage.indices.flags.writeable
+    again = UsageSet(catalog=catalog, query_ids=usage.query_ids, indptr=usage.indptr, indices=usage.indices)
+    assert again.queries == usage.queries == (("q0", frozenset({0, 2})), ("q1", frozenset({1})))
+    # equal by value, whichever form built it; any field that differs makes it unequal
+    assert again == usage and again is not usage
+    assert usage == UsageSet((("q0", {0, 2}), ("q1", {1})), catalog)
+    entry = ({"query_id": "q1", "unknown_identifiers": ["zz"]},)
+    for other in (UsageSet((("q0", {0, 2}), ("q2", {1})), catalog), UsageSet((("q0", {0, 1}), ("q1", {2})), catalog),
+                  UsageSet((("q0", {0}), ("q1", {1, 2})), catalog), UsageSet(usage.queries, catalog, diagnostics=entry)):
+        assert other != usage
+    # the arrays must hold each query's indices strictly ascending, and indptr must bound them
+    for indices in ([2, 0, 1], [0, 0, 1]):
+        with pytest.raises(WorkloadFormatError, match="^query 'q0' lists an attribute index twice or out of ascending order$"):
+            UsageSet(catalog=catalog, query_ids=("q0", "q1"), indptr=[0, 2, 3], indices=indices)
+    for indptr in ([0, 2], [1, 2, 3], [0, 3, 2], [0, 2, 4]):
+        with pytest.raises(WorkloadFormatError, match="^usage set indptr must run from 0 to len"):
+            UsageSet(catalog=catalog, query_ids=("q0", "q1"), indptr=indptr, indices=[0, 2, 1])
+    for indptr, indices in (([0, 2, 3], [False, True, True]), ([0, 2, 3], [0.0, 1.9, 1.0]), ([0.0, 2.0, 3.0], [0, 2, 1])):
+        with pytest.raises(WorkloadFormatError, match="^usage set indptr and indices must be integers"):
+            UsageSet(catalog=catalog, query_ids=("q0", "q1"), indptr=indptr, indices=indices)
+    with pytest.raises(TypeError, match="not both"):
+        UsageSet(queries=usage.queries, catalog=catalog, query_ids=usage.query_ids)
+    with pytest.raises(TypeError, match="query_ids, indptr and indices"):
+        UsageSet(catalog=catalog, query_ids=usage.query_ids)
+
+
+def test_intake_memory_stays_below_twenty_times_the_log(tmp_path):
+    # the usage set keeps flat index arrays, not a set and a frozenset per query; the log is read a
+    # line at a time, not as one text and its list of lines. The seed's peak was 30 times the log
+    path, catalog = unknown_identifier_log(tmp_path / "w.jsonl", 20000, 20, 5)
+    tracemalloc.start()
+    try:
+        usage = build_usage_set(load_workload(path, "jsonl-attrs"), catalog)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert usage.query_count == 20000 and len(usage.diagnostics) == 10000
+    size = path.stat().st_size
+    assert peak < 20 * size, f"peak {peak / 1e6:.2f} MB against a {size / 1e6:.2f} MB log"
 
 
 def test_names_without_a_utf8_encoding_are_refused(catalog):
