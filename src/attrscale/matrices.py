@@ -143,8 +143,7 @@ def _blocks(rows: int, width: int) -> Iterator[slice]:
 
 def _joined(texts: list[str], layout: _Layout) -> str:
     """One row of cell texts in a file's layout."""
-    head, sep, tail, empty = layout
-    return "".join((head, sep.join(texts), tail)) if texts else empty  # one copy of a large body
+    return "".join(_joined_pieces((texts,), layout))
 
 
 def _joined_pieces(blocks: Iterable[list[str]], layout: _Layout) -> Iterator[str]:
@@ -221,6 +220,20 @@ def json_text(obj, depth: int = 0) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=True).replace("\n", "\n" + "  " * depth)
 
 
+def _csr_faults(indptr: np.ndarray, indices: np.ndarray, n: int) -> tuple[int, int]:
+    """The first row of CSR arrays that holds an index outside [0, n), and the first whose indices do
+    not ascend strictly, each m (the row count) when no row does. A row may start at or below the end
+    of the row before it. indptr must run from 0 to len(indices), never decreasing."""
+    m = len(indptr) - 1
+    outside = (indices < 0) | (indices >= n)
+    unordered = indices[1:] <= indices[:-1]
+    starts = indptr[1:-1]
+    unordered[starts[(starts > 0) & (starts < indices.size)] - 1] = False  # a new row may start lower
+    # the row whose slice holds a mask's first entry (entry i of unordered compares i with i + 1)
+    return tuple(int(np.searchsorted(indptr, mask.argmax(), side="right")) - 1 if mask.any() else m
+                 for mask in (outside, unordered))
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class UsageMatrix:
     """Binary m×n query/attribute usage matrix (the pipeline's QAUM), held as CSR.
@@ -252,12 +265,10 @@ class UsageMatrix:
         if indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
             raise AttrScaleError("usage matrix indptr must start at 0 and never decrease")
         indices = _frozen(indices, np.int64, (int(indptr[-1]),))
-        if indices.size and (indices.min() < 0 or indices.max() >= n):
+        outside, unordered = _csr_faults(indptr, indices, n)
+        if outside < m:
             raise AttrScaleError("usage matrix has an attribute index outside the catalog")
-        ascending = indices[1:] > indices[:-1]
-        starts = indptr[1:-1]
-        ascending[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # a new row may start lower
-        if not ascending.all():
+        if unordered < m:
             raise AttrScaleError("usage matrix indices must ascend strictly within each query")
         object.__setattr__(self, "query_ids", query_ids)
         object.__setattr__(self, "attributes", attributes)

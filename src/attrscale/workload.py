@@ -20,6 +20,7 @@ import numpy as np
 
 from .catalog import AttributeCatalog, encodes_as_utf8, read_lines
 from .errors import EmptyAnalysisError, SelectionError, SqlSyntaxError, WorkloadFormatError
+from .matrices import _csr_faults
 from .sql_columns import extract_attributes
 
 WORKLOAD_FORMATS = ("jsonl-attrs", "jsonl-sql")
@@ -76,31 +77,21 @@ class SelectionSpec:
             raise SelectionError(f"usage threshold must be in [0,1], got {self.usage_threshold}")
 
 
-def _id_fault(qid, earlier: set[str]) -> str | None:
-    """What is wrong with a kept query's id, given the ids before it, by the first rule it breaks."""
-    if not isinstance(qid, str):
-        return f"query id {qid!r} is not a string"
-    if not qid:
-        return "empty query id"
-    if not encodes_as_utf8(qid):
-        return f"query id {qid!r} has no UTF-8 encoding"
-    if qid in earlier:
-        return f"duplicate query id {qid!r}"
-    return None
-
-
-def _first_id_fault(query_ids: tuple) -> int:
-    """The position of the first query id that breaks a rule of _id_fault, else len(query_ids); the
-    ids are distinct if a dict of them, which packs its keys tighter than a set, is as long."""
-    if (all(map(isinstance, query_ids, repeat(str))) and all(query_ids)
-            and len(dict.fromkeys(query_ids)) == len(query_ids) and encodes_as_utf8("".join(query_ids))):
-        return len(query_ids)
-    seen: set[str] = set()
+def _first_id_fault(query_ids: tuple) -> tuple[int, str | None, dict[str, None]]:
+    """The position of the first query id that is not a distinct non-empty string with a UTF-8
+    encoding and what is wrong with it, by the first rule it breaks (len(query_ids) and None when no
+    id is); and the ids before that position, as the keys of a dict, which packs them tighter than a set."""
+    seen: dict[str, None] = {}
     for position, qid in enumerate(query_ids):
-        if _id_fault(qid, seen):
-            return position
-        seen.add(qid)
-    return len(query_ids)
+        fault = (f"query id {qid!r} is not a string" if not isinstance(qid, str)
+                 else "empty query id" if not qid
+                 else f"query id {qid!r} has no UTF-8 encoding" if not encodes_as_utf8(qid)
+                 else f"duplicate query id {qid!r}" if qid in seen
+                 else None)
+        if fault:
+            return position, fault, seen
+        seen[qid] = None
+    return len(query_ids), None, seen
 
 
 def _csr(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,9 +101,7 @@ def _csr(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     indptr[1:] = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     np.cumsum(indptr, out=indptr)
-    flat = list(chain.from_iterable(rows))
-    if flat and not (set(map(type, flat)) == {int} and min(flat) >= 0 and max(flat) < n):
-        flat = [i if type(i) is int and 0 <= i < n else -1 for i in flat]
+    flat = [i if type(i) is int and 0 <= i < n else -1 for i in chain.from_iterable(rows)]
     return indptr, np.array(flat, dtype=np.int64)
 
 
@@ -133,9 +122,12 @@ class UsageSet:
     Across fields, as build_usage_set writes them: a dropped id is non-empty,
     neither kept nor repeated, and a diagnostics id names a kept or dropped
     query, is not repeated and lists at least one identifier, none twice (an
-    empty one and case variants pass). The kept queries are checked over
-    whole arrays, the entries in one walk over each field, and the first
-    offending query or entry is named.
+    empty one and case variants pass). One walk over the ids
+    (_first_id_fault) checks them and keeps them as a dict's keys, which the
+    entry checks reuse; matrices._csr_faults, which owns the QAUM's row
+    rules, finds the first query with an index outside the catalog or out of
+    ascending order; one walk over each report field checks its entries. The
+    first offending query or entry is named, by the first rule it breaks.
     """
 
     query_ids: tuple[str, ...]
@@ -181,37 +173,30 @@ class UsageSet:
         for name, value in (("query_ids", query_ids), ("catalog", catalog), ("indptr", indptr),
                             ("indices", indices), ("dropped", tuple(dropped)), ("diagnostics", tuple(diagnostics))):
             object.__setattr__(self, name, value)
-        self._check_queries()
-        self._check_entries()
+        self._check_entries(self._check_queries())
 
-    def _check_queries(self) -> None:
-        ids, indptr, indices = self.query_ids, self.indptr, self.indices
-        m, n = len(ids), len(self.catalog)
-        lengths = np.diff(indptr)
-        outside = (indices < 0) | (indices >= n)
-        unordered = indices[1:] <= indices[:-1]
-        starts = indptr[1:-1]
-        unordered[starts[(starts > 0) & (starts < indices.size)] - 1] = False  # a new query may start lower
-        # the first query that breaks each rule; the first of them all is named, by its first broken rule
-        firsts = [_first_id_fault(ids), int(np.argmin(lengths)) if m and not lengths.all() else m]
-        for mask in (outside, unordered):
-            if mask.any():  # the query whose slice holds the first offending entry
-                firsts.append(int(np.searchsorted(indptr, mask.argmax(), side="right")) - 1)
-        first = min(firsts)
+    def _check_queries(self) -> dict[str, None]:
+        """The kept ids, as a dict's keys; else WorkloadFormatError names the first query that breaks a
+        rule, by the first rule it breaks."""
+        ids, lengths = self.query_ids, np.diff(self.indptr)
+        m = len(ids)
+        # the first query that breaks each rule
+        id_first, fault, kept = _first_id_fault(ids)
+        empty = int(np.argmin(lengths)) if m and not lengths.all() else m
+        outside, unordered = _csr_faults(self.indptr, self.indices, len(self.catalog))
+        first = min(id_first, empty, outside, unordered)
         if first == m:
-            return
-        qid, (lo, hi) = ids[first], indptr[first : first + 2]
-        fault = _id_fault(qid, set(ids[:first]))
-        if fault is None:
-            fault = (f"query {qid!r} has an empty attribute set" if lo == hi
-                     else f"query {qid!r} has an attribute index outside the catalog" if outside[lo:hi].any()
+            return kept
+        qid = ids[first]
+        if first != id_first:
+            fault = (f"query {qid!r} has an empty attribute set" if first == empty
+                     else f"query {qid!r} has an attribute index outside the catalog" if first == outside
                      else f"query {qid!r} lists an attribute index twice or out of ascending order")
         raise WorkloadFormatError(fault)
 
-    def _check_entries(self) -> None:
+    def _check_entries(self, kept: dict[str, None]) -> None:
         # the entries build_usage_set writes, and nothing else: one per dropped query, and at most
         # one per kept or dropped query that had unknown identifiers
-        kept = dict.fromkeys(self.query_ids) if self.dropped or self.diagnostics else {}
         dropped_ids: set[str] = set()
         for entry in self.dropped:
             if not (isinstance(entry, dict) and entry.keys() == {"query_id", "reason"}

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from attrscale import (
+    AttrScaleError,
     AttributeCatalog,
     EmptyAnalysisError,
     QueryRecord,
@@ -18,6 +19,7 @@ from attrscale import (
     SelectionSpec,
     SqlSyntaxError,
     UnsupportedSqlError,
+    UsageMatrix,
     UsageSet,
     WorkloadFormatError,
     build_usage_set,
@@ -303,6 +305,14 @@ def test_usage_set_validation(catalog):
         UsageSet(queries=(ok, ("q1", frozenset()), ("q2", frozenset({99}))), catalog=catalog)
     with pytest.raises(WorkloadFormatError, match="^query 'q1' has an attribute index outside the catalog$"):
         UsageSet(queries=(ok, ("q1", frozenset({-1})), (7, frozenset()), ("q3", frozenset({99}))), catalog=catalog)
+    # a query that breaks two rules is named by the earlier one: its id before its row, and within
+    # its row an index outside the catalog before one out of order
+    with pytest.raises(WorkloadFormatError, match="^duplicate query id 'q0'$"):
+        UsageSet(queries=(ok, ("q0", frozenset({99}))), catalog=catalog)
+    with pytest.raises(WorkloadFormatError, match="^query id 7 is not a string$"):
+        UsageSet(queries=(ok, (7, frozenset({99}))), catalog=catalog)
+    with pytest.raises(WorkloadFormatError, match="^query 'q1' has an attribute index outside the catalog$"):
+        UsageSet(catalog=catalog, query_ids=("q0", "q1"), indptr=[0, 2, 5], indices=[0, 1, 5, 99, 1])
     # only a Python int is an index: no bool, float, string or numpy integer passes as one
     for index in (True, 0.5, 1.0, "1", np.int64(1), 2**70, len(catalog)):
         with pytest.raises(WorkloadFormatError, match="^query 'q1' has an attribute index outside the catalog$"):
@@ -431,6 +441,58 @@ def test_usage_set_csr_arrays(catalog):
         UsageSet(queries=usage.queries, catalog=catalog, query_ids=usage.query_ids)
     with pytest.raises(TypeError, match="query_ids, indptr and indices"):
         UsageSet(catalog=catalog, query_ids=usage.query_ids)
+
+
+def test_usage_set_and_usage_matrix_refuse_the_same_csr_rows(catalog):
+    # valid distinct ids and non-empty rows, each ascending, so that most rows restart below the end
+    # of the row before them, which both types accept; a case plants one fault, an index outside the
+    # catalog, a repeated one or a descending pair, in one or more rows
+    rng = random.Random(2503)
+    n = len(catalog)
+    refused = {"outside": 0, "repeated": 0, "descending": 0}
+    restarts = 0
+    for case in range(600):
+        rows = [sorted(rng.sample(range(n), rng.randint(1, 4))) for _ in range(rng.randint(1, 8))]
+        restarts += sum(low[0] <= high[-1] for high, low in zip(rows, rows[1:]))
+        fault = rng.choice([None, *refused])
+        planted = sorted(rng.sample(range(len(rows)), rng.randint(1, len(rows)))) if fault else []
+        for r in planted:
+            row = rows[r]
+            if fault == "outside":
+                row[rng.randrange(len(row))] = rng.choice([-1, n, n + 7])
+            elif fault == "repeated":
+                at = rng.randrange(len(row))
+                row.insert(at, row[at])
+            elif len(row) > 1:  # two neighbours swapped
+                at = rng.randrange(len(row) - 1)
+                row[at], row[at + 1] = row[at + 1], row[at]
+            else:  # a second index below the only one
+                row[:] = [max(row[0], 1), max(row[0], 1) - 1]
+        ids = tuple(f"q{q}" for q in range(len(rows)))
+        indptr = np.cumsum([0, *map(len, rows)])
+        indices = np.array([i for row in rows for i in row], dtype=np.int64)
+        try:
+            UsageSet(catalog=catalog, query_ids=ids, indptr=indptr, indices=indices)
+            usage_set = None
+        except WorkloadFormatError as exc:
+            usage_set = str(exc)
+        try:
+            UsageMatrix(ids, catalog.attributes, indptr=indptr, indices=indices)
+            usage_matrix = None
+        except AttrScaleError as exc:
+            usage_matrix = str(exc)
+        if fault is None:
+            assert usage_set is usage_matrix is None, (case, rows)
+            continue
+        refused[fault] += 1
+        first = ids[planted[0]]
+        if fault == "outside":
+            assert usage_set == f"query {first!r} has an attribute index outside the catalog", (case, rows)
+            assert usage_matrix == "usage matrix has an attribute index outside the catalog", (case, rows)
+        else:
+            assert usage_set == f"query {first!r} lists an attribute index twice or out of ascending order", (case, rows)
+            assert usage_matrix == "usage matrix indices must ascend strictly within each query", (case, rows)
+    assert min(refused.values()) > 100 and restarts > 500, (refused, restarts)
 
 
 def test_intake_memory_stays_below_twenty_times_the_log(tmp_path):
