@@ -146,6 +146,8 @@ def suggest_groups(bundle: ScaleBundle, cutoff: float, max_size: int) -> list[At
     """
     if not 0.0 <= cutoff <= 10.0:
         raise AttrScaleError(f"cutoff must be in [0,10], got {cutoff}")
+    if isinstance(max_size, bool) or not isinstance(max_size, int):
+        raise AttrScaleError(f"max_size must be an integer, got {max_size!r}")
     if max_size < 2:
         raise AttrScaleError(f"max_size must be at least 2, got {max_size}")
     names = bundle.attributes

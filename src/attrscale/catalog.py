@@ -46,6 +46,9 @@ class AttributeCatalog:
     def __post_init__(self):
         if not self.attributes:
             raise WorkloadFormatError("catalog has no attributes")
+        for name in self.attributes:
+            if not isinstance(name, str):  # a resealed snapshot can list a 5 or a null
+                raise WorkloadFormatError(f"attribute name {name!r} is not a string")
         folded = [a.casefold() for a in self.attributes]
         if any(not a for a in self.attributes):
             raise WorkloadFormatError("catalog contains an empty attribute name")

@@ -22,13 +22,16 @@ import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .catalog import AttributeCatalog
 from .errors import AttrScaleError, SnapshotError
 from .matrices import json_text
 from .pipeline import ScaleBundle, run_pipeline
-from .workload import WORKLOAD_FORMATS, SelectionSpec, UsageSet, _csr
+from .workload import WORKLOAD_FORMATS, SelectionSpec, UsageSet
 
 FORMAT_VERSION = 3  # v1 also stored every stage, v2 the catalog's M=; both are rejected, not read
 EXPORT_FORMATS = ("csv", "json", "both")
@@ -139,6 +142,17 @@ def _snapshot_pieces(snap: Snapshot) -> Iterator[str]:
 
 def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
+
+
+def _csr(rows: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """indptr and indices of a snapshot's rows of attribute indices, each row's in its own order. Only a
+    Python int within [0, n) is an index: any other JSON value (a bool, a float, a string, 2**70) is
+    stored as -1, so the usage set names its query, and no array is built from what it cannot hold."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    indptr[1:] = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    np.cumsum(indptr, out=indptr)
+    flat = [i if type(i) is int and 0 <= i < n else -1 for i in chain.from_iterable(rows)]
+    return indptr, np.array(flat, dtype=np.int64)
 
 
 def load_snapshot(path: str | Path) -> Snapshot:

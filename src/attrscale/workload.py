@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -94,35 +94,23 @@ def _first_id_fault(query_ids: tuple) -> tuple[int, str | None, dict[str, None]]
     return len(query_ids), None, seen
 
 
-def _csr(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """indptr and indices of rows of attribute indices, each row's in its own order. Only a Python int
-    within [0, n) is an index: any other entry (a bool, a float, a string, a numpy integer, 2**70) is
-    stored as -1, so the usage set names its query, and no array is built from what it cannot hold."""
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    indptr[1:] = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    np.cumsum(indptr, out=indptr)
-    flat = [i if type(i) is int and 0 <= i < n else -1 for i in chain.from_iterable(rows)]
-    return indptr, np.array(flat, dtype=np.int64)
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class UsageSet:
     """Selected queries as attribute index sets over the surviving catalog.
 
-    Kept queries are held as the QAUM's CSR arrays: query q, named query_ids[q],
-    uses the attributes indices[indptr[q]:indptr[q + 1]], strictly ascending;
-    both arrays are read-only int64. The constructor takes those three, or in
-    their place queries, (id, index set) pairs; queries is derived from the
-    arrays on each read. Query ids are distinct non-empty strings. Every index
-    is a Python int within the catalog; a bool, float, string or numpy integer
-    is refused. dropped holds one {"query_id", "reason"} entry per query
-    removed for an empty attribute set; diagnostics holds one {"query_id",
-    "unknown_identifiers"} entry per query with identifiers that matched no
-    catalog attribute. Both are reporting-only and do not affect matrices.
-    Across fields, as build_usage_set writes them: a dropped id is non-empty,
-    neither kept nor repeated, and a diagnostics id names a kept or dropped
-    query, is not repeated and lists at least one identifier, none twice (an
-    empty one and case variants pass). One walk over the ids
+    Kept queries are held as the QAUM's CSR arrays, the one form a usage set
+    takes: query q, named query_ids[q], uses the attributes
+    indices[indptr[q]:indptr[q + 1]], strictly ascending; both arrays are
+    stored as read-only int64, and arrays that do not hold integers are
+    refused. Query ids are distinct non-empty strings, and every index lies
+    within the catalog. dropped holds one {"query_id", "reason"} entry per
+    query removed for an empty attribute set; diagnostics holds one
+    {"query_id", "unknown_identifiers"} entry per query with identifiers that
+    matched no catalog attribute. Both are reporting-only and do not affect
+    matrices. Across fields, as build_usage_set writes them: a dropped id is
+    non-empty, neither kept nor repeated, and a diagnostics id names a kept or
+    dropped query, is not repeated and lists at least one identifier, none
+    twice (an empty one and case variants pass). One walk over the ids
     (_first_id_fault) checks them and keeps them as a dict's keys, which the
     entry checks reuse; matrices._csr_faults, which owns the QAUM's row
     rules, finds the first query with an index outside the catalog or out of
@@ -134,30 +122,14 @@ class UsageSet:
     catalog: AttributeCatalog
     indptr: np.ndarray  # int64, shape (m + 1,): 0, then the end of each query's slice of indices
     indices: np.ndarray  # int64, shape (indptr[m],): each query's attribute indices, ascending
-    dropped: tuple[dict, ...]
-    diagnostics: tuple[dict, ...]
+    dropped: tuple[dict, ...] = ()
+    diagnostics: tuple[dict, ...] = ()
 
-    def __init__(self, queries=None, catalog=None, dropped=(), diagnostics=(), *,
-                 query_ids=None, indptr=None, indices=None):
-        if not isinstance(catalog, AttributeCatalog):
-            raise TypeError(f"a usage set needs an AttributeCatalog, got {catalog!r}")
-        n = len(catalog)
-        if queries is not None:
-            if query_ids is not None or indptr is not None or indices is not None:
-                raise TypeError("a usage set takes queries or query_ids, indptr and indices, not both")
-            queries = tuple(queries)
-            query_ids = tuple(qid for qid, _ in queries)
-            indptr, indices = _csr([index_set for _, index_set in queries], n)
-            # a set has no order: one sort orders every query's indices, each shifted by q·(n + 1)
-            # so that query q's, -1 among them, stay above query q - 1's
-            shift = np.repeat(np.arange(len(query_ids), dtype=np.int64) * (n + 1), np.diff(indptr))
-            indices += shift
-            indices.sort()
-            indices -= shift
-        elif query_ids is None or indptr is None or indices is None:
-            raise TypeError("a usage set takes queries, or query_ids, indptr and indices")
-        query_ids = tuple(query_ids)
-        indptr, indices = np.asarray(indptr), np.asarray(indices)
+    def __post_init__(self):
+        if not isinstance(self.catalog, AttributeCatalog):
+            raise TypeError(f"a usage set needs an AttributeCatalog, got {self.catalog!r}")
+        query_ids = tuple(self.query_ids)
+        indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
         if any(a.size and a.dtype.kind not in "iu" for a in (indptr, indices)):  # a bool or a float is no index
             raise WorkloadFormatError(
                 f"usage set indptr and indices must be integers, got {indptr.dtype} and {indices.dtype}"
@@ -170,8 +142,8 @@ class UsageSet:
             )
         indptr.setflags(write=False)
         indices.setflags(write=False)
-        for name, value in (("query_ids", query_ids), ("catalog", catalog), ("indptr", indptr),
-                            ("indices", indices), ("dropped", tuple(dropped)), ("diagnostics", tuple(diagnostics))):
+        for name, value in (("query_ids", query_ids), ("indptr", indptr), ("indices", indices),
+                            ("dropped", tuple(self.dropped)), ("diagnostics", tuple(self.diagnostics))):
             object.__setattr__(self, name, value)
         self._check_entries(self._check_queries())
 
@@ -236,12 +208,6 @@ class UsageSet:
                 and self.dropped == other.dropped and self.diagnostics == other.diagnostics)
 
     @property
-    def queries(self) -> tuple[tuple[str, frozenset[int]], ...]:
-        """(id, index set) per kept query, built from the CSR arrays on each read."""
-        flat, bounds = self.indices.tolist(), self.indptr.tolist()
-        return tuple((qid, frozenset(flat[lo:hi])) for qid, lo, hi in zip(self.query_ids, bounds, bounds[1:]))
-
-    @property
     def query_count(self) -> int:
         return len(self.query_ids)
 
@@ -263,7 +229,8 @@ def load_workload(path: str | Path, format: str) -> list[QueryRecord]:
     body_key = "attrs" if format == "jsonl-attrs" else "sql"
     other_key = "sql" if body_key == "attrs" else "attrs"
     records: list[QueryRecord] = []
-    seen_ids: set[str] = set()
+    seen_ids: dict[str, None] = {}  # a dict's keys pack tighter than a set
+    names: dict[str, str] = {}  # one string per distinct attribute name, shared by every record naming it
     for lineno, raw in read_lines(path, "workload"):
         line = raw.strip()
         if not line:
@@ -279,7 +246,7 @@ def load_workload(path: str | Path, format: str) -> list[QueryRecord]:
             raise WorkloadFormatError("record needs a non-empty string id", lineno)
         if qid in seen_ids:
             raise WorkloadFormatError(f"duplicate query id {qid!r}", lineno)
-        seen_ids.add(qid)
+        seen_ids[qid] = None
         ts = obj.get("ts")
         if ts is not None and (isinstance(ts, bool) or not isinstance(ts, int)):
             raise WorkloadFormatError(f"query {qid!r}: ts must be integer epoch milliseconds", lineno)
@@ -289,7 +256,7 @@ def load_workload(path: str | Path, format: str) -> list[QueryRecord]:
         if body_key == "attrs":
             if not isinstance(body, list) or any(not isinstance(a, str) or not a for a in body):
                 raise WorkloadFormatError(f"query {qid!r}: attrs must be a list of non-empty strings", lineno)
-            records.append(QueryRecord(id=qid, timestamp=ts, attrs=tuple(body)))
+            records.append(QueryRecord(id=qid, timestamp=ts, attrs=tuple(map(names.setdefault, body, body))))
         else:
             if not isinstance(body, str) or not body.strip():
                 raise WorkloadFormatError(f"query {qid!r}: sql must be a non-empty string", lineno)

@@ -2,13 +2,19 @@
 
 Everything here is deliberately naive: triple loops over index sets and
 exact rational arithmetic, no numpy, and no calls into the package's own
-math. If the fast path and these agree, both are probably right.
+math. If the fast path and these agree, both are probably right. The
+object forms the package does not build live here too: a matrix file's
+JSON object (json_obj) and a usage set's (id, index set) pairs (usage_set,
+usage_rows).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+
+from attrscale import UsageSet
 
 
 def oracle_adm(rows: list[set[int]], n: int) -> tuple[list[list[int]], list[int]]:
@@ -140,3 +146,18 @@ def json_obj(matrix) -> dict:
         stats = {name: _masked(getattr(matrix, name).tolist(), shown) for name in ("mean", "variance", "sd")}
         return {"kind": "MVSD", "attributes": labels, **stats}
     return {"kind": matrix.kind, "attributes": labels, "values": _masked(matrix.values.tolist(), matrix.defined.tolist())}
+
+
+def usage_set(pairs, catalog, **reports):
+    """The UsageSet of (id, index set) pairs, each set's indices sorted into its row of the CSR arrays;
+    reports are its dropped and diagnostics entries."""
+    pairs = tuple(pairs)
+    rows = [sorted(indices) for _, indices in pairs]
+    indptr = [0, *accumulate(map(len, rows))]
+    return UsageSet(tuple(qid for qid, _ in pairs), catalog, indptr, [i for row in rows for i in row], **reports)
+
+
+def usage_rows(usage) -> list[tuple[str, list[int]]]:
+    """(id, ascending indices) of every kept query of a usage set, read from its CSR arrays."""
+    flat, bounds = usage.indices.tolist(), usage.indptr.tolist()
+    return [(qid, flat[lo:hi]) for qid, lo, hi in zip(usage.query_ids, bounds, bounds[1:])]

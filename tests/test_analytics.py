@@ -17,7 +17,6 @@ from attrscale import (
     ScaleBundle,
     UnknownAttributeError,
     UsageMatrix,
-    UsageSet,
     build_adm,
     build_pdm,
     build_usage_set,
@@ -157,7 +156,7 @@ def test_explain_pair_queries_equal_a_column_scan_on_a_seeded_bundle():
     rng = np.random.default_rng(12)
     names = tuple(f"c{k}" for k in range(25))
     rows = [(f"q{i}", frozenset(rng.choice(23, size=rng.integers(1, 6), replace=False).tolist())) for i in range(300)]
-    bundle = run_pipeline(UsageSet(tuple(rows), AttributeCatalog(names)))  # c23 and c24 are never used
+    bundle = run_pipeline(oracles.usage_set(rows, AttributeCatalog(names)))  # c23 and c24 are never used
     unused = 0
     for h, k in itertools.permutations(range(len(names)), 2):
         expected = tuple(qid for qid, used in rows if h in used and k in used)
@@ -237,6 +236,10 @@ def test_suggest_groups_validation(reference_bundle):
         suggest_groups(reference_bundle, cutoff=11.0, max_size=3)
     with pytest.raises(AttrScaleError, match="max_size"):
         suggest_groups(reference_bundle, cutoff=5.0, max_size=1)
+    # a float or a bool is no size: 2.5 would let a group grow to 3
+    for max_size in (2.5, 3.0, True):
+        with pytest.raises(AttrScaleError, match=f"^max_size must be an integer, got {max_size}$"):
+            suggest_groups(reference_bundle, cutoff=10.0, max_size=max_size)
 
 
 def test_group_needs_two_members():

@@ -21,7 +21,6 @@ from attrscale import (
     AttributeCatalog,
     DependencyMatrix,
     MaskedRealMatrix,
-    UsageSet,
     load_snapshot,
     rank_pairs,
     run_pipeline,
@@ -482,7 +481,7 @@ def test_diff_of_analyzed_snapshots_matches_the_reference_byte_for_byte(capsys, 
 
 def nnsm_bundle(names, values, defined):
     """A bundle over names whose NNSM is given; diff reads no other matrix."""
-    base = run_pipeline(UsageSet((("q", frozenset({0})),), AttributeCatalog(tuple(names))))
+    base = run_pipeline(oracles.usage_set((("q", {0}),), AttributeCatalog(tuple(names))))
     nnsm = MaskedRealMatrix(kind="NNSM", attributes=tuple(names), values=values, defined=defined)
     return dataclasses.replace(base, nnsm=nnsm)
 

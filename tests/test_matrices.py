@@ -14,7 +14,6 @@ from attrscale import AttrScaleError, DependencyMatrix, MaskedRealMatrix, StatsT
 from attrscale import matrices
 from attrscale.matrices import _float_texts, format_value, json_text
 from attrscale.catalog import AttributeCatalog
-from attrscale.workload import UsageSet
 
 import oracles
 
@@ -84,7 +83,7 @@ def seeded_bundle(seed: int):
     queries = tuple(
         (f"q{i}", frozenset(rng.choice(28, size=rng.integers(1, 6), replace=False).tolist())) for i in range(200)
     )
-    return run_pipeline(UsageSet(queries=queries, catalog=AttributeCatalog(names)))
+    return run_pipeline(oracles.usage_set(queries, AttributeCatalog(names)))
 
 
 def test_json_text_equals_indent_2_on_every_matrix_kind(reference_bundle):

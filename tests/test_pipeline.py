@@ -13,7 +13,6 @@ from attrscale import (
     AttributeCatalog,
     QueryRecord,
     UsageMatrix,
-    UsageSet,
     build_adm,
     build_pdm,
     build_qaum,
@@ -49,8 +48,8 @@ def test_build_qaum_matches_usage_rows(reference_usage):
 def qaum_by_rows(usage):
     """The QAUM cells filled one query at a time: the reference for build_qaum's single scatter."""
     cells = np.zeros((usage.query_count, usage.attribute_count), dtype=np.uint8)
-    for row, (_, indices) in enumerate(usage.queries):
-        cells[row, sorted(indices)] = 1
+    for row, (_, indices) in enumerate(oracles.usage_rows(usage)):
+        cells[row, indices] = 1
     return cells
 
 
@@ -69,7 +68,7 @@ def test_build_qaum_equals_a_per_row_fill(seed):
         rows = [(f"q{i}", frozenset(rng.choice(n, size=rng.integers(1, n + 1), replace=False).tolist())) for i in range(m)]
         cases.append((n, rows))
     for n, rows in cases:
-        usage = UsageSet(tuple(rows), AttributeCatalog(tuple(f"c{k}" for k in range(n))))
+        usage = oracles.usage_set(rows, AttributeCatalog(tuple(f"c{k}" for k in range(n))))
         qaum = build_qaum(usage)
         assert qaum.query_ids == tuple(qid for qid, _ in rows)
         assert np.array_equal(qaum.cells, qaum_by_rows(usage))
@@ -100,7 +99,7 @@ def test_build_adm_counts_across_chunks_equal_the_oracle(monkeypatch):
 
     pair_codes = pipeline._pair_codes
     monkeypatch.setattr(pipeline, "_pair_codes", recorded)
-    adm = build_adm(build_qaum(UsageSet(tuple(rows), AttributeCatalog(tuple(f"c{k}" for k in range(n))))))
+    adm = build_adm(build_qaum(oracles.usage_set(rows, AttributeCatalog(tuple(f"c{k}" for k in range(n))))))
     assert len(chunks) >= 3 and max(map(sum, chunks)) <= max(n * n, 1 << 16)
     assert sum(codes for codes, _ in chunks) == sum(size * (size - 1) // 2 for size in lengths.tolist())
     counts, tm = oracles.oracle_adm([set(used) for _, used in rows], n)
@@ -114,7 +113,7 @@ def test_run_pipeline_on_a_tall_log_allocates_less_than_a_dense_qaum():
     n, m = 200, 40_000
     picks, sizes = rng.integers(0, n, size=(m, 4)).tolist(), rng.integers(1, 5, size=m).tolist()
     rows = tuple((f"q{i}", frozenset(row[:size])) for i, (row, size) in enumerate(zip(picks, sizes)))
-    usage = UsageSet(rows, AttributeCatalog(tuple(f"c{k}" for k in range(n))))
+    usage = oracles.usage_set(rows, AttributeCatalog(tuple(f"c{k}" for k in range(n))))
     tracemalloc.start()
     try:
         run_pipeline(usage)
@@ -270,7 +269,7 @@ def seeded_log(n: int, m: int, seed: int) -> tuple[tuple[str, ...], list[tuple[s
 
 
 def run_rows(rows, names):
-    return run_pipeline(UsageSet(tuple(rows), AttributeCatalog(tuple(names))))
+    return run_pipeline(oracles.usage_set(rows, AttributeCatalog(tuple(names))))
 
 
 def stage_bytes(bundle, stages=tuple(STAGE_ARRAYS), n=None):

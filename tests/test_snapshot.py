@@ -21,7 +21,6 @@ from attrscale import (
     Snapshot,
     SnapshotError,
     UsageMatrix,
-    UsageSet,
     build_usage_set,
     load_snapshot,
     load_workload,
@@ -31,6 +30,8 @@ from attrscale.cli import EXIT_INPUT_ERROR, main
 from attrscale.snapshot import _BLOCK_ENTRIES, FORMAT_VERSION, _content_hash, _snapshot_pieces, write_outputs
 from test_acceptance import synthetic_usage
 from test_workload import unknown_identifier_log
+
+import oracles
 
 
 def snapshot_text(snap: Snapshot) -> str:
@@ -85,7 +86,7 @@ def test_save_load_round_trip(snap, tmp_path):
     again = load_snapshot(path)
     assert snapshot_obj(again) == snapshot_obj(snap)
     assert again.config == snap.config
-    assert again.usage.queries == snap.usage.queries
+    assert oracles.usage_rows(again.usage) == oracles.usage_rows(snap.usage)
     assert again.bundle.warnings == snap.bundle.warnings
 
 
@@ -203,6 +204,7 @@ def _resealed_edits():
     yield "repeated-unknown-identifier", lambda obj: obj["usage"]["diagnostics"].append(
         {"query_id": obj["usage"]["queries"][0][0], "unknown_identifiers": ["x", "x"]}
     )
+    yield "int-attribute-name", lambda obj: obj["catalog"]["attributes"].__setitem__(0, 5)
 
 
 RESEALED_EDITS = dict(_resealed_edits())
@@ -364,7 +366,7 @@ def test_write_outputs_memory_stays_below_a_quarter_of_the_qaum_file(tmp_path):
     usage = synthetic_usage(400, 5000, seed=11)
     catalog = AttributeCatalog(usage.attributes)
     queries = tuple((qid, frozenset(np.flatnonzero(row).tolist())) for qid, row in zip(usage.query_ids, usage.cells))
-    usage_set = UsageSet(queries=queries, catalog=catalog)
+    usage_set = oracles.usage_set(queries, catalog)
     config = RunConfig("w", "jsonl-attrs", "c", SelectionSpec(), str(tmp_path / "out"))
     snap = Snapshot(config=config, usage=usage_set)
     snap.bundle  # the pipeline runs outside the measured region: only rendering is measured
@@ -403,7 +405,7 @@ def test_snapshot_json_written_in_blocks_is_the_canonical_encoding(tmp_path):
         "config": dataclasses.asdict(config),
         "catalog": {"attributes": list(usage.catalog.attributes)},
         "usage": {
-            "queries": [[qid, sorted(indices)] for qid, indices in usage.queries],
+            "queries": [[qid, indices] for qid, indices in oracles.usage_rows(usage)],
             "dropped": list(usage.dropped),
             "diagnostics": list(usage.diagnostics),
         },

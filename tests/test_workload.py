@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import re
@@ -29,6 +30,7 @@ from attrscale import (
 )
 
 from attrscale.cli import EXIT_INPUT_ERROR, main
+from oracles import usage_rows, usage_set
 from reference_tables import USAGE_ROWS
 
 
@@ -60,7 +62,7 @@ def test_load_attrs_fixture(data_dir):
 def test_sql_and_attrs_fixtures_agree(data_dir, catalog):
     attrs_usage = build_usage_set(load_workload(data_dir / "reference_workload_attrs.jsonl", "jsonl-attrs"), catalog)
     sql_usage = build_usage_set(load_workload(data_dir / "reference_workload_sql.jsonl", "jsonl-sql"), catalog)
-    assert attrs_usage.queries == sql_usage.queries
+    assert usage_rows(attrs_usage) == usage_rows(sql_usage)
     assert sql_usage.diagnostics == ()
 
 
@@ -242,7 +244,7 @@ def test_usage_threshold_denominator_is_fixed_before_drops():
     ]
     usage = build_usage_set(recs, catalog, usage_threshold=0.5)
     assert usage.catalog.attributes == ("a", "b")
-    assert [qid for qid, _ in usage.queries] == ["q1", "q2"]
+    assert usage.query_ids == ("q1", "q2")
     assert usage.dropped == ({"query_id": "q3", "reason": "empty attribute set after filtering"},)
 
 
@@ -255,7 +257,7 @@ def test_indices_repacked_densely():
     ]
     usage = build_usage_set(recs, catalog, usage_threshold=0.6)
     assert usage.catalog.attributes == ("a", "d")
-    assert usage.queries == (("q1", frozenset({0, 1})), ("q2", frozenset({0, 1})), ("q3", frozenset({1})))
+    assert usage_rows(usage) == [("q1", [0, 1]), ("q2", [0, 1]), ("q3", [1])]
 
 
 def test_threshold_removing_everything_is_empty_analysis(data_dir, catalog):
@@ -272,7 +274,7 @@ def test_no_queries_is_empty_analysis(catalog):
 def test_unknown_attrs_become_diagnostics(catalog):
     recs = [QueryRecord(id="q1", attrs=("a1", "mystery", "mystery"))]
     usage = build_usage_set(recs, catalog)
-    assert usage.queries == (("q1", frozenset({0})),)
+    assert usage_rows(usage) == [("q1", [0])]
     assert usage.diagnostics == ({"query_id": "q1", "unknown_identifiers": ["mystery"]},)
 
 
@@ -289,57 +291,53 @@ def test_sql_errors_name_their_query(catalog):
 def test_attrs_names_are_case_insensitive(catalog):
     recs = [QueryRecord(id="q1", attrs=("A1", "a2"))]
     usage = build_usage_set(recs, catalog)
-    assert usage.queries == (("q1", frozenset({0, 1})),)
+    assert usage_rows(usage) == [("q1", [0, 1])]
 
 
 def test_usage_set_validation(catalog):
     ok = ("q0", frozenset({0, 1}))
     with pytest.raises(WorkloadFormatError, match="^query 'q1' has an empty attribute set$"):
-        UsageSet(queries=(ok, ("q1", frozenset())), catalog=catalog)
+        usage_set((ok, ("q1", frozenset())), catalog)
     with pytest.raises(WorkloadFormatError, match="^query 'q1' has an attribute index outside the catalog$"):
-        UsageSet(queries=(ok, ("q1", frozenset({99}))), catalog=catalog)
+        usage_set((ok, ("q1", frozenset({99}))), catalog)
     with pytest.raises(WorkloadFormatError, match="^query id 7 is not a string$"):
-        UsageSet(queries=(ok, (7, frozenset({0}))), catalog=catalog)
+        usage_set((ok, (7, frozenset({0}))), catalog)
     # the first offending query is named, whatever its fault and whatever follows it
     with pytest.raises(WorkloadFormatError, match="^query 'q1' has an empty attribute set$"):
-        UsageSet(queries=(ok, ("q1", frozenset()), ("q2", frozenset({99}))), catalog=catalog)
+        usage_set((ok, ("q1", frozenset()), ("q2", frozenset({99}))), catalog)
     with pytest.raises(WorkloadFormatError, match="^query 'q1' has an attribute index outside the catalog$"):
-        UsageSet(queries=(ok, ("q1", frozenset({-1})), (7, frozenset()), ("q3", frozenset({99}))), catalog=catalog)
+        usage_set((ok, ("q1", frozenset({-1})), (7, frozenset()), ("q3", frozenset({99}))), catalog)
     # a query that breaks two rules is named by the earlier one: its id before its row, and within
     # its row an index outside the catalog before one out of order
     with pytest.raises(WorkloadFormatError, match="^duplicate query id 'q0'$"):
-        UsageSet(queries=(ok, ("q0", frozenset({99}))), catalog=catalog)
+        usage_set((ok, ("q0", frozenset({99}))), catalog)
     with pytest.raises(WorkloadFormatError, match="^query id 7 is not a string$"):
-        UsageSet(queries=(ok, (7, frozenset({99}))), catalog=catalog)
+        usage_set((ok, (7, frozenset({99}))), catalog)
     with pytest.raises(WorkloadFormatError, match="^query 'q1' has an attribute index outside the catalog$"):
         UsageSet(catalog=catalog, query_ids=("q0", "q1"), indptr=[0, 2, 5], indices=[0, 1, 5, 99, 1])
-    # only a Python int is an index: no bool, float, string or numpy integer passes as one
-    for index in (True, 0.5, 1.0, "1", np.int64(1), 2**70, len(catalog)):
-        with pytest.raises(WorkloadFormatError, match="^query 'q1' has an attribute index outside the catalog$"):
-            UsageSet(queries=(ok, ("q1", frozenset({0, index}))), catalog=catalog)
 
 
 def test_usage_set_refuses_repeated_ids_and_report_entries_build_usage_set_never_writes(catalog):
     ok = ("q0", frozenset({0, 1}))
     with pytest.raises(WorkloadFormatError, match="^duplicate query id 'q0'$"):
-        UsageSet(queries=(ok, ("q1", frozenset({0})), ("q0", frozenset({1}))), catalog=catalog)
+        usage_set((ok, ("q1", frozenset({0})), ("q0", frozenset({1}))), catalog)
     with pytest.raises(WorkloadFormatError, match="^empty query id$"):
-        UsageSet(queries=(ok, ("", frozenset({0}))), catalog=catalog)
+        usage_set((ok, ("", frozenset({0}))), catalog)
     dropped = {"query_id": "q9", "reason": "empty attribute set after filtering"}
     diagnostic = {"query_id": "q0", "unknown_identifiers": ["zz"]}
-    assert UsageSet(queries=(ok,), catalog=catalog, dropped=(dropped,), diagnostics=(diagnostic,)).dropped == (dropped,)
+    assert usage_set((ok,), catalog, dropped=(dropped,), diagnostics=(diagnostic,)).dropped == (dropped,)
     for entry in (5, "q9", {"query_id": "q9"}, {**dropped, "extra": 1}, {**dropped, "reason": None}):
         with pytest.raises(WorkloadFormatError, match="^dropped entry .* is not a query_id and a reason$"):
-            UsageSet(queries=(ok,), catalog=catalog, dropped=(entry,))
+            usage_set((ok,), catalog, dropped=(entry,))
     for entry in (5, dropped, {**diagnostic, "unknown_identifiers": "zz"}, {**diagnostic, "unknown_identifiers": [5]},
                   {**diagnostic, "query_id": 0}, {**diagnostic, "extra": 1}):
         with pytest.raises(WorkloadFormatError, match="^diagnostics entry .* is not a query_id and a list of identifiers$"):
-            UsageSet(queries=(ok,), catalog=catalog, diagnostics=(entry,))
+            usage_set((ok,), catalog, diagnostics=(entry,))
     # facts across fields: a dropped query is not kept and is dropped once; a diagnostics entry names a
     # kept or dropped query, once, with at least one identifier and none twice; analyze writes an empty
     # identifier (for SELECT "") and case variants, so they pass
-    assert UsageSet(queries=(ok,), catalog=catalog, dropped=(dropped,), diagnostics=({**diagnostic, "query_id": "q9"},))
-    assert UsageSet(queries=(ok,), catalog=catalog, diagnostics=({**diagnostic, "unknown_identifiers": ["", "zz", "ZZ"]},))
+    assert usage_set((ok,), catalog, dropped=(dropped,), diagnostics=({**diagnostic, "query_id": "q9"},))
+    assert usage_set((ok,), catalog, diagnostics=({**diagnostic, "unknown_identifiers": ["", "zz", "ZZ"]},))
     unnamed = {**dropped, "query_id": ""}
     for dropped_entries, diagnostics_entries, message in (
         (({**dropped, "query_id": "q0"},), (), "dropped query 'q0' is also a kept query"),
@@ -352,7 +350,7 @@ def test_usage_set_refuses_repeated_ids_and_report_entries_build_usage_set_never
          "diagnostics entry for query 'q0' repeats an unknown identifier"),
     ):
         with pytest.raises(WorkloadFormatError, match=f"^{re.escape(message)}$"):
-            UsageSet(queries=(ok,), catalog=catalog, dropped=dropped_entries, diagnostics=diagnostics_entries)
+            usage_set((ok,), catalog, dropped=dropped_entries, diagnostics=diagnostics_entries)
 
 
 def test_catalog_loading(tmp_path):
@@ -413,19 +411,32 @@ def test_a_byte_that_is_not_utf8_past_the_first_read_buffer_names_its_line(tmp_p
 
 
 def test_usage_set_csr_arrays(catalog):
-    usage = UsageSet(queries=(("q0", frozenset({2, 0})), ("q1", frozenset({1}))), catalog=catalog)
-    assert usage.query_ids == ("q0", "q1")
+    # the CSR arrays are the one form: a frozen dataclass of these fields, frozen as read-only int64
+    assert [f.name for f in dataclasses.fields(UsageSet)] == [
+        "query_ids", "catalog", "indptr", "indices", "dropped", "diagnostics",
+    ]
+    indptr, indices = np.array([0, 2, 3], dtype=np.int32), [0, 2, 1]
+    usage = UsageSet(["q0", "q1"], catalog, indptr, indices)
+    assert usage.query_ids == ("q0", "q1") and usage.dropped == usage.diagnostics == ()
     assert usage.indptr.tolist() == [0, 2, 3] and usage.indices.tolist() == [0, 2, 1]
     assert usage.indptr.dtype == usage.indices.dtype == np.int64
     assert not usage.indptr.flags.writeable and not usage.indices.flags.writeable
+    assert indptr.flags.writeable  # the caller's array is copied, not frozen
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        usage.query_ids = ("q9",)
+    with pytest.raises(TypeError, match="^a usage set needs an AttributeCatalog, got"):
+        UsageSet(("q0", "q1"), catalog.attributes, indptr, indices)
+    with pytest.raises(TypeError, match="missing 2 required positional arguments: 'indptr' and 'indices'"):
+        UsageSet(catalog=catalog, query_ids=("q0", "q1"))
     again = UsageSet(catalog=catalog, query_ids=usage.query_ids, indptr=usage.indptr, indices=usage.indices)
-    assert again.queries == usage.queries == (("q0", frozenset({0, 2})), ("q1", frozenset({1})))
-    # equal by value, whichever form built it; any field that differs makes it unequal
+    assert usage_rows(again) == usage_rows(usage) == [("q0", [0, 2]), ("q1", [1])]
+    # equal by value; any field that differs makes it unequal
     assert again == usage and again is not usage
-    assert usage == UsageSet((("q0", {0, 2}), ("q1", {1})), catalog)
+    assert usage == usage_set((("q0", {0, 2}), ("q1", {1})), catalog)
     entry = ({"query_id": "q1", "unknown_identifiers": ["zz"]},)
-    for other in (UsageSet((("q0", {0, 2}), ("q2", {1})), catalog), UsageSet((("q0", {0, 1}), ("q1", {2})), catalog),
-                  UsageSet((("q0", {0}), ("q1", {1, 2})), catalog), UsageSet(usage.queries, catalog, diagnostics=entry)):
+    for other in (usage_set((("q0", {0, 2}), ("q2", {1})), catalog), usage_set((("q0", {0, 1}), ("q1", {2})), catalog),
+                  usage_set((("q0", {0}), ("q1", {1, 2})), catalog),
+                  usage_set(usage_rows(usage), catalog, diagnostics=entry)):
         assert other != usage
     # the arrays must hold each query's indices strictly ascending, and indptr must bound them
     for indices in ([2, 0, 1], [0, 0, 1]):
@@ -437,10 +448,6 @@ def test_usage_set_csr_arrays(catalog):
     for indptr, indices in (([0, 2, 3], [False, True, True]), ([0, 2, 3], [0.0, 1.9, 1.0]), ([0.0, 2.0, 3.0], [0, 2, 1])):
         with pytest.raises(WorkloadFormatError, match="^usage set indptr and indices must be integers"):
             UsageSet(catalog=catalog, query_ids=("q0", "q1"), indptr=indptr, indices=indices)
-    with pytest.raises(TypeError, match="not both"):
-        UsageSet(queries=usage.queries, catalog=catalog, query_ids=usage.query_ids)
-    with pytest.raises(TypeError, match="query_ids, indptr and indices"):
-        UsageSet(catalog=catalog, query_ids=usage.query_ids)
 
 
 def test_usage_set_and_usage_matrix_refuse_the_same_csr_rows(catalog):
@@ -513,10 +520,26 @@ def test_intake_memory_stays_below_twenty_times_the_log(tmp_path):
 def test_names_without_a_utf8_encoding_are_refused(catalog):
     # a JSON \ud800 escape decodes to a lone surrogate, which no UTF-8 output file can hold
     with pytest.raises(WorkloadFormatError, match=r"^query id 'q\\ud800' has no UTF-8 encoding$"):
-        UsageSet(queries=(("q0", frozenset({0})), ("q\ud800", frozenset({1}))), catalog=catalog)
+        usage_set((("q0", frozenset({0})), ("q\ud800", frozenset({1}))), catalog)
     with pytest.raises(WorkloadFormatError, match=r"^attribute name 'b\\udfff' has no UTF-8 encoding$"):
         AttributeCatalog(("a", "b\udfff"))
     assert AttributeCatalog(("\U0001f600", "\u2028")).attributes == ("\U0001f600", "\u2028")
+
+
+def test_catalog_refuses_a_name_that_is_not_a_string():
+    # a resealed snapshot's catalog can hold any JSON value; the name is refused before any other rule
+    for names in (("a", 5), ("a", None), ("", ["b"]), (7, "a", "A")):
+        bad = next(name for name in names if not isinstance(name, str))
+        with pytest.raises(WorkloadFormatError, match=f"^attribute name {re.escape(repr(bad))} is not a string$"):
+            AttributeCatalog(names)
+
+
+def test_jsonl_attrs_records_share_one_string_per_name(tmp_path):
+    # json.loads builds a new string for every value it reads; the records keep one per distinct name
+    path = write_lines(tmp_path / "w.jsonl", ['{"id": "q1", "attrs": ["a1", "b2"]}', '{"id": "q2", "attrs": ["b2", "a1"]}'])
+    first, second = load_workload(path, "jsonl-attrs")
+    assert (first.attrs, second.attrs) == (("a1", "b2"), ("b2", "a1"))
+    assert first.attrs[0] is second.attrs[1] and first.attrs[1] is second.attrs[0]
 
 
 def test_catalog_errors(tmp_path):
