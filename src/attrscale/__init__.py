@@ -22,12 +22,11 @@ from .errors import (
     UnsupportedSqlError,
     WorkloadFormatError,
 )
-from .matrices import DependencyMatrix, MaskedRealMatrix, StatsTable, UsageMatrix
+from .matrices import DependencyMatrix, MaskedRealMatrix, StatsTable
 from .pipeline import (
     ScaleBundle,
     build_adm,
     build_pdm,
-    build_qaum,
     compute_mvsd,
     compute_nnsm,
     compute_nsm,
@@ -61,12 +60,10 @@ __all__ = [
     "StatsTable",
     "UnknownAttributeError",
     "UnsupportedSqlError",
-    "UsageMatrix",
     "UsageSet",
     "WorkloadFormatError",
     "build_adm",
     "build_pdm",
-    "build_qaum",
     "build_usage_set",
     "compute_mvsd",
     "compute_nnsm",

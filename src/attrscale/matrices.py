@@ -1,6 +1,8 @@
 """Matrix and statistics types shared by the pipeline, plus exchange formats.
 
-All matrix types are immutable value objects over numpy storage. Cells that
+The QAUM has no type here: it is the usage set itself (workload.UsageSet),
+whose CSR arrays qaum_csv_pieces and qaum_json_pieces render. The other
+matrix types are immutable value objects over numpy storage. Cells that
 carry no value (the diagonal, zero co-occurrence, isolated attributes) are an
 explicit undefined state, rendered as UNDEFINED_CSV in CSV and null in
 JSON, never as a magic number. JSON always serializes values at full double
@@ -16,7 +18,7 @@ csv.writer and json.dumps see only the header and the labels, and rows are
 joined with str.join. The QAUM's cells are single digits, so every row of
 its files has a fixed width: a block's rows are cut from one uint8 byte
 template of zeros, its ones written by one scatter from the block's slice of
-the QAUM's CSR arrays. Every other
+the usage set's CSR arrays. Every other
 block formats each distinct defined value once (np.unique over the float64
 bit pattern, so -0.0 and 0.0 stay apart): integers through str, floats
 through "%.{p}f" (or repr at full precision), and format_value, the one
@@ -220,87 +222,28 @@ def json_text(obj, depth: int = 0) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=True).replace("\n", "\n" + "  " * depth)
 
 
-def _csr_faults(indptr: np.ndarray, indices: np.ndarray, n: int) -> tuple[int, int]:
-    """The first row of CSR arrays that holds an index outside [0, n), and the first whose indices do
-    not ascend strictly, each m (the row count) when no row does. A row may start at or below the end
-    of the row before it. indptr must run from 0 to len(indices), never decreasing."""
-    m = len(indptr) - 1
-    outside = (indices < 0) | (indices >= n)
-    unordered = indices[1:] <= indices[:-1]
-    starts = indptr[1:-1]
-    unordered[starts[(starts > 0) & (starts < indices.size)] - 1] = False  # a new row may start lower
-    # the row whose slice holds a mask's first entry (entry i of unordered compares i with i + 1)
-    return tuple(int(np.searchsorted(indptr, mask.argmax(), side="right")) - 1 if mask.any() else m
-                 for mask in (outside, unordered))
+def _usage_rows(usage, layout: _Layout) -> Iterator[list[str]]:
+    """Each row of the QAUM's 0/1 cells joined in layout, one list per block of rows, from that block's
+    slice of a usage set's CSR arrays."""
+    n = len(usage.catalog)
+    for rows in _blocks(len(usage.query_ids), n):
+        bounds = usage.indptr[rows.start : rows.stop + 1]
+        yield _digit_rows(np.diff(bounds), usage.indices[bounds[0] : bounds[-1]], n, layout)
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class UsageMatrix:
-    """Binary m×n query/attribute usage matrix (the pipeline's QAUM), held as CSR.
+def qaum_csv_pieces(usage) -> Iterator[str]:
+    """The QAUM's CSV file in pieces, from a usage set: one row per kept query, 1 at each attribute it uses."""
+    return _csv_pieces(["query", *usage.catalog.attributes], usage.query_ids, _usage_rows(usage, _CSV_ROW))
 
-    Query q uses the attributes indices[indptr[q]:indptr[q + 1]], in ascending
-    order, so the matrix takes memory in its used cells, never in m·n. The
-    constructor takes those two arrays or, in their place, dense 0/1 cells of
-    shape (m, n); cells is derived from the CSR arrays on each read, read-only.
-    """
 
-    query_ids: tuple[str, ...]
-    attributes: tuple[str, ...]
-    indptr: np.ndarray  # int64, shape (m + 1,): 0, then the end of each query's slice of indices
-    indices: np.ndarray  # int64, shape (indptr[m],): each query's attribute indices, ascending
-
-    def __init__(self, query_ids, attributes, cells=None, *, indptr=None, indices=None):
-        m, n = len(query_ids), len(attributes)
-        if cells is not None:
-            if indptr is not None or indices is not None:
-                raise AttrScaleError("a usage matrix takes cells or indptr and indices, not both")
-            cells = _frozen(cells, np.uint8, (m, n))
-            if cells.size and cells.max() > 1:
-                raise AttrScaleError("usage matrix cells must be 0 or 1")
-            indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(cells, axis=1))))
-            indices = np.nonzero(cells)[1]  # row-major, so each row's columns ascend
-        elif indptr is None or indices is None:
-            raise AttrScaleError("a usage matrix takes cells, or indptr and indices")
-        indptr = _frozen(indptr, np.int64, (m + 1,))
-        if indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
-            raise AttrScaleError("usage matrix indptr must start at 0 and never decrease")
-        indices = _frozen(indices, np.int64, (int(indptr[-1]),))
-        outside, unordered = _csr_faults(indptr, indices, n)
-        if outside < m:
-            raise AttrScaleError("usage matrix has an attribute index outside the catalog")
-        if unordered < m:
-            raise AttrScaleError("usage matrix indices must ascend strictly within each query")
-        object.__setattr__(self, "query_ids", query_ids)
-        object.__setattr__(self, "attributes", attributes)
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
-
-    @property
-    def cells(self) -> np.ndarray:
-        """The dense uint8 grid of shape (m, n), built on each read; read-only."""
-        cells = np.zeros((len(self.query_ids), len(self.attributes)), dtype=np.uint8)
-        cells[np.repeat(np.arange(len(self.query_ids)), np.diff(self.indptr)), self.indices] = 1
-        cells.setflags(write=False)
-        return cells
-
-    def _rows(self, layout: _Layout) -> Iterator[list[str]]:
-        """Each row of cells joined in layout, one list per block of rows, from that block's CSR slice."""
-        n = len(self.attributes)
-        for rows in _blocks(len(self.query_ids), n):
-            bounds = self.indptr[rows.start : rows.stop + 1]
-            yield _digit_rows(np.diff(bounds), self.indices[bounds[0] : bounds[-1]], n, layout)
-
-    def csv_pieces(self, precision: int | None = None) -> Iterator[str]:
-        del precision  # binary cells, nothing to round
-        return _csv_pieces(["query", *self.attributes], self.query_ids, self._rows(_CSV_ROW))
-
-    def json_pieces(self) -> Iterator[str]:
-        return _json_object({
-            "kind": '"QAUM"',
-            "query_ids": json_text(self.query_ids, 1),
-            "attributes": json_text(self.attributes, 1),
-            "cells": _joined_pieces(self._rows(_JSON_ROW), _JSON_LIST),
-        })
+def qaum_json_pieces(usage) -> Iterator[str]:
+    """The QAUM's JSON file in pieces, from a usage set."""
+    return _json_object({
+        "kind": '"QAUM"',
+        "query_ids": json_text(usage.query_ids, 1),
+        "attributes": json_text(usage.catalog.attributes, 1),
+        "cells": _joined_pieces(_usage_rows(usage, _JSON_ROW), _JSON_LIST),
+    })
 
 
 @dataclass(frozen=True, eq=False)

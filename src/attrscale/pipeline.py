@@ -6,6 +6,8 @@ mean/variance/SD (MVSD), the numeric scale |SD_h - SD_k| / ADM[h,k] (NSM),
 and its row-wise normalization to [0,10] (NNSM). Lower scale values mean
 stronger inter-attribute dependence; each row's weakest partner maps to 10.
 
+The QAUM is the usage set itself: its CSR arrays are the matrix's rows, so
+run_pipeline keeps it as the bundle's qaum, neither copied nor checked again.
 All arithmetic runs at full double precision; counts are exact int64,
 tallied from pair codes, and no stage builds a dense m×n array. Undefined
 cells propagate forward: a cell with no probability has no scale value.
@@ -21,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AttrScaleError
-from .matrices import DependencyMatrix, MaskedRealMatrix, StatsTable, UsageMatrix
+from .matrices import DependencyMatrix, MaskedRealMatrix, StatsTable
 from .workload import UsageSet
 
 
@@ -29,7 +31,7 @@ from .workload import UsageSet
 class ScaleBundle:
     """Every intermediate of one pipeline run, retained for export and explanation."""
 
-    qaum: UsageMatrix
+    qaum: UsageSet
     adm: DependencyMatrix
     pdm: MaskedRealMatrix
     mvsd: StatsTable
@@ -59,16 +61,6 @@ class ScaleBundle:
         )
 
 
-def build_qaum(usage: UsageSet) -> UsageMatrix:
-    """Binary m×n matrix: cell (h,k) = 1 iff query h uses attribute k, from the usage set's CSR arrays."""
-    return UsageMatrix(
-        query_ids=usage.query_ids,
-        attributes=usage.catalog.attributes,
-        indptr=usage.indptr,
-        indices=usage.indices,
-    )
-
-
 def _pair_codes(bounds: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
     """The code h·n + k of every pair h < k of attributes one query uses, over the queries whose
     slices of indices the offsets bounds delimit; at most two arrays of codes are alive at once."""
@@ -94,8 +86,8 @@ def _pair_codes(bounds: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
 _TILE = 256  # the side of the square tiles build_adm mirrors its counts in
 
 
-def build_adm(qaum: UsageMatrix) -> DependencyMatrix:
-    """Count, for every attribute pair, the queries using both.
+def build_adm(usage: UsageSet) -> DependencyMatrix:
+    """Count, for every attribute pair, the kept queries of a usage set (the QAUM's rows) using both.
 
     np.bincount counts the pair codes h·n + k (h < k) of every query in exact
     int64 arithmetic, over chunks of consecutive queries whose codes and
@@ -104,8 +96,8 @@ def build_adm(qaum: UsageMatrix) -> DependencyMatrix:
     they are symmetric by construction. The diagonal is never counted and
     stays 0 (undefined), and Total Measure is the row sum.
     """
-    n, m = len(qaum.attributes), len(qaum.query_ids)
-    cost = np.diff(qaum.indptr)
+    n, m = len(usage.catalog), len(usage.query_ids)
+    cost = np.diff(usage.indptr)
     cost *= cost + 1
     cost //= 2  # a query's L(L-1)/2 codes and its L indices
     before = np.concatenate(([0], np.cumsum(cost)))  # the cost of the queries before each one
@@ -115,7 +107,7 @@ def build_adm(qaum: UsageMatrix) -> DependencyMatrix:
     def tally(start: int) -> tuple[np.ndarray, int]:
         """The counts of the codes of the queries from start on that fit the budget, and where they stop."""
         stop = int(np.searchsorted(before, before[start] + budget, side="right")) - 1
-        return np.bincount(_pair_codes(qaum.indptr[start : stop + 1], qaum.indices, n), minlength=n * n), stop
+        return np.bincount(_pair_codes(usage.indptr[start : stop + 1], usage.indices, n), minlength=n * n), stop
 
     counts, stop = tally(0)  # a first chunk even when m = 0 gives counts its size
     while stop < m:
@@ -128,7 +120,7 @@ def build_adm(qaum: UsageMatrix) -> DependencyMatrix:
         for j in range(i, n, _TILE):
             counts[j : j + _TILE, i : i + _TILE] += counts[i : i + _TILE, j : j + _TILE].T
     return DependencyMatrix(
-        attributes=qaum.attributes,
+        attributes=usage.catalog.attributes,
         counts=counts,
         total_measure=counts.sum(axis=1),
     )
@@ -200,10 +192,9 @@ def compute_nnsm(nsm: MaskedRealMatrix) -> MaskedRealMatrix:
 
 
 def run_pipeline(usage: UsageSet) -> ScaleBundle:
-    """Run all six steps over a usage set."""
-    qaum = build_qaum(usage)
-    adm = build_adm(qaum)
+    """Run all six steps over a usage set, which is the bundle's QAUM."""
+    adm = build_adm(usage)
     pdm = build_pdm(adm)
     mvsd = compute_mvsd(adm, pdm)
     nsm = compute_nsm(adm, mvsd)
-    return ScaleBundle(qaum=qaum, adm=adm, pdm=pdm, mvsd=mvsd, nsm=nsm, nnsm=compute_nnsm(nsm))
+    return ScaleBundle(qaum=usage, adm=adm, pdm=pdm, mvsd=mvsd, nsm=nsm, nnsm=compute_nnsm(nsm))

@@ -144,6 +144,17 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _field(parent: dict, name: str, kind: type):
+    """The value of a dotted field name's last key in parent, when that key is present and holds kind
+    (dict or list), the JSON type this version writes there; else ValueError names the field."""
+    key = name.rpartition(".")[2]
+    if key not in parent:
+        raise ValueError(f"{name} is missing")
+    if type(parent[key]) is not kind:
+        raise ValueError(f"{name} is not a JSON {'object' if kind is dict else 'array'}")
+    return parent[key]
+
+
 def _csr(rows: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     """indptr and indices of a snapshot's rows of attribute indices, each row's in its own order. Only a
     Python int within [0, n) is an index: any other JSON value (a bool, a float, a string, 2**70) is
@@ -178,20 +189,26 @@ def load_snapshot(path: str | Path) -> Snapshot:
     if stored_hash != _content_hash(payload):
         raise SnapshotError(f"snapshot {path} failed its content hash check (corrupt or edited)")
     try:
-        cfg = obj["config"]
-        config = RunConfig(**{**cfg, "selection": SelectionSpec(**cfg["selection"])})
-        catalog = AttributeCatalog(tuple(obj["catalog"]["attributes"]))
-        rows = obj["usage"]["queries"]
-        if type(rows) is not list:
-            raise TypeError(f"usage queries must be a list, got {rows!r}")
+        cfg = _field(obj, "config", dict)
+        config = RunConfig(**{**cfg, "selection": SelectionSpec(**_field(cfg, "config.selection", dict))})
+        catalog = AttributeCatalog(tuple(_field(_field(obj, "catalog", dict), "catalog.attributes", list)))
+        stored = _field(obj, "usage", dict)
+        rows, dropped, diagnostics = (
+            _field(stored, f"usage.{key}", list) for key in ("queries", "dropped", "diagnostics")
+        )
+        for r, row in enumerate(rows):
+            if type(row) is not list or len(row) != 2 or type(row[1]) is not list:
+                raise ValueError(f"usage row {r} is not an [id, indices] pair")
+        if not rows:  # analyze refuses a run that keeps no query, so it never writes one
+            raise ValueError("usage holds no query")
         indptr, indices = _csr([indices for _, indices in rows], len(catalog))
         usage = UsageSet(
             catalog=catalog,
             query_ids=tuple(qid for qid, _ in rows),
             indptr=indptr,
             indices=indices,
-            dropped=tuple(obj["usage"]["dropped"]),
-            diagnostics=tuple(obj["usage"]["diagnostics"]),
+            dropped=tuple(dropped),
+            diagnostics=tuple(diagnostics),
         )
         snap = Snapshot(config=config, usage=usage)
     except (KeyError, TypeError, ValueError, AttributeError, IndexError, AttrScaleError) as exc:
@@ -199,8 +216,8 @@ def load_snapshot(path: str | Path) -> Snapshot:
         raise SnapshotError(f"snapshot {path} is malformed: {exc}") from exc
     # a missing key (loaded as its default), an extra or foreign one, or an unsorted or repeated
     # index would re-export as other bytes: only what this version writes for its inputs loads. The
-    # rows are not rebuilt for this: the usage set refuses any row but an [id, ascending indices] list,
-    # since any other value that unpacks into two entries gives a string, a key or nothing as its indices
+    # rows are compared as read, not rebuilt: each is an [id, indices] pair, and the usage set has
+    # checked its id and indices
     written = {**_head(snap), "usage": {
         "queries": rows, "dropped": list(usage.dropped), "diagnostics": list(usage.diagnostics),
     }}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress, repeat
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from .catalog import AttributeCatalog, encodes_as_utf8, read_lines
 from .errors import EmptyAnalysisError, SelectionError, SqlSyntaxError, WorkloadFormatError
-from .matrices import _csr_faults
+from .matrices import qaum_csv_pieces, qaum_json_pieces
 from .sql_columns import extract_attributes
 
 WORKLOAD_FORMATS = ("jsonl-attrs", "jsonl-sql")
@@ -96,10 +97,10 @@ def _first_id_fault(query_ids: tuple) -> tuple[int, str | None, dict[str, None]]
 
 @dataclass(frozen=True, eq=False)
 class UsageSet:
-    """Selected queries as attribute index sets over the surviving catalog.
+    """Selected queries as attribute index sets over the surviving catalog: the pipeline's QAUM.
 
-    Kept queries are held as the QAUM's CSR arrays, the one form a usage set
-    takes: query q, named query_ids[q], uses the attributes
+    Kept queries are held as CSR arrays, the one form a usage set and the
+    QAUM take: query q, named query_ids[q], uses the attributes
     indices[indptr[q]:indptr[q + 1]], strictly ascending; both arrays are
     stored as read-only int64, and arrays that do not hold integers are
     refused. Query ids are distinct non-empty strings, and every index lies
@@ -112,10 +113,11 @@ class UsageSet:
     dropped query, is not repeated and lists at least one identifier, none
     twice (an empty one and case variants pass). One walk over the ids
     (_first_id_fault) checks them and keeps them as a dict's keys, which the
-    entry checks reuse; matrices._csr_faults, which owns the QAUM's row
-    rules, finds the first query with an index outside the catalog or out of
-    ascending order; one walk over each report field checks its entries. The
-    first offending query or entry is named, by the first rule it breaks.
+    entry checks reuse; _check_queries finds the first query with an empty
+    row, an index outside the catalog or one out of ascending order; one
+    walk over each report field checks its entries. The first offending
+    query or entry is named, by the first rule it breaks. csv_pieces and
+    json_pieces render the QAUM's files from the arrays.
     """
 
     query_ids: tuple[str, ...]
@@ -129,14 +131,17 @@ class UsageSet:
         if not isinstance(self.catalog, AttributeCatalog):
             raise TypeError(f"a usage set needs an AttributeCatalog, got {self.catalog!r}")
         query_ids = tuple(self.query_ids)
-        indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
+        try:
+            indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
+        except ValueError as exc:  # a ragged list is no array
+            raise WorkloadFormatError(f"usage set indptr and indices must be integer arrays: {exc}") from None
         if any(a.size and a.dtype.kind not in "iu" for a in (indptr, indices)):  # a bool or a float is no index
             raise WorkloadFormatError(
                 f"usage set indptr and indices must be integers, got {indptr.dtype} and {indices.dtype}"
             )
         indptr, indices = indptr.astype(np.int64), indices.astype(np.int64)
         m = len(query_ids)
-        if indptr.shape != (m + 1,) or indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+        if indptr.shape != (m + 1,) or indptr[0] != 0 or indices.shape != (indptr[-1],) or np.any(np.diff(indptr) < 0):
             raise WorkloadFormatError(
                 "usage set indptr must run from 0 to len(indices), one step per query, never decreasing"
             )
@@ -150,12 +155,19 @@ class UsageSet:
     def _check_queries(self) -> dict[str, None]:
         """The kept ids, as a dict's keys; else WorkloadFormatError names the first query that breaks a
         rule, by the first rule it breaks."""
-        ids, lengths = self.query_ids, np.diff(self.indptr)
+        ids, indptr, indices = self.query_ids, self.indptr, self.indices
         m = len(ids)
-        # the first query that breaks each rule
+        lengths = np.diff(indptr)
+        outside = (indices < 0) | (indices >= len(self.catalog))
+        unordered = indices[1:] <= indices[:-1]
+        starts = indptr[1:-1]
+        unordered[starts[(starts > 0) & (starts < indices.size)] - 1] = False  # a new row may start lower
+        # the first query that breaks each rule; a mask's first entry lies in the row whose slice holds it
+        # (entry i of unordered compares i with i + 1)
         id_first, fault, kept = _first_id_fault(ids)
         empty = int(np.argmin(lengths)) if m and not lengths.all() else m
-        outside, unordered = _csr_faults(self.indptr, self.indices, len(self.catalog))
+        outside, unordered = (int(np.searchsorted(indptr, mask.argmax(), side="right")) - 1 if mask.any() else m
+                              for mask in (outside, unordered))
         first = min(id_first, empty, outside, unordered)
         if first == m:
             return kept
@@ -206,6 +218,13 @@ class UsageSet:
         return (self.query_ids == other.query_ids and self.catalog == other.catalog
                 and np.array_equal(self.indptr, other.indptr) and np.array_equal(self.indices, other.indices)
                 and self.dropped == other.dropped and self.diagnostics == other.diagnostics)
+
+    def csv_pieces(self, precision: int | None = None) -> Iterator[str]:
+        del precision  # binary cells, nothing to round
+        return qaum_csv_pieces(self)
+
+    def json_pieces(self) -> Iterator[str]:
+        return qaum_json_pieces(self)
 
     @property
     def query_count(self) -> int:

@@ -4,8 +4,9 @@ Everything here is deliberately naive: triple loops over index sets and
 exact rational arithmetic, no numpy, and no calls into the package's own
 math. If the fast path and these agree, both are probably right. The
 object forms the package does not build live here too: a matrix file's
-JSON object (json_obj) and a usage set's (id, index set) pairs (usage_set,
-usage_rows).
+JSON object (json_obj), a usage set's (id, index set) pairs (usage_set,
+usage_rows) and the QAUM's dense 0/1 grid (usage_from_cells, dense; these
+two use numpy, as a grid of 10⁷ cells is too slow to walk in Python).
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
-from attrscale import UsageSet
+import numpy as np
+
+from attrscale import AttributeCatalog, UsageSet
 
 
 def oracle_adm(rows: list[set[int]], n: int) -> tuple[list[list[int]], list[int]]:
@@ -130,9 +133,10 @@ def json_obj(matrix) -> dict:
     """The object a matrix's JSON file encodes: its kind, labels and grids, None at undefined cells.
     The reference the matrix writers are checked against."""
     kind = type(matrix).__name__
+    if kind == "UsageSet":
+        labels = list(matrix.catalog.attributes)
+        return {"kind": "QAUM", "query_ids": list(matrix.query_ids), "attributes": labels, "cells": dense(matrix).tolist()}
     labels = list(matrix.attributes)
-    if kind == "UsageMatrix":
-        return {"kind": "QAUM", "query_ids": list(matrix.query_ids), "attributes": labels, "cells": matrix.cells.tolist()}
     if kind == "DependencyMatrix":
         off_diagonal = [[h != k for k in range(len(labels))] for h in range(len(labels))]
         return {
@@ -161,3 +165,20 @@ def usage_rows(usage) -> list[tuple[str, list[int]]]:
     """(id, ascending indices) of every kept query of a usage set, read from its CSR arrays."""
     flat, bounds = usage.indices.tolist(), usage.indptr.tolist()
     return [(qid, flat[lo:hi]) for qid, lo, hi in zip(usage.query_ids, bounds, bounds[1:])]
+
+
+def usage_from_cells(cells, names, query_ids=None):
+    """The UsageSet of a dense 0/1 grid over a catalog of names, row i being query query_ids[i] (q{i} by
+    default); as build_usage_set does, only the rows that use an attribute are kept."""
+    cells = np.asarray(cells, dtype=bool)
+    ids = query_ids or [f"q{i}" for i in range(len(cells))]
+    kept = np.flatnonzero(cells.any(axis=1))
+    indptr = np.concatenate(([0], np.cumsum(cells[kept].sum(axis=1))))
+    return UsageSet(tuple(ids[i] for i in kept.tolist()), AttributeCatalog(tuple(names)), indptr, np.nonzero(cells[kept])[1])
+
+
+def dense(usage) -> np.ndarray:
+    """The QAUM's dense uint8 0/1 grid of shape (m, n), from a usage set's CSR arrays."""
+    cells = np.zeros((usage.query_count, usage.attribute_count), dtype=np.uint8)
+    cells[np.repeat(np.arange(usage.query_count), np.diff(usage.indptr)), usage.indices] = 1
+    return cells

@@ -19,10 +19,9 @@ from attrscale import (
     AttributeCatalog,
     DependencyMatrix,
     QueryRecord,
-    UsageMatrix,
+    UsageSet,
     build_adm,
     build_pdm,
-    build_qaum,
     build_usage_set,
     compute_mvsd,
     compute_nnsm,
@@ -77,7 +76,7 @@ def test_01_usage_matrix_exact_and_fast(data_dir):
         t0 = time.perf_counter()
         catalog = load_catalog(data_dir / "reference_catalog.txt")
         records = load_workload(data_dir / "reference_workload_attrs.jsonl", "jsonl-attrs")
-        qaum = build_qaum(build_usage_set(records, catalog))
+        qaum = build_usage_set(records, catalog)
         elapsed = time.perf_counter() - t0
 
         expected = np.zeros((10, 10), dtype=np.uint8)
@@ -85,14 +84,14 @@ def test_01_usage_matrix_exact_and_fast(data_dir):
             for name in attrs:
                 expected[row, ATTRIBUTES.index(name)] = 1
         assert qaum.query_ids == tuple(qid for qid, _ in USAGE_ROWS)
-        assert qaum.attributes == ATTRIBUTES
-        assert np.array_equal(qaum.cells, expected)
+        assert qaum.catalog.attributes == ATTRIBUTES
+        assert np.array_equal(oracles.dense(qaum), expected)
         assert elapsed < 1.0
 
         # the statement-parsing path lands on the same matrix
         sql_records = load_workload(data_dir / "reference_workload_sql.jsonl", "jsonl-sql")
-        sql_qaum = build_qaum(build_usage_set(sql_records, catalog))
-        assert np.array_equal(sql_qaum.cells, expected)
+        sql_qaum = build_usage_set(sql_records, catalog)
+        assert np.array_equal(oracles.dense(sql_qaum), expected)
 
 
 def test_02_cooccurrence_counts_and_errata(reference_bundle):
@@ -228,7 +227,7 @@ def test_08_randomized_property_sweep():
                 [[1 if rng.random() < 0.35 else 0 for _ in range(n)] for _ in range(m)], dtype=np.uint8
             )
             names = tuple(f"c{i}" for i in range(n))
-            qaum = UsageMatrix(query_ids=tuple(f"q{i}" for i in range(m)), attributes=names, cells=cells)
+            qaum = oracles.usage_from_cells(cells, names)  # the rows that use no attribute add no count
             adm, pdm, stats, nsm, nnsm = stage_chain(qaum)
 
             counts, tm = oracles.oracle_adm([set(np.flatnonzero(r)) for r in cells], n)
@@ -323,16 +322,12 @@ def test_09_degenerate_workloads():
         assert len([w for w in bundle.warnings if w["code"] == "degenerate_tie"]) == 3
 
 
-def synthetic_usage(n: int, m: int, seed: int) -> UsageMatrix:
+def synthetic_usage(n: int, m: int, seed: int) -> UsageSet:
     rng = np.random.default_rng(seed)
     cells = (rng.random((m, n)) < 0.01).astype(np.uint8)
     empty = np.flatnonzero(cells.sum(axis=1) == 0)
     cells[empty, rng.integers(0, n, size=len(empty))] = 1
-    return UsageMatrix(
-        query_ids=tuple(f"q{i}" for i in range(m)),
-        attributes=tuple(f"c{i}" for i in range(n)),
-        cells=cells,
-    )
+    return oracles.usage_from_cells(cells, tuple(f"c{i}" for i in range(n)))
 
 
 def test_10_throughput_scaling():

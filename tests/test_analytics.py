@@ -16,7 +16,6 @@ from attrscale import (
     QueryRecord,
     ScaleBundle,
     UnknownAttributeError,
-    UsageMatrix,
     build_adm,
     build_pdm,
     build_usage_set,
@@ -46,7 +45,7 @@ def random_bundles(count: int, seed: int):
         m, n = rng.randint(1, 50), rng.randint(2, 20)
         cells = np.array([[rng.random() < 0.35 for _ in range(n)] for _ in range(m)], dtype=np.uint8)
         names = tuple(f"c{i}" for i in range(n))
-        qaum = UsageMatrix(query_ids=tuple(f"q{i}" for i in range(m)), attributes=names, cells=cells)
+        qaum = oracles.usage_from_cells(cells, names)
         adm = build_adm(qaum)
         pdm = build_pdm(adm)
         mvsd = compute_mvsd(adm, pdm)
@@ -66,7 +65,7 @@ def replayed_bundles(count: int, seed: int):
         pdm = build_pdm(adm)
         mvsd = compute_mvsd(adm, pdm)
         nsm = compute_nsm(adm, mvsd)
-        qaum = UsageMatrix(query_ids=(), attributes=names, cells=np.zeros((0, n), dtype=np.uint8))
+        qaum = oracles.usage_from_cells(np.zeros((0, n)), names)
         yield ScaleBundle(qaum=qaum, adm=adm, pdm=pdm, mvsd=mvsd, nsm=nsm, nnsm=compute_nnsm(nsm))
 
 

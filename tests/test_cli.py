@@ -344,11 +344,11 @@ def test_self_diff_ranks_are_rank_output_positions(capsys, tmp_path):
     # the analyze-wide benchmark's cells: many pairs tie at 0.0 and 10.0
     usage = synthetic_usage(200, 2000, seed=7)
     catalog = tmp_path / "catalog.txt"
-    catalog.write_text("".join(f"{name}\n" for name in usage.attributes))
+    names = usage.catalog.attributes
+    catalog.write_text("".join(f"{name}\n" for name in names))
     workload = tmp_path / "wide.jsonl"
     workload.write_text("".join(
-        json.dumps({"id": qid, "attrs": [usage.attributes[k] for k in np.flatnonzero(row)]}) + "\n"
-        for qid, row in zip(usage.query_ids, usage.cells)
+        json.dumps({"id": qid, "attrs": [names[k] for k in indices]}) + "\n" for qid, indices in oracles.usage_rows(usage)
     ))
     out = tmp_path / "wide"
     assert main([

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from attrscale import AttrScaleError, DependencyMatrix, MaskedRealMatrix, StatsTable, UsageMatrix, build_adm, run_pipeline
+from attrscale import AttrScaleError, DependencyMatrix, MaskedRealMatrix, StatsTable, UsageSet, run_pipeline
 from attrscale import matrices
 from attrscale.matrices import _float_texts, format_value, json_text
 from attrscale.catalog import AttributeCatalog
@@ -136,12 +136,16 @@ def csv_reference(matrix, precision) -> str:
     return buf.getvalue()
 
 
-def hand_built(names, query_ids, usage_rows, counts, values, defined, stats_defined):
-    """One matrix of each type over the given labels."""
+def labels(matrix) -> tuple[str, ...]:
+    """The attribute names of a matrix's columns; a usage set's are its catalog's."""
+    return matrix.catalog.attributes if isinstance(matrix, UsageSet) else matrix.attributes
+
+
+def hand_built(names, counts, values, defined, stats_defined):
+    """One matrix of each n×n type over the given labels."""
     n = len(names)
     counts = np.array(counts, dtype=np.int64).reshape(n, n)
     return {
-        "qaum": UsageMatrix(query_ids, names, np.array(usage_rows, dtype=np.uint8).reshape(len(query_ids), n)),
         "adm": DependencyMatrix(names, counts, counts.sum(axis=1)),
         "pdm": MaskedRealMatrix("PDM", names, np.array(values, dtype=np.float64).reshape(n, n), np.array(defined, dtype=bool).reshape(n, n)),
         "mvsd": StatsTable(names, np.arange(n) * 0.125, np.full(n, 0.5), np.full(n, 2.5), np.array(stats_defined, dtype=bool)),
@@ -155,22 +159,22 @@ def render_cases():
     for name in MATRIX_NAMES:
         yield f"reference-{name}", name  # read from the reference_bundle fixture
         yield f"seeded9-{name}", getattr(seeded, name)
+    # a QAUM's labels are query ids and catalog names, neither of which is ever empty
+    yield "odd-labels-qaum", oracles.usage_from_cells(rng.integers(0, 2, size=(4, 4)), ODD_LABELS[1:], ODD_LABELS[1:])
+    yield "n1-qaum", oracles.usage_from_cells([[1], [0], [1]], ("solo",), ("q1", "q2", "q3"))
+    yield "m0-qaum", oracles.usage_from_cells(np.zeros((0, 3)), ("a", "b", "c"))
     odd = hand_built(
         ODD_LABELS,
-        ODD_LABELS,
-        rng.integers(0, 2, size=(5, 5)),
         np.triu(rng.integers(0, 4, size=(5, 5)), 1) + np.triu(rng.integers(0, 4, size=(5, 5)), 1).T,
         rng.random((5, 5)),
         ~np.eye(5, dtype=bool) & (rng.random((5, 5)) < 0.7),
         [True, False, True, True, False],
     )
-    one = hand_built(("solo",), ("q1", "q2", "q3"), [[1], [0], [1]], [[0]], [[0.0]], [[False]], [True])
-    empty = hand_built((), ("q1", "q2"), np.zeros((2, 0)), np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)), [])
+    one = hand_built(("solo",), [[0]], [[0.0]], [[False]], [True])
+    empty = hand_built((), np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)), [])
     for tag, matrices in (("odd-labels", odd), ("n1", one), ("n0", empty)):
         for name, matrix in matrices.items():
             yield f"{tag}-{name}", matrix
-    yield "n0-empty-label-qaum", UsageMatrix(("", "q"), (), np.zeros((2, 0), dtype=np.uint8))
-    yield "m0-qaum", UsageMatrix((), ("a", "b", "c"), np.zeros((0, 3), dtype=np.uint8))
     pool = np.array([-0.0, 0.0, 5e-324, 1e16, 0.1, 2 / 3, 7.0])
     repeats = MaskedRealMatrix("NSM", tuple("abcdefgh"), rng.choice(pool, size=(8, 8)), ~np.eye(8, dtype=bool))
     yield "repeated-signed-zero", repeats
@@ -210,7 +214,7 @@ def set_block_rows(monkeypatch, rows, width) -> int:
 
 @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
 def test_files_streamed_in_blocks_equal_the_references(rendered, block_rows, monkeypatch):
-    set_block_rows(monkeypatch, block_rows, len(rendered.attributes))
+    set_block_rows(monkeypatch, block_rows, len(labels(rendered)))
     assert json_file(rendered) == json.dumps(oracles.json_obj(rendered), indent=2, ensure_ascii=True) + "\n"
     for precision in (None, 0, 2, 10):
         assert csv_file(rendered, precision) == csv_reference(rendered, precision)
@@ -223,7 +227,9 @@ def test_qaum_rows_at_block_boundaries_equal_the_references(block_rows, monkeypa
     rng = np.random.default_rng(block)
     for m in sorted({0, 1, block - 1, block, block + 1}):
         ids = tuple(f"{ODD_LABELS[i % len(ODD_LABELS)]}{i}" for i in range(m))
-        qaum = UsageMatrix(ids, names, rng.integers(0, 2, size=(m, len(names))))
+        cells = rng.integers(0, 2, size=(m, len(names)))
+        cells[np.arange(m), rng.integers(0, len(names), size=m)] = 1  # every query uses an attribute, so all m are kept
+        qaum = oracles.usage_from_cells(cells, names, ids)
         assert json_file(qaum) == json.dumps(oracles.json_obj(qaum), indent=2, ensure_ascii=True) + "\n", m
         assert csv_file(qaum) == csv_reference(qaum, None), m
         assert len(list(qaum.csv_pieces())) == 1 + -(-m // block), m  # the header, then a piece per block
@@ -236,9 +242,8 @@ def test_rendering_pins_ties_signed_zero_and_odd_labels():
     zeros = MaskedRealMatrix("PDM", ("a", "b", "c"), np.array([[0, -0.0, 0.0], [0.0, 0, -0.0], [5e-324, 1e16, 0]]), ~np.eye(3, dtype=bool))
     assert csv_file(zeros, 1) == "attribute,a,b,c\na,#,-0.0,0.0\nb,0.0,#,-0.0\nc,0.0,10000000000000000.0,#\n"
     assert '"values": [\n    [\n      null,\n      -0.0,\n      0.0\n    ],' in json_file(zeros)
-    qaum = UsageMatrix(("", "new\nline"), ("a",), np.array([[1], [0]], dtype=np.uint8))
-    assert csv_file(qaum) == 'query,a\n,1\n"new\nline",0\n'
-    assert csv_file(UsageMatrix(("",), (), np.zeros((1, 0), dtype=np.uint8))) == 'query\n""\n'
+    qaum = oracles.usage_from_cells([[1, 0], [0, 1]], ("a", "b,c"), ("new\nline", 'c"d'))
+    assert csv_file(qaum) == 'query,a,"b,c"\n"new\nline",1,0\n"c""d",0,1\n'
 
 
 def test_csv_rows_written_in_pieces_fail_loudly(monkeypatch):
@@ -280,121 +285,10 @@ def test_json_text_equals_indent_2_on_hand_built_objects(obj):
         assert text == json.dumps(wrapped, indent=2, ensure_ascii=True), depth
 
 
-def small_usage():
-    return UsageMatrix(
-        query_ids=("q1", "q2"),
-        attributes=("a", "b", "c"),
-        cells=np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8),
-    )
-
-
-def test_usage_matrix_validation():
-    with pytest.raises(AttrScaleError, match="shape"):
-        UsageMatrix(("q1",), ("a",), np.zeros((2, 1), dtype=np.uint8))
-    with pytest.raises(AttrScaleError, match="0 or 1"):
-        UsageMatrix(("q1",), ("a",), np.array([[2]], dtype=np.uint8))
-    with pytest.raises(AttrScaleError, match="change its values"):  # would wrap to 255
-        UsageMatrix(("q1",), ("a",), [[-1]])
-    with pytest.raises(AttrScaleError, match="change its values"):  # would truncate to 0
-        UsageMatrix(("q1",), ("a",), np.array([[0.5]]))
-
-
 def test_usage_matrix_csv_and_json():
-    qaum = small_usage()
+    qaum = oracles.usage_from_cells([[1, 1, 0], [0, 1, 1]], ("a", "b", "c"), ("q1", "q2"))
     assert csv_file(qaum) == "query,a,b,c\nq1,1,1,0\nq2,0,1,1\n"
     assert json.loads(json_file(qaum))["cells"] == [[1, 1, 0], [0, 1, 1]]
-
-
-def test_usage_matrix_is_immutable():
-    qaum = small_usage()
-    with pytest.raises(ValueError):
-        qaum.cells[0, 0] = 0
-
-
-def csr_by_rows(cells) -> tuple[list[int], list[int]]:
-    """indptr and indices of a 0/1 grid, one row at a time: the reference for the dense intake."""
-    indptr, indices = [0], []
-    for row in cells:
-        indices += [k for k, cell in enumerate(row) if cell]
-        indptr.append(len(indices))
-    return indptr, indices
-
-
-def usage_grids():
-    """0/1 grids: empty shapes, all-zero rows, full rows and seeded densities."""
-    rng = np.random.default_rng(23)
-    yield np.zeros((0, 0), dtype=bool)
-    yield np.zeros((0, 4), dtype=bool)
-    yield np.zeros((3, 0), dtype=bool)
-    yield np.zeros((4, 5), dtype=bool)
-    grid = rng.random((40, 13)) < 0.3
-    grid[[0, 7, 39]] = False
-    grid[5] = True
-    yield grid
-    for _ in range(4):
-        yield rng.random((int(rng.integers(1, 60)), int(rng.integers(1, 30)))) < rng.random()
-
-
-def test_dense_and_csr_intake_build_the_same_matrix():
-    for cells in usage_grids():
-        m, n = cells.shape
-        ids, names = tuple(f"q{i}" for i in range(m)), tuple(f"c{k}" for k in range(n))
-        indptr, indices = csr_by_rows(cells.tolist())
-        dense = UsageMatrix(ids, names, cells)
-        sparse = UsageMatrix(ids, names, indptr=indptr, indices=indices)
-        assert dense.indptr.tolist() == indptr and dense.indices.tolist() == indices, cells.shape
-        assert np.array_equal(dense.cells, cells) and np.array_equal(sparse.cells, cells), cells.shape
-        assert csv_file(sparse) == csv_file(dense) and json_file(sparse) == json_file(dense), cells.shape
-        adm, sparse_adm = build_adm(dense), build_adm(sparse)
-        assert np.array_equal(adm.counts, sparse_adm.counts), cells.shape
-        assert np.array_equal(adm.total_measure, sparse_adm.total_measure), cells.shape
-
-
-def test_usage_matrix_csr_is_a_frozen_copy_and_rows_may_restart_low():
-    indptr, indices = np.array([0, 2, 2, 3]), np.array([1, 2, 0])  # the third row starts below the first's end
-    qaum = UsageMatrix(("q1", "q2", "q3"), ("a", "b", "c"), indptr=indptr, indices=indices)
-    indptr[1], indices[0] = 1, 2
-    assert qaum.indptr.tolist() == [0, 2, 2, 3] and qaum.indices.tolist() == [1, 2, 0]
-    assert qaum.indptr.dtype == qaum.indices.dtype == np.int64
-    for arr in (qaum.indptr, qaum.indices, qaum.cells):
-        with pytest.raises(ValueError):
-            arr[0] = 0
-    assert qaum.cells.tolist() == [[0, 1, 1], [0, 0, 0], [1, 0, 0]]
-
-
-@pytest.mark.parametrize(
-    "indptr, indices, message",
-    [
-        ([0, 1, 2], [0, 3], "outside the catalog"),
-        ([0, 1, 2], [-1, 0], "outside the catalog"),
-        ([0, 2, 2], [1, 1], "ascend"),  # repeated within a row
-        ([0, 1, 3], [0, 2, 1], "ascend"),  # descending within a row
-        ([0, 2], [0, 1], "shape"),  # one offset short of m + 1
-        ([0, 1, 2, 2], [0, 1], "shape"),
-        ([[0, 1, 2]], [0, 1], "shape"),
-        ([1, 1, 2], [0, 1], "start at 0"),
-        ([-1, 1, 2], [0, 1], "start at 0"),
-        ([0, 2, 1], [0, 1], "never decrease"),
-        ([0, 1, 2], [0, 1, 2], "shape"),  # indptr ends before len(indices)
-        ([0, 1, 3], [0, 1], "shape"),  # and past it
-        ([0, 1.5, 2], [0, 1], "change its values"),
-        ([0, 1, 2], [0.5, 1], "change its values"),
-        ([0, 1, 2], [[0], [1, 2]], "cannot store"),  # ragged
-        ([0, 1, 2], ["a", "b"], "cannot store"),
-    ],
-)
-def test_usage_matrix_refuses_malformed_csr(indptr, indices, message):
-    with pytest.raises(AttrScaleError, match=message):
-        UsageMatrix(("q1", "q2"), ("a", "b", "c"), indptr=indptr, indices=indices)
-
-
-def test_usage_matrix_takes_cells_or_csr():
-    with pytest.raises(AttrScaleError, match="not both"):
-        UsageMatrix(("q1",), ("a",), [[1]], indptr=[0, 1], indices=[0])
-    with pytest.raises(AttrScaleError, match="indptr and indices"):
-        UsageMatrix(("q1",), ("a",), indptr=[0, 1])
-    with pytest.raises(AttrScaleError, match="indptr and indices"):
-        UsageMatrix(("q1",), ("a",))
 
 
 def small_dependency():

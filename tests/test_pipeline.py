@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -12,10 +13,8 @@ from attrscale import (
     AttrScaleError,
     AttributeCatalog,
     QueryRecord,
-    UsageMatrix,
     build_adm,
     build_pdm,
-    build_qaum,
     build_usage_set,
     compute_mvsd,
     compute_nnsm,
@@ -34,19 +33,21 @@ def usage_of(*attr_sets, names=("a", "b", "c")):
     return build_usage_set(records, catalog)
 
 
-def test_build_qaum_matches_usage_rows(reference_usage):
-    qaum = build_qaum(reference_usage)
+def test_run_pipeline_keeps_the_usage_set_as_its_qaum(reference_usage):
+    # the usage set is the QAUM: the bundle holds it, neither copied nor rebuilt
+    qaum = run_pipeline(reference_usage).qaum
+    assert qaum is reference_usage
     assert qaum.query_ids == tuple(qid for qid, _ in USAGE_ROWS)
-    assert qaum.attributes == ATTRIBUTES
+    assert qaum.catalog.attributes == ATTRIBUTES
     expected = np.zeros((10, 10), dtype=np.uint8)
     for row, (_, attrs) in enumerate(USAGE_ROWS):
         for name in attrs:
             expected[row, ATTRIBUTES.index(name)] = 1
-    assert np.array_equal(qaum.cells, expected)
+    assert np.array_equal(oracles.dense(qaum), expected)
 
 
 def qaum_by_rows(usage):
-    """The QAUM cells filled one query at a time: the reference for build_qaum's single scatter."""
+    """The QAUM cells filled one query at a time: the reference for the files' scatter of each block's ones."""
     cells = np.zeros((usage.query_count, usage.attribute_count), dtype=np.uint8)
     for row, (_, indices) in enumerate(oracles.usage_rows(usage)):
         cells[row, indices] = 1
@@ -54,7 +55,7 @@ def qaum_by_rows(usage):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_build_qaum_equals_a_per_row_fill(seed):
+def test_qaum_file_cells_equal_a_per_row_fill(seed):
     rng = np.random.default_rng(seed)
     unsorted = frozenset(range(0, 1000, 7)) | {1024, 2048, 4096}  # a hash table larger than its values
     assert list(unsorted) != sorted(unsorted)
@@ -69,15 +70,15 @@ def test_build_qaum_equals_a_per_row_fill(seed):
         cases.append((n, rows))
     for n, rows in cases:
         usage = oracles.usage_set(rows, AttributeCatalog(tuple(f"c{k}" for k in range(n))))
-        qaum = build_qaum(usage)
-        assert qaum.query_ids == tuple(qid for qid, _ in rows)
-        assert np.array_equal(qaum.cells, qaum_by_rows(usage))
+        qaum = json.loads("".join(usage.json_pieces()))
+        assert qaum["query_ids"] == [qid for qid, _ in rows]
+        assert qaum["cells"] == qaum_by_rows(usage).tolist()
 
 
 def test_build_adm_equals_recount_and_is_symmetric(reference_bundle):
     qaum = reference_bundle.qaum
-    rows = [set(np.flatnonzero(row)) for row in qaum.cells]
-    counts, tm = oracles.oracle_adm(rows, len(qaum.attributes))
+    rows = [set(indices) for _, indices in oracles.usage_rows(qaum)]
+    counts, tm = oracles.oracle_adm(rows, qaum.attribute_count)
     assert np.array_equal(reference_bundle.adm.counts, np.array(counts))
     assert np.array_equal(reference_bundle.adm.total_measure, np.array(tm))
     assert np.array_equal(reference_bundle.adm.counts, reference_bundle.adm.counts.T)
@@ -99,7 +100,7 @@ def test_build_adm_counts_across_chunks_equal_the_oracle(monkeypatch):
 
     pair_codes = pipeline._pair_codes
     monkeypatch.setattr(pipeline, "_pair_codes", recorded)
-    adm = build_adm(build_qaum(oracles.usage_set(rows, AttributeCatalog(tuple(f"c{k}" for k in range(n))))))
+    adm = build_adm(oracles.usage_set(rows, AttributeCatalog(tuple(f"c{k}" for k in range(n)))))
     assert len(chunks) >= 3 and max(map(sum, chunks)) <= max(n * n, 1 << 16)
     assert sum(codes for codes, _ in chunks) == sum(size * (size - 1) // 2 for size in lengths.tolist())
     counts, tm = oracles.oracle_adm([set(used) for _, used in rows], n)
@@ -211,7 +212,7 @@ def test_nnsm_keeps_fully_undefined_rows_undefined():
 def test_single_query_workload_runs_end_to_end():
     usage = usage_of(("a", "b", "c"), names=("a", "b", "c"))
     bundle = run_pipeline(usage)
-    assert bundle.qaum.cells.shape == (1, 3)
+    assert (bundle.qaum.query_count, bundle.qaum.attribute_count) == (1, 3)
     assert np.array_equal(bundle.adm.total_measure, np.array([2, 2, 2]))
     # every SD is 0, so the whole scale degenerates to zeros
     assert all(bundle.nnsm.cell(h, k) == 0.0 for h in range(3) for k in range(3) if h != k)
@@ -234,16 +235,6 @@ def test_stages_are_deterministic(reference_usage):
     assert one.nnsm.values.tobytes() == two.nnsm.values.tobytes()
     assert np.array_equal(one.nnsm.defined, two.nnsm.defined)
     assert one.warnings == two.warnings
-
-
-def test_adm_handles_empty_usage_rows_in_matrix_form():
-    # a query row with no attributes contributes nothing but is legal matrix input
-    qaum = UsageMatrix(("q1", "q2"), ("a", "b"), np.array([[0, 0], [1, 1]], dtype=np.uint8))
-    adm = build_adm(qaum)
-    assert np.array_equal(adm.counts, np.array([[0, 1], [1, 0]]))
-    pdm = build_pdm(adm)
-    nsm = compute_nsm(adm, compute_mvsd(adm, pdm))
-    assert np.array_equal(nsm.defined, pdm.defined)
 
 
 # Metamorphic relations over the whole stage chain. They follow from the
@@ -299,7 +290,7 @@ def test_permuting_the_queries_leaves_every_stage_bit_identical(seed):
     order = np.random.default_rng(seed).permutation(len(rows))
     shuffled = run_rows([rows[i] for i in order], names)
     assert shuffled.qaum.query_ids == tuple(base.qaum.query_ids[i] for i in order)
-    assert np.array_equal(shuffled.qaum.cells, base.qaum.cells[order])
+    assert np.array_equal(oracles.dense(shuffled.qaum), oracles.dense(base.qaum)[order])
     assert stage_bytes(shuffled) == stage_bytes(base)
     assert shuffled.warnings == base.warnings
 

@@ -20,7 +20,7 @@ from attrscale import (
     SelectionSpec,
     Snapshot,
     SnapshotError,
-    UsageMatrix,
+    UsageSet,
     build_usage_set,
     load_snapshot,
     load_workload,
@@ -205,6 +205,8 @@ def _resealed_edits():
         {"query_id": obj["usage"]["queries"][0][0], "unknown_identifiers": ["x", "x"]}
     )
     yield "int-attribute-name", lambda obj: obj["catalog"]["attributes"].__setitem__(0, 5)
+    # analyze exits 2 on a run that keeps no query, so it never writes an empty usage set
+    yield "no-kept-query", lambda obj: obj["usage"]["queries"].clear()
 
 
 RESEALED_EDITS = dict(_resealed_edits())
@@ -277,6 +279,45 @@ def test_resealed_non_catalog_index_raises_snapshot_error(snap, tmp_path, index)
         load_snapshot(path)
 
 
+@pytest.mark.parametrize(
+    "edit, fault",
+    [
+        (lambda obj: obj["usage"]["queries"][0].append([]), "usage row 0 is not an [id, indices] pair"),
+        (lambda obj: obj["usage"]["queries"].__setitem__(1, 5), "usage row 1 is not an [id, indices] pair"),
+        (lambda obj: obj["usage"]["queries"][0].__setitem__(1, 5), "usage row 0 is not an [id, indices] pair"),
+        (lambda obj: obj["usage"]["queries"][0].pop(), "usage row 0 is not an [id, indices] pair"),
+        (lambda obj: obj["usage"]["queries"].clear(), "usage holds no query"),
+        (lambda obj: obj["catalog"].update(attributes=5), "catalog.attributes is not a JSON array"),
+        (lambda obj: obj["catalog"].pop("attributes"), "catalog.attributes is missing"),
+        (lambda obj: obj.update(catalog=5), "catalog is not a JSON object"),
+        (lambda obj: obj.pop("config"), "config is missing"),
+        (lambda obj: obj.update(config=["x"]), "config is not a JSON object"),
+        (lambda obj: obj["config"].update(selection="all"), "config.selection is not a JSON object"),
+        (lambda obj: obj["config"].pop("selection"), "config.selection is missing"),
+        (lambda obj: obj.pop("usage"), "usage is missing"),
+        (lambda obj: obj.update(usage=[]), "usage is not a JSON object"),
+        (lambda obj: obj["usage"].update(queries=5), "usage.queries is not a JSON array"),
+        (lambda obj: obj["usage"].pop("dropped"), "usage.dropped is missing"),
+        (lambda obj: obj["usage"].update(diagnostics={}), "usage.diagnostics is not a JSON array"),
+    ],
+    ids=[
+        "row-of-three", "row-is-a-number", "indices-are-a-number", "row-of-one", "no-query", "attributes-a-number",
+        "no-attributes", "catalog-a-number", "no-config", "config-a-list", "selection-a-string", "no-selection",
+        "no-usage", "usage-a-list", "queries-a-number", "no-dropped", "diagnostics-an-object",
+    ],
+)
+def test_resealed_field_of_the_wrong_shape_is_named(snap, tmp_path, edit, fault):
+    obj = snapshot_obj(snap)
+    del obj["content_hash"]
+    edit(obj)
+    obj["content_hash"] = _content_hash(obj)
+    path = tmp_path / "snapshot.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SnapshotError) as refused:
+        load_snapshot(path)
+    assert str(refused.value) == f"snapshot {path} is malformed: {fault}"
+
+
 def test_unreadable_and_invalid_files(tmp_path):
     with pytest.raises(SnapshotError, match="cannot read"):
         load_snapshot(tmp_path / "absent.json")
@@ -344,7 +385,7 @@ def test_failure_while_a_file_streams_keeps_the_previous_run(snap, tmp_path, mon
     write_outputs(snap, out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     monkeypatch.setattr(matrices, "_BLOCK_CELLS", len(snap.bundle.attributes))  # one QAUM row per block
-    whole = UsageMatrix.json_pieces
+    whole = UsageSet.json_pieces
     staged = []
 
     def fails_after_some_blocks(self):
@@ -353,7 +394,7 @@ def test_failure_while_a_file_streams_keeps_the_previous_run(snap, tmp_path, mon
             staged.extend(out.glob(".attrscale-stage-*/qaum.json"))
         raise RuntimeError("write failure")
 
-    monkeypatch.setattr(UsageMatrix, "json_pieces", fails_after_some_blocks)
+    monkeypatch.setattr(UsageSet, "json_pieces", fails_after_some_blocks)
     with pytest.raises(RuntimeError, match="write failure"):
         write_outputs(snap, out)
     assert staged  # the failure came while qaum.json was being staged
@@ -363,12 +404,8 @@ def test_failure_while_a_file_streams_keeps_the_previous_run(snap, tmp_path, mon
 
 def test_write_outputs_memory_stays_below_a_quarter_of_the_qaum_file(tmp_path):
     """Files are streamed in blocks of rows: rendering never holds a whole file, nor a whole grid's texts."""
-    usage = synthetic_usage(400, 5000, seed=11)
-    catalog = AttributeCatalog(usage.attributes)
-    queries = tuple((qid, frozenset(np.flatnonzero(row).tolist())) for qid, row in zip(usage.query_ids, usage.cells))
-    usage_set = oracles.usage_set(queries, catalog)
     config = RunConfig("w", "jsonl-attrs", "c", SelectionSpec(), str(tmp_path / "out"))
-    snap = Snapshot(config=config, usage=usage_set)
+    snap = Snapshot(config=config, usage=synthetic_usage(400, 5000, seed=11))
     snap.bundle  # the pipeline runs outside the measured region: only rendering is measured
     tracemalloc.start()
     try:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from attrscale import (
-    AttrScaleError,
     AttributeCatalog,
     EmptyAnalysisError,
     QueryRecord,
@@ -20,7 +19,6 @@ from attrscale import (
     SelectionSpec,
     SqlSyntaxError,
     UnsupportedSqlError,
-    UsageMatrix,
     UsageSet,
     WorkloadFormatError,
     build_usage_set,
@@ -442,17 +440,22 @@ def test_usage_set_csr_arrays(catalog):
     for indices in ([2, 0, 1], [0, 0, 1]):
         with pytest.raises(WorkloadFormatError, match="^query 'q0' lists an attribute index twice or out of ascending order$"):
             UsageSet(catalog=catalog, query_ids=("q0", "q1"), indptr=[0, 2, 3], indices=indices)
-    for indptr in ([0, 2], [1, 2, 3], [0, 3, 2], [0, 2, 4]):
+    for indptr, indices in (([0, 2], [0, 2, 1]), ([0, 2, 3, 3], [0, 2, 1]), ([1, 2, 3], [0, 2, 1]),
+                            ([-1, 2, 3], [0, 2, 1]), ([0, 3, 2], [0, 2, 1]), ([0, 2, 4], [0, 2, 1]),
+                            ([0, 2, 2], [0, 2, 1]), ([[0, 2, 3]], [0, 2, 1]), ([0, 2, 3], [[0, 2, 1]]),
+                            ([0, 1, 2], [[0], [2]])):
+        # short, long, not from 0, decreasing, past or before the end of indices, and arrays that are not flat
         with pytest.raises(WorkloadFormatError, match="^usage set indptr must run from 0 to len"):
-            UsageSet(catalog=catalog, query_ids=("q0", "q1"), indptr=indptr, indices=[0, 2, 1])
-    for indptr, indices in (([0, 2, 3], [False, True, True]), ([0, 2, 3], [0.0, 1.9, 1.0]), ([0.0, 2.0, 3.0], [0, 2, 1])):
-        with pytest.raises(WorkloadFormatError, match="^usage set indptr and indices must be integers"):
+            UsageSet(catalog=catalog, query_ids=("q0", "q1"), indptr=indptr, indices=indices)
+    for indptr, indices in (([0, 2, 3], [False, True, True]), ([0, 2, 3], [0.0, 1.9, 1.0]), ([0.0, 2.0, 3.0], [0, 2, 1]),
+                            ([0, 2, 3], ["a", "b", "c"]), ([0, 1, 2], [[0], [1, 2]])):  # the last is ragged
+        with pytest.raises(WorkloadFormatError, match="^usage set indptr and indices must be integer"):
             UsageSet(catalog=catalog, query_ids=("q0", "q1"), indptr=indptr, indices=indices)
 
 
-def test_usage_set_and_usage_matrix_refuse_the_same_csr_rows(catalog):
+def test_usage_set_refuses_the_first_csr_row_with_a_planted_fault(catalog):
     # valid distinct ids and non-empty rows, each ascending, so that most rows restart below the end
-    # of the row before them, which both types accept; a case plants one fault, an index outside the
+    # of the row before them, which a usage set accepts; a case plants one fault, an index outside the
     # catalog, a repeated one or a descending pair, in one or more rows
     rng = random.Random(2503)
     n = len(catalog)
@@ -483,22 +486,15 @@ def test_usage_set_and_usage_matrix_refuse_the_same_csr_rows(catalog):
             usage_set = None
         except WorkloadFormatError as exc:
             usage_set = str(exc)
-        try:
-            UsageMatrix(ids, catalog.attributes, indptr=indptr, indices=indices)
-            usage_matrix = None
-        except AttrScaleError as exc:
-            usage_matrix = str(exc)
         if fault is None:
-            assert usage_set is usage_matrix is None, (case, rows)
+            assert usage_set is None, (case, rows)
             continue
         refused[fault] += 1
         first = ids[planted[0]]
         if fault == "outside":
             assert usage_set == f"query {first!r} has an attribute index outside the catalog", (case, rows)
-            assert usage_matrix == "usage matrix has an attribute index outside the catalog", (case, rows)
         else:
             assert usage_set == f"query {first!r} lists an attribute index twice or out of ascending order", (case, rows)
-            assert usage_matrix == "usage matrix indices must ascend strictly within each query", (case, rows)
     assert min(refused.values()) > 100 and restarts > 500, (refused, restarts)
 
 
