@@ -2,14 +2,18 @@
 
 A snapshot is a versioned, self-describing JSON container holding the run's
 inputs: its configuration (including any random seed), the catalog, and the
-usage set, sealed with a content hash. Every pipeline matrix and warning
-derives from the usage set, so none is stored: Snapshot.bundle runs the
-pipeline on first read. Counts are exact integers and every later stage is a
-fixed sequence of IEEE operations, so the bundle is bit-identical to the run's.
-Reloading a snapshot and re-exporting yields byte-identical files: a file
-loads only if it holds exactly what this version writes for the inputs it
-rebuilds, so an extra, missing or foreign key, or an unsorted or repeated
-attribute index, is refused as malformed.
+usage set, sealed with a content hash. The hash covers the payload's
+canonical encoding, which is the written file less its content_hash member
+and final newline, so load_snapshot checks such a file over its own bytes
+and re-encodes the payload only for a file in another form, such as one
+re-indented. Every pipeline matrix and warning derives from the usage set,
+so none is stored: Snapshot.bundle runs the pipeline on first read. Counts
+are exact integers and every later stage is a fixed sequence of IEEE
+operations, so the bundle is bit-identical to the run's. Reloading a
+snapshot and re-exporting yields byte-identical files: a file loads only if
+it holds exactly what this version writes for the inputs it rebuilds, so an
+extra, missing or foreign key, or an unsorted or repeated attribute index,
+is refused as malformed.
 """
 
 from __future__ import annotations
@@ -166,18 +170,37 @@ def _csr(rows: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     return indptr, np.array(flat, dtype=np.int64)
 
 
+def _file_digest(data: bytes, stored_hash: str) -> str | None:
+    """The content hash of a snapshot file's own bytes, less its first ',"content_hash":' member
+    holding stored_hash and its final newline; None when it has no such member or no final newline.
+    The bytes go to hashlib as views, so the file is never copied. The file analyze writes is the
+    payload's canonical encoding with that member and a newline added, so for it this is the
+    payload's hash, found without re-encoding the payload."""
+    member = b',"content_hash":' + _CANONICAL_ENCODER.encode(stored_hash).encode("ascii")
+    start = data.find(member)
+    if start < 0 or not data.endswith(b"\n"):
+        return None
+    with memoryview(data) as view:
+        sha = hashlib.sha256(view[:start])
+        sha.update(view[start + len(member) : -1])
+    return "sha256:" + sha.hexdigest()
+
+
 def load_snapshot(path: str | Path) -> Snapshot:
     """Parse, verify the content hash, rebuild the inputs, and check that they re-export as the
     file's payload. The pipeline runs on the first read of the snapshot's bundle.
 
-    This version writes the canonical (hashed) encoding plus a newline, but whitespace is not part
-    of the format. NaN, Infinity and -Infinity are not JSON, so a file holding one is refused.
+    This version writes the canonical (hashed) encoding plus a newline, so the hash of such a file is
+    checked over its own bytes, less the content_hash member and the newline. Whitespace and key order
+    are not part of the format: a file in another form, say re-indented, is checked by re-encoding its
+    payload canonically. NaN, Infinity and -Infinity are not JSON, so a file holding one is refused.
     """
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+        data = Path(path).read_bytes()
+        obj = json.loads(data.decode("utf-8"), parse_constant=_refuse_constant)
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc.strerror or exc}") from exc
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an over-long integer, or too deep a nesting
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, JSONDecodeError, an over-long integer, too deep a nesting
         raise SnapshotError(f"snapshot {path} is not valid JSON: {getattr(exc, 'msg', exc)}") from None
     if not isinstance(obj, dict):
         raise SnapshotError(f"snapshot {path} is not a JSON object")
@@ -185,8 +208,12 @@ def load_snapshot(path: str | Path) -> Snapshot:
     if type(version) is not int or version != FORMAT_VERSION:  # 3.0 == 3, but the format writes 3
         raise SnapshotError(f"unsupported snapshot format version {version!r}")
     stored_hash = obj.get("content_hash")
+    # a file as this version writes it is checked over its bytes; any other (re-indented, reordered or
+    # edited) through the canonical re-encoding of its payload, which never has the bytes beside it
+    matched = isinstance(stored_hash, str) and _file_digest(data, stored_hash) == stored_hash
+    del data
     payload = {k: v for k, v in obj.items() if k != "content_hash"}
-    if stored_hash != _content_hash(payload):
+    if not matched and stored_hash != _content_hash(payload):
         raise SnapshotError(f"snapshot {path} failed its content hash check (corrupt or edited)")
     try:
         cfg = _field(obj, "config", dict)

@@ -46,17 +46,19 @@ _SHAPE_WORDS = frozenset(["select", *_SET_OPS, *_CLAUSE_ORDER])  # the words _sh
 _JOIN_WORDS = frozenset(["join", "inner", "left", "right", "full", "cross", "outer"])
 _PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", "*": "STAR", ";": "SEMI"}
 
-# Each match is (skipped whitespace and comments, one token). The token
-# alternatives are tried in order; the last, \Z, ends the statement, so a
-# trailing skip never backtracks into an operator or a stray character.
+# Each match is (skipped whitespace and comments, one token). The skip takes
+# plain whitespace before it tries a comment. The token alternatives are tried
+# in order, the commonest (identifiers, then punctuation) first; the last, \Z,
+# ends the statement, so a trailing skip never backtracks into an operator or a
+# stray character.
 _TOKEN = re.compile(
     r"""
-    ( (?: \s+ | --[^\n]*\n? | /\*.*?\*/ )* )
-    ( '(?:[^']|'')*'(?!')  # STRING; the lookahead keeps backtracking from closing 'a'' early
-    | "[^"]*" | `[^`]*`  # QIDENT
-    | [A-Za-z_][A-Za-z0-9_$]*  # IDENT
-    | \d(?:[eE][+-]|[\d.eE])*  # NUMBER
+    ( \s* (?: (?: --[^\n]*\n? | /\*.*?\*/ ) \s* )* )
+    ( [A-Za-z_][A-Za-z0-9_$]*  # IDENT
     | [(),.*;]  # punctuation
+    | '(?:[^']|'')*'(?!')  # STRING; the lookahead keeps backtracking from closing 'a'' early
+    | "[^"]*" | `[^`]*`  # QIDENT
+    | \d(?:[eE][+-]|[\d.eE])*  # NUMBER
     | /\* | ['"`] | [^=<>!+\-/%^&|~]  # unclosed comment or quote, or a stray character
     | [=<>!+\-/%^&|~]+  # OP
     | \Z

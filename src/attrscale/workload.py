@@ -25,6 +25,8 @@ from .matrices import qaum_csv_pieces, qaum_json_pieces
 from .sql_columns import extract_attributes
 
 WORKLOAD_FORMATS = ("jsonl-attrs", "jsonl-sql")
+_DROPPED_KEYS = frozenset(("query_id", "reason"))  # a dropped entry's keys
+_DIAGNOSTIC_KEYS = frozenset(("query_id", "unknown_identifiers"))  # a diagnostics entry's keys
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,8 @@ class SelectionSpec:
     usage_threshold: float = 0.0
 
     def __post_init__(self):
-        used = {"all": (), "random": ("count", "seed"), "interval": ("start", "end")}.get(self.mode)
+        modes = {"all": (), "random": ("count", "seed"), "interval": ("start", "end")}
+        used = modes.get(self.mode) if isinstance(self.mode, str) else None  # a list or a dict is unhashable
         if used is None:
             raise SelectionError(f"unknown selection mode {self.mode!r}")
         for name in ("count", "seed", "start", "end"):
@@ -183,7 +186,7 @@ class UsageSet:
         # one per kept or dropped query that had unknown identifiers
         dropped_ids: set[str] = set()
         for entry in self.dropped:
-            if not (isinstance(entry, dict) and entry.keys() == {"query_id", "reason"}
+            if not (isinstance(entry, dict) and entry.keys() == _DROPPED_KEYS
                     and all(map(isinstance, entry.values(), repeat(str)))):
                 raise WorkloadFormatError(f"dropped entry {entry!r} is not a query_id and a reason")
             qid = entry["query_id"]
@@ -196,14 +199,14 @@ class UsageSet:
             dropped_ids.add(qid)
         diagnosed: set[str] = set()
         for entry in self.diagnostics:
-            if not (isinstance(entry, dict) and entry.keys() == {"query_id", "unknown_identifiers"}
-                    and isinstance(entry["query_id"], str) and isinstance(entry["unknown_identifiers"], list)
-                    and all(map(isinstance, entry["unknown_identifiers"], repeat(str)))):
+            if not (isinstance(entry, dict) and entry.keys() == _DIAGNOSTIC_KEYS
+                    and isinstance(qid := entry["query_id"], str)
+                    and isinstance(identifiers := entry["unknown_identifiers"], list)
+                    and all(map(isinstance, identifiers, repeat(str)))):
                 raise WorkloadFormatError(f"diagnostics entry {entry!r} is not a query_id and a list of identifiers")
-            qid, identifiers = entry["query_id"], entry["unknown_identifiers"]
             if not identifiers:
                 raise WorkloadFormatError(f"diagnostics entry for query {qid!r} lists no unknown identifiers")
-            if len(set(identifiers)) != len(identifiers):
+            if len(identifiers) > 1 and len(set(identifiers)) != len(identifiers):  # one name never repeats
                 raise WorkloadFormatError(f"diagnostics entry for query {qid!r} repeats an unknown identifier")
             if qid not in kept and qid not in dropped_ids:
                 raise WorkloadFormatError(f"diagnostics entry names query {qid!r}, which is neither kept nor dropped")

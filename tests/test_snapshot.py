@@ -25,7 +25,7 @@ from attrscale import (
     load_snapshot,
     load_workload,
 )
-from attrscale import matrices
+from attrscale import matrices, snapshot
 from attrscale.cli import EXIT_INPUT_ERROR, main
 from attrscale.snapshot import _BLOCK_ENTRIES, FORMAT_VERSION, _content_hash, _snapshot_pieces, write_outputs
 from test_acceptance import synthetic_usage
@@ -158,6 +158,70 @@ def test_indented_files_load_and_config_keys_must_match(snap, tmp_path):
         # check that the rebuilt inputs re-export as the file's payload
         with pytest.raises(SnapshotError, match="malformed: (.*unexpected keyword argument 'extra'|it is not what)"):
             load_snapshot(path)
+
+
+def _fail_re_encode(payload):
+    raise AssertionError("the payload was re-encoded")
+
+
+def test_canonical_file_is_checked_over_its_bytes(snap, tmp_path, monkeypatch):
+    # the file analyze writes is its payload's canonical encoding, so its own bytes are hashed, and the
+    # payload is never re-encoded
+    path = tmp_path / "snapshot.json"
+    path.write_text(snapshot_text(snap), encoding="utf-8")
+    monkeypatch.setattr(snapshot, "_content_hash", _fail_re_encode)
+    assert load_snapshot(path) == snap
+
+
+def _moved_after_usage(text: str) -> str:
+    """A canonical snapshot file with its content_hash member moved to the end of the object."""
+    obj = json.loads(text)
+    stored = obj.pop("content_hash")
+    return canonical(obj)[:-1] + f',"content_hash":"{stored}"}}\n'
+
+
+@pytest.mark.parametrize(
+    "form, re_encodes",
+    [
+        (lambda text: json.dumps(json.loads(text), sort_keys=True, indent=2), 1),
+        (lambda text: text.removesuffix("\n"), 1),
+        # less its content_hash member, this file is still the canonical encoding, so its bytes are hashed
+        (_moved_after_usage, 0),
+    ],
+    ids=["indented", "no-final-newline", "hash-after-usage"],
+)
+def test_files_in_another_form_load(snap, tmp_path, monkeypatch, form, re_encodes):
+    path = tmp_path / "snapshot.json"
+    path.write_text(form(snapshot_text(snap)), encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(snapshot, "_content_hash", lambda payload: calls.append(1) or _content_hash(payload))
+    assert load_snapshot(path) == snap
+    assert len(calls) == re_encodes
+
+
+def _index_changed(text: str) -> str:
+    """A canonical snapshot file with the first kept query's first index changed, its hash kept."""
+    obj = json.loads(text)
+    indices = obj["usage"]["queries"][0][1]
+    indices[0] = 1 - indices[0]
+    return canonical(obj) + "\n"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _index_changed,
+        lambda text: canonical({**json.loads(text), "content_hash": 7}) + "\n",
+        lambda text: canonical({**json.loads(text), "content_hash": None}) + "\n",
+    ],
+    ids=["index-changed", "hash-a-number", "hash-null"],
+)
+def test_canonical_file_edited_fails_the_hash_check(snap, tmp_path, edit):
+    path = tmp_path / "snapshot.json"
+    path.write_text(edit(snapshot_text(snap)), encoding="utf-8")
+    with pytest.raises(SnapshotError) as refused:
+        load_snapshot(path)
+    assert str(refused.value) == f"snapshot {path} failed its content hash check (corrupt or edited)"
 
 
 def _resealed_edits():
@@ -294,6 +358,8 @@ def test_resealed_non_catalog_index_raises_snapshot_error(snap, tmp_path, index)
         (lambda obj: obj.update(config=["x"]), "config is not a JSON object"),
         (lambda obj: obj["config"].update(selection="all"), "config.selection is not a JSON object"),
         (lambda obj: obj["config"].pop("selection"), "config.selection is missing"),
+        (lambda obj: obj["config"]["selection"].update(mode=["all"]), "unknown selection mode ['all']"),
+        (lambda obj: obj["config"]["selection"].update(mode={"all": 1}), "unknown selection mode {'all': 1}"),
         (lambda obj: obj.pop("usage"), "usage is missing"),
         (lambda obj: obj.update(usage=[]), "usage is not a JSON object"),
         (lambda obj: obj["usage"].update(queries=5), "usage.queries is not a JSON array"),
@@ -303,7 +369,8 @@ def test_resealed_non_catalog_index_raises_snapshot_error(snap, tmp_path, index)
     ids=[
         "row-of-three", "row-is-a-number", "indices-are-a-number", "row-of-one", "no-query", "attributes-a-number",
         "no-attributes", "catalog-a-number", "no-config", "config-a-list", "selection-a-string", "no-selection",
-        "no-usage", "usage-a-list", "queries-a-number", "no-dropped", "diagnostics-an-object",
+        "mode-a-list", "mode-an-object", "no-usage", "usage-a-list", "queries-a-number", "no-dropped",
+        "diagnostics-an-object",
     ],
 )
 def test_resealed_field_of_the_wrong_shape_is_named(snap, tmp_path, edit, fault):
@@ -329,6 +396,19 @@ def test_unreadable_and_invalid_files(tmp_path):
     array.write_text("[]")
     with pytest.raises(SnapshotError, match="not a JSON object"):
         load_snapshot(array)
+
+
+def test_undecodable_file_is_not_valid_json(snap, tmp_path):
+    # the bytes are decoded strictly as UTF-8, so a stray byte is named where it sits
+    path = tmp_path / "snapshot.json"
+    text = snapshot_text(snap).encode("ascii")
+    path.write_bytes(text[:-2] + b"\xff" + text[-2:])
+    with pytest.raises(SnapshotError) as refused:
+        load_snapshot(path)
+    assert str(refused.value) == (
+        f"snapshot {path} is not valid JSON: 'utf-8' codec can't decode byte 0xff in position {len(text) - 2}: "
+        "invalid start byte"
+    )
 
 
 ALL_FILES = sorted(
@@ -475,3 +555,28 @@ def test_write_outputs_memory_stays_below_twice_the_snapshot(tmp_path):
     size = (tmp_path / "out" / "snapshot.json").stat().st_size
     assert size > 1_000_000
     assert peak < 2 * size, f"peak {peak / 1e6:.2f} MB against a {size / 1e6:.2f} MB snapshot.json"
+
+
+def test_load_snapshot_memory_stays_below_twelve_times_the_file(tmp_path):
+    # a snapshot shaped like a SQL run's: 4,000 kept queries of about 5 attributes, each with one unknown
+    # identifier. The file's own bytes are hashed, so the payload is never re-encoded: re-encoding it
+    # took the peak to 16.7 times the file, against 9.7 without
+    rng = random.Random(7)
+    names = [f"col_{k:02d}" for k in range(80)]
+    records = [
+        QueryRecord(f"s{q}", attrs=(*rng.sample(names, rng.randint(3, 7)), f"zz_legacy_{rng.randrange(60)}"))
+        for q in range(4000)
+    ]
+    usage = build_usage_set(records, AttributeCatalog(tuple(names)))
+    assert len(usage.diagnostics) == usage.query_count == 4000
+    path = tmp_path / "snapshot.json"
+    snap = Snapshot(RunConfig("w", "jsonl-attrs", "c", SelectionSpec(), "out"), usage)
+    path.write_text(snapshot_text(snap), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        load_snapshot(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 12 * size, f"peak {peak / 1e6:.2f} MB against a {size / 1e6:.2f} MB snapshot.json"
