@@ -5,7 +5,7 @@ from .analytics import (
     AttributeGroup,
     BundleDiff,
     PairExplanation,
-    diff_bundles,
+    diff_rankings,
     explain_pair,
     rank_pairs,
     suggest_groups,
@@ -68,7 +68,7 @@ __all__ = [
     "compute_mvsd",
     "compute_nnsm",
     "compute_nsm",
-    "diff_bundles",
+    "diff_rankings",
     "explain_pair",
     "extract_attributes",
     "load_catalog",

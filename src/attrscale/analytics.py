@@ -62,6 +62,7 @@ class AttributeGroup:
 class BundleDiff:
     """nnsm-min scores of the pairs of attributes two bundles share, as columns.
 
+    diff_rankings makes it from the two bundles' nnsm-min rankings.
     attributes holds the shared attributes, matched case-insensitively and
     spelled as in the new bundle, in sorted order. A pair is one row of two
     indices into it, the smaller first, so pairs sort as their name pairs do.
@@ -204,19 +205,25 @@ def explain_pair(bundle: ScaleBundle, a: str, b: str) -> PairExplanation:
     )
 
 
-def _shared_pairs(bundle: ScaleBundle, shared: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Codes lo·len(shared) + hi and scores of the bundle's nnsm-min pairs whose two ends are shared,
-    in rank order; shared maps a casefolded name to its shared index."""
-    ranking = rank_pairs(bundle)
-    to_shared = np.array([shared.get(name.casefold(), -1) for name in bundle.attributes], dtype=np.int64)
+def _shared_pairs(ranking: AffinityRanking, shared: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Codes lo·len(shared) + hi and scores of the ranking's pairs whose two ends are shared, in rank
+    order; shared maps a casefolded name to its shared index."""
+    to_shared = np.array([shared.get(name.casefold(), -1) for name in ranking.attributes], dtype=np.int64)
     h, k = to_shared[ranking.entries].T
     keep = (h >= 0) & (k >= 0)
     h, k = h[keep], k[keep]
     return np.minimum(h, k) * len(shared) + np.maximum(h, k), ranking.nnsm[keep]
 
 
-def diff_bundles(old: ScaleBundle, new: ScaleBundle) -> BundleDiff:
-    """Compare the nnsm-min pairs of two bundles over their shared attributes (see BundleDiff)."""
+def diff_rankings(old: AffinityRanking, new: AffinityRanking) -> BundleDiff:
+    """Compare two nnsm-min rankings over their shared attributes (see BundleDiff).
+
+    A ranking holds all of a bundle that a diff reads, so a caller can rank
+    the old bundle and free it before the new one is built.
+    """
+    for ranking in (old, new):
+        if ranking.key != "nnsm-min":
+            raise AttrScaleError(f"diff compares nnsm-min rankings, got a {ranking.key!r} ranking")
     old_names = {name.casefold() for name in old.attributes}
     names = sorted(name for name in new.attributes if name.casefold() in old_names)
     shared = {name.casefold(): i for i, name in enumerate(names)}

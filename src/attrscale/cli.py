@@ -1,12 +1,15 @@
 """Command-line front end: analyze, rank, explain, diff.
 
 Each command calls the library (a Snapshot's bundle, which runs the
-pipeline, rank_pairs, explain_pair, diff_bundles) and only formats what it
-returns. rank and diff receive numpy columns: they slice the rows they show,
-round each score column with one matrices._float_texts call and write their
-lines with one sys.stdout.write. rank gathers the NSM and ADM cells of only
-the rows it shows, from the bundle. explain rounds its few values one at a
-time with matrices.format_value, which _float_texts agrees with.
+pipeline, rank_pairs, explain_pair, diff_rankings) and only formats what it
+returns. rank and diff receive numpy columns and write their rows through
+_write_rows, a block of rows per sys.stdout.write, with each score column of
+a block rounded by one matrices._float_texts call, so no command holds its
+whole report. rank gathers the NSM and ADM cells of only the rows it shows,
+from the bundle. diff ranks the old snapshot's bundle and frees it before
+the new snapshot's pipeline runs, so it holds one bundle at a time. explain
+rounds its few values one at a time with matrices.format_value, which
+_float_texts agrees with.
 
 Exit codes: 0 success (warnings allowed, or a reader that closed stdout
 early), 1 input/parse error, 2 empty analysis. One command per process; no
@@ -19,7 +22,9 @@ import argparse
 import os
 import sys
 
-from .analytics import RANK_KEYS, diff_bundles, explain_pair, rank_pairs
+import numpy as np
+
+from .analytics import RANK_KEYS, diff_rankings, explain_pair, rank_pairs
 from .catalog import load_catalog
 from .errors import AttrScaleError, EmptyAnalysisError, UnknownAttributeError
 from .matrices import UNDEFINED_CSV, _float_texts, format_value
@@ -31,6 +36,8 @@ OUT_DIR_ENV = "ATTRSCALE_OUT"
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_EMPTY_ANALYSIS = 2
+
+_BLOCK_ROWS = 1 << 10  # report rows formatted and written at once
 
 
 class _UsageError(AttrScaleError):
@@ -69,6 +76,24 @@ def _parse_selection(select: str, seed: int | None, threshold: float) -> Selecti
 
 def _fmt(value: float | None, precision: int) -> str:
     return UNDEFINED_CSV if value is None else format_value(value, precision)
+
+
+def _texts(column: np.ndarray, names: tuple[str, ...], precision: int) -> list:
+    """The field values of a report column: rows of two indices into names as "a,b" name pairs,
+    floats as format_value shows them at precision, integers as themselves."""
+    if column.ndim == 2:
+        return [f"{names[a]},{names[b]}" for a, b in column.tolist()]
+    if column.dtype.kind == "f":
+        return _float_texts(column, precision)
+    return column.tolist()
+
+
+def _write_rows(template: str, names: tuple[str, ...], precision: int, *columns: np.ndarray) -> None:
+    """Write one line of template per row of the equally long columns, formatted by _texts, with one
+    sys.stdout.write per block of _BLOCK_ROWS lines."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        sys.stdout.write("".join(map(template.format, *(_texts(c[rows], names, precision) for c in columns))))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -111,22 +136,23 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if args.top < 0:
         raise _UsageError(f"--top must be non-negative, got {args.top}")
     snap = load_snapshot(args.snapshot)
-    ranking = rank_pairs(snap.bundle, args.key)
-    names, p = ranking.attributes, snap.config.precision
-    top = slice(args.top)
-    a, b = ranking.entries[top].T
-    lines = [f"key: {ranking.key}  pairs ranked: {len(ranking.entries)}  showing: {len(a)}\n"]
-    if len(a):
-        lines.append("rank  pair                      nnsm        nsm         adm\n")
-        lines += map(
-            "{:<5} {:<25} {:<11} {:<11} {}\n".format,
-            range(1, len(a) + 1),
-            [f"{names[h]},{names[k]}" for h, k in zip(a.tolist(), b.tolist())],
-            _float_texts(ranking.nnsm[top], p),
-            _float_texts(snap.bundle.nsm.values[a, b], p),
-            snap.bundle.adm.counts[a, b].tolist(),
+    bundle = snap.bundle
+    ranking = rank_pairs(bundle, args.key)
+    shown = ranking.entries[: args.top]
+    sys.stdout.write(f"key: {ranking.key}  pairs ranked: {len(ranking.entries)}  showing: {len(shown)}\n")
+    if len(shown):
+        a, b = shown.T
+        sys.stdout.write("rank  pair                      nnsm        nsm         adm\n")
+        _write_rows(
+            "{:<5} {:<25} {:<11} {:<11} {}\n",
+            ranking.attributes,
+            snap.config.precision,
+            np.arange(1, len(shown) + 1),
+            shown,
+            ranking.nnsm[: args.top],
+            bundle.nsm.values[a, b],
+            bundle.adm.counts[a, b],
         )
-    sys.stdout.write("".join(lines))
     if not len(ranking.entries):
         print("warning: every scale cell is undefined; nothing to rank", file=sys.stderr)
     return EXIT_OK
@@ -163,35 +189,33 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    old = load_snapshot(args.old)
+    old = rank_pairs(load_snapshot(args.old).bundle)  # the old bundle is freed before the new one is built
     new = load_snapshot(args.new)
-    diff = diff_bundles(old.bundle, new.bundle)
+    p = new.config.precision
+    diff = diff_rankings(old, rank_pairs(new.bundle))
+    del old, new  # the report is written from diff alone
     names = diff.attributes
     if not names:
         raise AttrScaleError("snapshots have disjoint catalogs; nothing to compare")
-    p = new.config.precision
-
-    def labels(pairs):
-        return [f"{names[a]},{names[b]}" for a, b in pairs.tolist()]
-
-    lines = [
-        f"shared attributes: {len(names)}\n",
-        f"pairs compared: {len(diff.common)}  appeared: {len(diff.appeared)}  disappeared: {len(diff.disappeared)}\n",
-    ]
+    sys.stdout.write(
+        f"shared attributes: {len(names)}\n"
+        f"pairs compared: {len(diff.common)}  appeared: {len(diff.appeared)}  disappeared: {len(diff.disappeared)}\n"
+    )
     if len(diff.common):
-        lines.append("pair                      old         new         delta       rank old->new\n")
-        lines += map(
-            "{:<25} {:<11} {:<11} {:<11} {}->{}\n".format,
-            labels(diff.common),
-            _float_texts(diff.old_scores, p),
-            _float_texts(diff.new_scores, p),
-            _float_texts(diff.new_scores - diff.old_scores, p),
-            diff.old_ranks.tolist(),
-            diff.new_ranks.tolist(),
+        sys.stdout.write("pair                      old         new         delta       rank old->new\n")
+        _write_rows(
+            "{:<25} {:<11} {:<11} {:<11} {}->{}\n",
+            names,
+            p,
+            diff.common,
+            diff.old_scores,
+            diff.new_scores,
+            diff.new_scores - diff.old_scores,
+            diff.old_ranks,
+            diff.new_ranks,
         )
-    lines += map("appeared: {} at {}\n".format, labels(diff.appeared), _float_texts(diff.appeared_scores, p))
-    lines += map("disappeared: {} was {}\n".format, labels(diff.disappeared), _float_texts(diff.disappeared_scores, p))
-    sys.stdout.write("".join(lines))
+    _write_rows("appeared: {} at {}\n", names, p, diff.appeared, diff.appeared_scores)
+    _write_rows("disappeared: {} was {}\n", names, p, diff.disappeared, diff.disappeared_scores)
     return EXIT_OK
 
 

@@ -14,11 +14,18 @@ snapshot and re-exporting yields byte-identical files: a file loads only if
 it holds exactly what this version writes for the inputs it rebuilds, so an
 extra, missing or foreign key, or an unsorted or repeated attribute index,
 is refused as malformed.
+
+The hash is taken with CPython's built-in SHA-256 (_sha2 from 3.12, _sha256
+before), not hashlib's, which maps and initialises OpenSSL's libcrypto
+(about 3.5 MB resident on Linux x86-64) for this one digest. Only an
+interpreter built without the built-in hashes falls back to hashlib. Either
+gives the same digests. The saving needs a numpy that loads no OpenSSL
+itself: numpy 1.x imports numpy.random with numpy, and numpy.random loads
+OpenSSL through secrets and hmac; numpy 2.4 imports it on first use.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -36,6 +43,14 @@ from .errors import AttrScaleError, SnapshotError
 from .matrices import json_text
 from .pipeline import ScaleBundle, run_pipeline
 from .workload import WORKLOAD_FORMATS, SelectionSpec, UsageSet
+
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10, 3.11
+    except ImportError:  # built without the built-in hashes
+        from hashlib import sha256 as _sha256
 
 FORMAT_VERSION = 3  # v1 also stored every stage, v2 the catalog's M=; both are rejected, not read
 EXPORT_FORMATS = ("csv", "json", "both")
@@ -81,7 +96,7 @@ class Snapshot:
 
 def _digest(pieces: Iterable[str]) -> str:
     """The content hash, "sha256:" and a hex digest, of text given in ASCII pieces."""
-    sha = hashlib.sha256()
+    sha = _sha256()
     for piece in pieces:
         sha.update(piece.encode("ascii"))
     return "sha256:" + sha.hexdigest()
@@ -173,7 +188,7 @@ def _csr(rows: list, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _file_digest(data: bytes, stored_hash: str) -> str | None:
     """The content hash of a snapshot file's own bytes, less its first ',"content_hash":' member
     holding stored_hash and its final newline; None when it has no such member or no final newline.
-    The bytes go to hashlib as views, so the file is never copied. The file analyze writes is the
+    The bytes are hashed as views, so the file is never copied. The file analyze writes is the
     payload's canonical encoding with that member and a newline added, so for it this is the
     payload's hash, found without re-encoding the payload."""
     member = b',"content_hash":' + _CANONICAL_ENCODER.encode(stored_hash).encode("ascii")
@@ -181,7 +196,7 @@ def _file_digest(data: bytes, stored_hash: str) -> str | None:
     if start < 0 or not data.endswith(b"\n"):
         return None
     with memoryview(data) as view:
-        sha = hashlib.sha256(view[:start])
+        sha = _sha256(view[:start])
         sha.update(view[start + len(member) : -1])
     return "sha256:" + sha.hexdigest()
 

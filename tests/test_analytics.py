@@ -22,6 +22,7 @@ from attrscale import (
     compute_mvsd,
     compute_nnsm,
     compute_nsm,
+    diff_rankings,
     explain_pair,
     rank_pairs,
     run_pipeline,
@@ -122,6 +123,13 @@ def test_rank_row_lists_directed_cells(reference_bundle):
 def test_rank_rejects_unknown_key(reference_bundle):
     with pytest.raises(AttrScaleError, match="ranking key"):
         rank_pairs(reference_bundle, "adm-max")
+
+
+def test_diff_rankings_refuses_a_ranking_by_another_key(reference_bundle):
+    by_min, by_row = rank_pairs(reference_bundle), rank_pairs(reference_bundle, "nnsm-row")
+    for old, new in ((by_min, by_row), (by_row, by_min)):
+        with pytest.raises(AttrScaleError, match="diff compares nnsm-min rankings, got a 'nnsm-row' ranking"):
+            diff_rankings(old, new)
 
 
 def test_empty_ranking_carries_warning():

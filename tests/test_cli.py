@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,9 +28,10 @@ from attrscale import (
     rank_pairs,
     run_pipeline,
 )
-from attrscale.cli import EXIT_EMPTY_ANALYSIS, EXIT_INPUT_ERROR, EXIT_OK, main
+from attrscale.analytics import RANK_KEYS
+from attrscale.cli import _BLOCK_ROWS, EXIT_EMPTY_ANALYSIS, EXIT_INPUT_ERROR, EXIT_OK, main
 from attrscale.matrices import UNDEFINED_CSV, format_value
-from attrscale.snapshot import MATRIX_BASENAMES, _content_hash, write_outputs
+from attrscale.snapshot import MATRIX_BASENAMES, _content_hash, _sha256, write_outputs
 from test_acceptance import synthetic_usage
 
 import oracles
@@ -542,6 +546,24 @@ def test_diff_of_random_scales_matches_the_reference_byte_for_byte(capsys, monke
         assert diff_stdout(capsys, monkeypatch, old, new, precision) == reference_diff(old, new, precision)
 
 
+def test_diff_rows_crossing_a_block_boundary_match_the_reference_byte_for_byte(capsys, monkeypatch):
+    # diff writes _BLOCK_ROWS lines at a time: the compared and the appeared pairs each run one row
+    # into a second block, the disappeared ones fill part of one
+    rng = np.random.default_rng(8)
+    names = [f"n{i}" for i in range(70)]
+    upper = [(h, k) for h in range(70) for k in range(h + 1, 70)]
+    common, appeared, disappeared = np.split(rng.permutation(len(upper)), [_BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 2])
+    assert len(disappeared) > 0
+
+    def bundle(pairs):
+        return scored_bundle(names, {upper[i]: rng.integers(0, 81) / 8 for i in pairs.tolist()})
+
+    old, new = bundle(np.concatenate((common, disappeared))), bundle(np.concatenate((common, appeared)))
+    stdout = diff_stdout(capsys, monkeypatch, old, new, 2)
+    assert stdout == reference_diff(old, new, 2)
+    assert stdout.count("\nappeared: ") == _BLOCK_ROWS + 1
+
+
 def reference_rank(bundle, key: str, top: int, precision: int) -> tuple[str, str]:
     """rank's stdout and stderr by the pair-at-a-time algorithm: the oracles' order (score, then
     name pair), then format_value on every score and one print per line."""
@@ -584,10 +606,11 @@ def test_rank_of_the_reference_run_matches_the_reference_byte_for_byte(capsys, d
         assert (stdout, stderr) == reference_rank(bundle, key, top, precision)
 
 
-def ranked_bundle(rng, size, density):
-    """A bundle over mixed-case names whose NNSM and NSM share one random mask, scores in eighths
-    (exact rounding ties, equal scores) and counts drawn at random; rank reads only these three."""
-    pool = rng.choice([f"n{i}" for i in range(14)], size, replace=False)
+def ranked_bundle(rng, size, density, pool_size=14):
+    """A bundle over mixed-case names, drawn from pool_size names, whose NNSM and NSM share one random
+    mask, scores in eighths (exact rounding ties, equal scores) and counts drawn at random; rank reads
+    only these three."""
+    pool = rng.choice([f"n{i}" for i in range(pool_size)], size, replace=False)
     names = [name.upper() if rng.random() < 0.5 else name for name in pool]
     defined = rng.random((size, size)) < density
     np.fill_diagonal(defined, False)
@@ -607,6 +630,42 @@ def test_rank_of_random_scales_matches_the_reference_byte_for_byte(capsys, monke
         for key, top in RANK_LISTINGS:
             want = reference_rank(bundle, key, top, precision)
             assert rank_output(capsys, monkeypatch, bundle, precision, key, top) == want
+
+
+def test_rank_rows_crossing_a_block_boundary_match_the_reference_byte_for_byte(capsys, monkeypatch):
+    # rank writes _BLOCK_ROWS lines at a time; one row more than a block runs into a second
+    bundle = ranked_bundle(np.random.default_rng(7), 50, 1.0, pool_size=50)
+    for key in RANK_KEYS:
+        want = reference_rank(bundle, key, _BLOCK_ROWS + 1, 2)
+        assert want[0].count("\n") == 2 + _BLOCK_ROWS + 1
+        assert rank_output(capsys, monkeypatch, bundle, 2, key, _BLOCK_ROWS + 1) == want
+
+
+def traced_peak(argv, stdout_path) -> int:
+    """The tracemalloc peak of one in-process command, its stdout sent to a file so that captured text
+    is not counted."""
+    with open(stdout_path, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_diff_peak_memory_stays_below_one_and_a_half_times_rank(tmp_path):
+    # diff frees the old bundle before the new one is built and writes its report a block of rows at a
+    # time. Holding both bundles and every report line took this self-diff to 2.6 times rank's peak;
+    # it is 1.1 times now. Every one of the 3,160 pairs is defined, so the report outweighs a bundle
+    rng = random.Random(3)
+    names = [f"attr{i:02d}" for i in range(80)]
+    snap = analyzed(tmp_path, "dense", [rng.sample(names, 20) for _ in range(200)], names)
+    stdout = tmp_path / "stdout.txt"
+    traced_peak(["rank", "--snapshot", snap], stdout)  # lazy imports and first-call caches load here
+    rank = traced_peak(["rank", "--snapshot", snap, "--top", "10"], stdout)
+    diff = traced_peak(["diff", "--old", snap, "--new", snap], stdout)
+    assert stdout.read_text(encoding="utf-8").count("\n") == 3 + 3160
+    assert diff < 1.5 * rank, f"diff peak {diff / 1e6:.2f} MB against rank's {rank / 1e6:.2f} MB"
 
 
 def test_rank_with_no_defined_cell_warns_and_exits_0(capsys, tmp_path):
@@ -813,6 +872,34 @@ def test_closed_stdout_pipe_exits_0_without_error(capsys, tmp_path, command):
     proc.stderr.close()
     assert first == stdout.splitlines(keepends=True)[0].encode()
     assert (code, stderr) == (EXIT_OK, b"")
+
+
+def test_no_command_loads_openssl(data_dir, tmp_path):
+    # a snapshot is hashed with CPython's built-in SHA-256: hashlib's OpenSSL one maps libcrypto,
+    # 3.5 MB of every command's peak. A child process, so no module this one loaded counts
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no built-in SHA-256, so snapshots hash through hashlib")
+    assert _sha256.__module__ in ("_sha2", "_sha256")
+    snap = str(tmp_path / "out" / "snapshot.json")
+    commands = [analyze_args(data_dir, tmp_path / "out"), ["rank", "--snapshot", snap], ["diff", "--old", snap, "--new", snap]]
+    child = (
+        "import json, sys\n"
+        "import numpy\n"
+        "by_numpy = '_hashlib' in sys.modules\n"
+        "from attrscale.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, by_numpy, '_hashlib' in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, json.dumps(commands)], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, by_numpy, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [EXIT_OK] * 3
+    if by_numpy:
+        # numpy 1.x imports numpy.random with numpy, and numpy.random loads OpenSSL through secrets and hmac
+        pytest.skip(f"import numpy {np.__version__} alone loads OpenSSL")
+    assert not loaded
 
 
 def test_precision_flag_controls_csv_rendering(capsys, data_dir, tmp_path):

@@ -173,6 +173,17 @@ def test_canonical_file_is_checked_over_its_bytes(snap, tmp_path, monkeypatch):
     assert load_snapshot(path) == snap
 
 
+def test_the_built_in_sha256_gives_hashlib_digests():
+    # snapshot hashes with CPython's built-in SHA-256, which maps no OpenSSL; its digests are hashlib's
+    pieces = ["", '{"a":', "1" * 100_000, "", "}"]
+    assert snapshot._digest(pieces) == "sha256:" + hashlib.sha256("".join(pieces).encode("ascii")).hexdigest()
+    assert snapshot._digest([]) == snapshot._digest([""]) == "sha256:" + hashlib.sha256(b"").hexdigest()
+    data = bytes(range(256)) * 400
+    with memoryview(data) as view:
+        for lo, hi in ((0, 0), (5, 5), (0, len(data)), (7, 70_001), (len(data) - 1, len(data))):
+            assert snapshot._sha256(view[lo:hi]).hexdigest() == hashlib.sha256(data[lo:hi]).hexdigest()
+
+
 def _moved_after_usage(text: str) -> str:
     """A canonical snapshot file with its content_hash member moved to the end of the object."""
     obj = json.loads(text)
