@@ -85,14 +85,6 @@ class BundleDiff:
     disappeared_scores: np.ndarray  # float64, shape (d,): the old scores
 
 
-def _index(bundle: ScaleBundle, name: str) -> int:
-    # case-insensitive, the catalog convention; the catalog rejects casefold duplicates
-    idx = {attr.casefold(): i for i, attr in enumerate(bundle.attributes)}.get(name.casefold())
-    if idx is None:
-        raise UnknownAttributeError(name)
-    return idx
-
-
 def rank_pairs(bundle: ScaleBundle, key: str = "nnsm-min") -> AffinityRanking:
     """Rank defined cells ascending: the strongest dependencies come first.
 
@@ -178,11 +170,14 @@ def suggest_groups(bundle: ScaleBundle, cutoff: float, max_size: int) -> list[At
 
 
 def explain_pair(bundle: ScaleBundle, a: str, b: str) -> PairExplanation:
-    """Trace one pair through every stage; numeric fields are copied from the bundle."""
-    h, k = _index(bundle, a), _index(bundle, b)
+    """Trace one pair through every stage; numeric fields are copied from the bundle. Names resolve
+    case-insensitively through the QAUM's catalog, which indexes bundle.attributes."""
+    qaum = bundle.qaum
+    h, k = qaum.catalog.index_of(a), qaum.catalog.index_of(b)
+    if h is None or k is None:
+        raise UnknownAttributeError(a if h is None else b)
     if h == k:
         raise DiagonalPairError(bundle.attributes[h])
-    qaum = bundle.qaum
 
     def using(i: int) -> np.ndarray:  # the queries whose slices of qaum.indices hold i, ascending
         return np.searchsorted(qaum.indptr, np.flatnonzero(qaum.indices == i), side="right") - 1

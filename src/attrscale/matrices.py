@@ -40,7 +40,7 @@ import csv
 import json
 import warnings
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Context, Decimal
 from itertools import chain, islice, repeat
 from types import SimpleNamespace
@@ -251,7 +251,8 @@ class DependencyMatrix:
     """n×n co-occurrence counts with per-row Total Measure.
 
     The diagonal is semantically undefined; it is stored as 0 and rendered
-    as undefined. total_measure[h] is the row sum excluding the diagonal.
+    as undefined. total_measure is not an input: the constructor derives it
+    as the row sums of counts (the diagonal adds nothing), stored read-only.
     build_adm output is symmetric by construction; the constructor itself
     accepts asymmetric counts so externally published tables (which may
     carry printing errors) can be replayed through the later stages as-is.
@@ -259,19 +260,18 @@ class DependencyMatrix:
 
     attributes: tuple[str, ...]
     counts: np.ndarray  # int64, shape (n, n), diagonal 0
-    total_measure: np.ndarray  # int64, shape (n,)
+    total_measure: np.ndarray = field(init=False)  # int64, shape (n,): the row sums
 
     def __post_init__(self):
         n = len(self.attributes)
         counts = _frozen(self.counts, np.int64, (n, n))
-        tm = _frozen(self.total_measure, np.int64, (n,))
         if counts.size:
             if counts.min() < 0:
                 raise AttrScaleError("dependency counts must be non-negative")
             if np.any(np.diagonal(counts) != 0):
                 raise AttrScaleError("dependency matrix diagonal must stay undefined")
-            if not np.array_equal(tm, counts.sum(axis=1)):
-                raise AttrScaleError("total measure must equal row sums")
+        tm = counts.sum(axis=1)
+        tm.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total_measure", tm)
 
@@ -340,12 +340,17 @@ class MaskedRealMatrix:
 
 @dataclass(frozen=True, eq=False)
 class StatsTable:
-    """Per-attribute mean, variance, and standard deviation rows."""
+    """Per-attribute mean, variance, and standard deviation rows.
+
+    sd is not an input: the constructor derives it as √variance once the
+    variance is known to be non-negative, stored read-only and, like the
+    other rows, NaN where undefined.
+    """
 
     attributes: tuple[str, ...]
     mean: np.ndarray
     variance: np.ndarray
-    sd: np.ndarray
+    sd: np.ndarray = field(init=False)
     defined: np.ndarray  # bool per attribute; False for isolated attributes
 
     def __post_init__(self):
@@ -353,10 +358,12 @@ class StatsTable:
         defined = _frozen(self.defined, bool, shape)
         object.__setattr__(self, "mean", _frozen(self.mean, np.float64, shape, defined))
         object.__setattr__(self, "variance", _frozen(self.variance, np.float64, shape, defined))
-        object.__setattr__(self, "sd", _frozen(self.sd, np.float64, shape, defined))
         object.__setattr__(self, "defined", defined)
         if np.any(self.variance[defined] < 0):
             raise AttrScaleError("variance must be non-negative")
+        sd = np.sqrt(self.variance)
+        sd.setflags(write=False)
+        object.__setattr__(self, "sd", sd)
 
     def _rows(self, undefined: str, layout: _Layout, precision: int | None = None) -> Iterator[list[str]]:
         """The mean, variance and sd rows through _grid_rows."""

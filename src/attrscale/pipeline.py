@@ -119,11 +119,7 @@ def build_adm(usage: UsageSet) -> DependencyMatrix:
     for i in range(0, n, _TILE):
         for j in range(i, n, _TILE):
             counts[j : j + _TILE, i : i + _TILE] += counts[i : i + _TILE, j : j + _TILE].T
-    return DependencyMatrix(
-        attributes=usage.catalog.attributes,
-        counts=counts,
-        total_measure=counts.sum(axis=1),
-    )
+    return DependencyMatrix(attributes=usage.catalog.attributes, counts=counts)
 
 
 def build_pdm(adm: DependencyMatrix) -> MaskedRealMatrix:
@@ -139,26 +135,20 @@ def build_pdm(adm: DependencyMatrix) -> MaskedRealMatrix:
     return MaskedRealMatrix(kind="PDM", attributes=adm.attributes, values=values, defined=adm.counts > 0)
 
 
-def compute_mvsd(adm: DependencyMatrix, pdm: MaskedRealMatrix) -> StatsTable:
-    """Mean, variance, SD of each attribute's co-occurrence distribution.
+def compute_mvsd(adm: DependencyMatrix) -> StatsTable:
+    """Mean, variance, SD of each attribute's co-occurrence distribution, from the ADM alone.
 
-    Over the defined cells of row h, with p the probabilities and x the
-    matching counts: mean = Σ p·x, variance = Σ p·(x - mean)², SD = √var.
-    Fully undefined rows yield undefined statistics.
+    Over row h, with x the counts and p = x / TM[h] their probabilities (the
+    PDM's defined cells; the diagonal and zero counts add nothing): mean =
+    Σ p·x, variance = Σ p·(x - mean)², and StatsTable derives SD = √var. A
+    row with total measure 0 (isolated attribute) has undefined statistics.
     """
-    if pdm.kind != "PDM" or pdm.attributes != adm.attributes:
-        raise AttrScaleError("pdm must be derived from adm")
     x = adm.counts.astype(np.float64)
-    p = np.where(pdm.defined, pdm.values, 0.0)
+    with np.errstate(invalid="ignore"):  # 0/0 only in rows of total measure 0, stored as undefined
+        p = x / adm.total_measure[:, None]
     mean = (p * x).sum(axis=1)
     variance = (p * (x - mean[:, None]) ** 2).sum(axis=1)
-    return StatsTable(
-        attributes=adm.attributes,
-        mean=mean,
-        variance=variance,
-        sd=np.sqrt(variance),
-        defined=pdm.defined.any(axis=1),
-    )
+    return StatsTable(attributes=adm.attributes, mean=mean, variance=variance, defined=adm.total_measure > 0)
 
 
 def compute_nsm(adm: DependencyMatrix, stats: StatsTable) -> MaskedRealMatrix:
@@ -195,6 +185,6 @@ def run_pipeline(usage: UsageSet) -> ScaleBundle:
     """Run all six steps over a usage set, which is the bundle's QAUM."""
     adm = build_adm(usage)
     pdm = build_pdm(adm)
-    mvsd = compute_mvsd(adm, pdm)
+    mvsd = compute_mvsd(adm)
     nsm = compute_nsm(adm, mvsd)
     return ScaleBundle(qaum=usage, adm=adm, pdm=pdm, mvsd=mvsd, nsm=nsm, nnsm=compute_nnsm(nsm))

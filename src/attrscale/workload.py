@@ -26,6 +26,7 @@ from .sql_columns import extract_attributes
 
 WORKLOAD_FORMATS = ("jsonl-attrs", "jsonl-sql")
 _DROPPED_KEYS = frozenset(("query_id", "reason"))  # a dropped entry's keys
+_DROP_REASON = "empty attribute set after filtering"  # the one reason a query is dropped for
 _DIAGNOSTIC_KEYS = frozenset(("query_id", "unknown_identifiers"))  # a diagnostics entry's keys
 
 
@@ -112,7 +113,8 @@ class UsageSet:
     {"query_id", "unknown_identifiers"} entry per query with identifiers that
     matched no catalog attribute. Both are reporting-only and do not affect
     matrices. Across fields, as build_usage_set writes them: a dropped id is
-    non-empty, neither kept nor repeated, and a diagnostics id names a kept or
+    non-empty, neither kept nor repeated, with _DROP_REASON, the one reason
+    build_usage_set writes, and a diagnostics id names a kept or
     dropped query, is not repeated and lists at least one identifier, none
     twice (an empty one and case variants pass). One walk over the ids
     (_first_id_fault) checks them and keeps them as a dict's keys, which the
@@ -192,6 +194,8 @@ class UsageSet:
             qid = entry["query_id"]
             if not qid:
                 raise WorkloadFormatError(f"dropped entry {entry!r} has an empty query id")
+            if entry["reason"] != _DROP_REASON:
+                raise WorkloadFormatError(f"dropped query {qid!r} has reason {entry['reason']!r}, not {_DROP_REASON!r}")
             if qid in kept:
                 raise WorkloadFormatError(f"dropped query {qid!r} is also a kept query")
             if qid in dropped_ids:
@@ -365,7 +369,7 @@ def build_usage_set(
     kept = indptr[1:] > indptr[:-1]
     if not kept.any():
         raise EmptyAnalysisError("every query was dropped: no attribute usage to analyze")
-    dropped = [{"query_id": qid, "reason": "empty attribute set after filtering"}
+    dropped = [{"query_id": qid, "reason": _DROP_REASON}
                for qid in compress(ids, (~kept).tolist())]
 
     return UsageSet(

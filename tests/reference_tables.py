@@ -123,7 +123,7 @@ ZERO_COUNT_QUIRK = (("a8", "a4"), ("a4", "a8"))
 def build_printed_adm() -> DependencyMatrix:
     """The printed co-occurrence table as a stage input, misprints included."""
     counts = np.array([[0 if v is None else v for v in row] for row in PRINTED_ADM], dtype=np.int64)
-    return DependencyMatrix(attributes=ATTRIBUTES, counts=counts, total_measure=np.array(PRINTED_TM, dtype=np.int64))
+    return DependencyMatrix(attributes=ATTRIBUTES, counts=counts)
 
 
 def sd_fixture_stats() -> StatsTable:
@@ -137,7 +137,6 @@ def sd_fixture_stats() -> StatsTable:
         attributes=ATTRIBUTES,
         mean=np.array(PRINTED_MEAN, dtype=np.float64),
         variance=sd * sd,
-        sd=sd,
         defined=np.ones(len(ATTRIBUTES), dtype=bool),
     )
 

@@ -49,7 +49,7 @@ def random_bundles(count: int, seed: int):
         qaum = oracles.usage_from_cells(cells, names)
         adm = build_adm(qaum)
         pdm = build_pdm(adm)
-        mvsd = compute_mvsd(adm, pdm)
+        mvsd = compute_mvsd(adm)
         nsm = compute_nsm(adm, mvsd)
         yield ScaleBundle(qaum=qaum, adm=adm, pdm=pdm, mvsd=mvsd, nsm=nsm, nnsm=compute_nnsm(nsm))
 
@@ -62,9 +62,9 @@ def replayed_bundles(count: int, seed: int):
         counts = rng.integers(1, 4, size=(n, n)) * (rng.random((n, n)) < 0.5)
         np.fill_diagonal(counts, 0)
         names = tuple(f"c{i}" for i in range(n))
-        adm = DependencyMatrix(names, counts, counts.sum(axis=1))
+        adm = DependencyMatrix(names, counts)
         pdm = build_pdm(adm)
-        mvsd = compute_mvsd(adm, pdm)
+        mvsd = compute_mvsd(adm)
         nsm = compute_nsm(adm, mvsd)
         qaum = oracles.usage_from_cells(np.zeros((0, n)), names)
         yield ScaleBundle(qaum=qaum, adm=adm, pdm=pdm, mvsd=mvsd, nsm=nsm, nnsm=compute_nnsm(nsm))

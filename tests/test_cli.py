@@ -619,7 +619,7 @@ def ranked_bundle(rng, size, density, pool_size=14):
     nsm_values = rng.integers(-80, 81, (size, size)) / 8
     nsm = MaskedRealMatrix(kind="NSM", attributes=tuple(names), values=nsm_values, defined=defined)
     bundle = nnsm_bundle(names, rng.integers(0, 81, (size, size)) / 8, defined)
-    return dataclasses.replace(bundle, nsm=nsm, adm=DependencyMatrix(tuple(names), counts, counts.sum(axis=1)))
+    return dataclasses.replace(bundle, nsm=nsm, adm=DependencyMatrix(tuple(names), counts))
 
 
 @pytest.mark.parametrize("seed, density", [(seed, 0.5) for seed in range(6)] + [(6, 0.0)])  # 0.0: nothing to rank

@@ -146,9 +146,9 @@ def hand_built(names, counts, values, defined, stats_defined):
     n = len(names)
     counts = np.array(counts, dtype=np.int64).reshape(n, n)
     return {
-        "adm": DependencyMatrix(names, counts, counts.sum(axis=1)),
+        "adm": DependencyMatrix(names, counts),
         "pdm": MaskedRealMatrix("PDM", names, np.array(values, dtype=np.float64).reshape(n, n), np.array(defined, dtype=bool).reshape(n, n)),
-        "mvsd": StatsTable(names, np.arange(n) * 0.125, np.full(n, 0.5), np.full(n, 2.5), np.array(stats_defined, dtype=bool)),
+        "mvsd": StatsTable(names, np.arange(n) * 0.125, np.full(n, 0.5), np.array(stats_defined, dtype=bool)),
     }
 
 
@@ -293,28 +293,26 @@ def test_usage_matrix_csv_and_json():
 
 def small_dependency():
     counts = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]], dtype=np.int64)
-    return DependencyMatrix(("a", "b", "c"), counts, counts.sum(axis=1))
+    return DependencyMatrix(("a", "b", "c"), counts)
 
 
 def test_dependency_matrix_validation():
-    good = np.array([[0, 1], [1, 0]], dtype=np.int64)
     with pytest.raises(AttrScaleError, match="diagonal"):
-        DependencyMatrix(("a", "b"), np.array([[1, 1], [1, 0]]), np.array([2, 1]))
-    with pytest.raises(AttrScaleError, match="row sums"):
-        DependencyMatrix(("a", "b"), good, np.array([1, 2]))
+        DependencyMatrix(("a", "b"), np.array([[1, 1], [1, 0]]))
     with pytest.raises(AttrScaleError, match="non-negative"):
-        DependencyMatrix(("a", "b"), np.array([[0, -1], [1, 0]]), np.array([-1, 1]))
-    with pytest.raises(AttrScaleError, match="change its values"):  # truncated counts would match [2, 2]
-        DependencyMatrix(("a", "b"), np.array([[0, 2.5], [2.5, 0]]), np.array([2, 2]))
+        DependencyMatrix(("a", "b"), np.array([[0, -1], [1, 0]]))
+    with pytest.raises(AttrScaleError, match="change its values"):  # truncation would store counts of 2
+        DependencyMatrix(("a", "b"), np.array([[0, 2.5], [2.5, 0]]))
     with pytest.raises(AttrScaleError, match="change its values"):  # NaN has no int64 value; numpy warns on the cast
-        DependencyMatrix(("a", "b"), np.array([[0, np.nan], [1, 0]]), np.array([1, 1]))
+        DependencyMatrix(("a", "b"), np.array([[0, np.nan], [1, 0]]))
 
 
 def test_dependency_matrix_accepts_asymmetric_replay():
-    # replayed external tables may carry misprints; only row totals must agree
+    # replayed external tables may carry misprints; the total measure is their row sums
     counts = np.array([[0, 2], [3, 0]], dtype=np.int64)
-    adm = DependencyMatrix(("a", "b"), counts, np.array([2, 3]))
+    adm = DependencyMatrix(("a", "b"), counts)
     assert adm.counts[0, 1] == 2 and adm.counts[1, 0] == 3
+    assert adm.total_measure.tolist() == [2, 3]
 
 
 def test_dependency_matrix_csv_and_json():
@@ -369,18 +367,17 @@ def stats(defined=(True, True)):
         attributes=("a", "b"),
         mean=np.array([1.5, 2.0]),
         variance=np.array([0.25, 0.0]),
-        sd=np.array([0.5, 0.0]),
         defined=np.array(defined, dtype=bool),
     )
 
 
 def test_stats_table_validation():
     with pytest.raises(AttrScaleError, match="non-negative"):
-        StatsTable(("a",), np.array([1.0]), np.array([-0.1]), np.array([0.1]), np.array([True]))
+        StatsTable(("a",), np.array([1.0]), np.array([-0.1]), np.array([True]))
     with pytest.raises(AttrScaleError, match="shape"):
-        StatsTable(("a", "b"), np.array([1.0]), np.array([1.0]), np.array([1.0]), np.array([True]))
+        StatsTable(("a", "b"), np.array([1.0]), np.array([1.0]), np.array([True]))
     with pytest.raises(AttrScaleError, match="shape"):  # the mask is checked before it is used
-        StatsTable(("a", "b"), np.ones(2), np.ones(2), np.ones(2), np.array([True]))
+        StatsTable(("a", "b"), np.ones(2), np.ones(2), np.array([True]))
 
 
 def test_stats_table_undefined_column_is_nan_and_hash():

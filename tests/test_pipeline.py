@@ -12,7 +12,9 @@ import pytest
 from attrscale import (
     AttrScaleError,
     AttributeCatalog,
+    DependencyMatrix,
     QueryRecord,
+    StatsTable,
     build_adm,
     build_pdm,
     build_usage_set,
@@ -24,7 +26,7 @@ from attrscale import (
 from attrscale import pipeline
 
 import oracles
-from reference_tables import ATTRIBUTES, TRUE_TM, USAGE_ROWS
+from reference_tables import ATTRIBUTES, PRINTED_SD, PRINTED_TM, TRUE_TM, USAGE_ROWS, build_printed_adm, sd_fixture_stats
 
 
 def usage_of(*attr_sets, names=("a", "b", "c")):
@@ -219,14 +221,55 @@ def test_single_query_workload_runs_end_to_end():
     assert {w["code"] for w in bundle.warnings} == {"degenerate_tie"}
 
 
+def mvsd_through_the_pdm(adm):
+    """The MVSD computed from the PDM's defined cells, as compute_mvsd once took it: mean, variance and
+    SD rows, NaN where undefined, and the defined mask."""
+    pdm = build_pdm(adm)
+    x = adm.counts.astype(np.float64)
+    p = np.where(pdm.defined, pdm.values, 0.0)
+    mean = (p * x).sum(axis=1)
+    variance = (p * (x - mean[:, None]) ** 2).sum(axis=1)
+    defined = pdm.defined.any(axis=1)
+    return *(np.where(defined, row, np.nan) for row in (mean, variance, np.sqrt(variance))), defined
+
+
+def test_compute_mvsd_from_the_adm_alone_equals_the_pdm_route_bit_for_bit():
+    rng = np.random.default_rng(30)
+    for _ in range(300):
+        n = int(rng.integers(1, 16))
+        counts = rng.integers(1, 6, (n, n)) * (rng.random((n, n)) < rng.random())  # asymmetric, as replayed
+        counts[rng.random(n) < 0.2] = 0  # isolated rows: total measure 0
+        np.fill_diagonal(counts, 0)
+        adm = DependencyMatrix(tuple(f"c{i}" for i in range(n)), counts)
+        mvsd = compute_mvsd(adm)
+        mean, variance, sd, defined = mvsd_through_the_pdm(adm)
+        assert np.array_equal(mvsd.defined, defined)
+        for got, expected in ((mvsd.mean, mean), (mvsd.variance, variance), (mvsd.sd, sd)):
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_derived_fields_are_not_inputs_and_stay_read_only(reference_bundle):
+    adm, mvsd = reference_bundle.adm, reference_bundle.mvsd
+    with pytest.raises(TypeError):
+        DependencyMatrix(adm.attributes, adm.counts, total_measure=adm.total_measure)
+    with pytest.raises(TypeError):
+        StatsTable(mvsd.attributes, mvsd.mean, mvsd.variance, mvsd.defined, sd=mvsd.sd)
+    with pytest.raises(TypeError):
+        compute_mvsd(adm, reference_bundle.pdm)
+    for arr, dtype in ((adm.total_measure, np.int64), (mvsd.sd, np.float64)):
+        assert arr.dtype == dtype and not arr.flags.writeable
+
+
+def test_the_transcribed_reference_tables_agree():
+    # the printed total measure is the printed counts' row sums, and the printed SD row survives the
+    # fixture's sd**2 variance exactly
+    assert build_printed_adm().total_measure.tolist() == list(PRINTED_TM)
+    assert sd_fixture_stats().sd.tolist() == list(PRINTED_SD)
+
+
 def test_compute_nnsm_rejects_wrong_kind(reference_bundle):
     with pytest.raises(AttrScaleError, match="expects an NSM"):
         compute_nnsm(reference_bundle.pdm)
-
-
-def test_compute_mvsd_rejects_mismatched_pdm(reference_bundle):
-    with pytest.raises(AttrScaleError, match="derived from"):
-        compute_mvsd(reference_bundle.adm, reference_bundle.nsm)
 
 
 def test_stages_are_deterministic(reference_usage):

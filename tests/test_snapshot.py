@@ -276,6 +276,9 @@ def _resealed_edits():
     yield "empty-dropped-id", lambda obj: obj["usage"]["dropped"].append(
         {"query_id": "", "reason": "empty attribute set after filtering"}
     )
+    yield "foreign-drop-reason", lambda obj: obj["usage"]["dropped"].append(
+        {"query_id": "q-dropped", "reason": "anything at all"}
+    )
     yield "repeated-unknown-identifier", lambda obj: obj["usage"]["diagnostics"].append(
         {"query_id": obj["usage"]["queries"][0][0], "unknown_identifiers": ["x", "x"]}
     )

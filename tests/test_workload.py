@@ -331,9 +331,10 @@ def test_usage_set_refuses_repeated_ids_and_report_entries_build_usage_set_never
                   {**diagnostic, "query_id": 0}, {**diagnostic, "extra": 1}):
         with pytest.raises(WorkloadFormatError, match="^diagnostics entry .* is not a query_id and a list of identifiers$"):
             usage_set((ok,), catalog, diagnostics=(entry,))
-    # facts across fields: a dropped query is not kept and is dropped once; a diagnostics entry names a
-    # kept or dropped query, once, with at least one identifier and none twice; analyze writes an empty
-    # identifier (for SELECT "") and case variants, so they pass
+    # facts across fields: a dropped query is not kept, is dropped once and for the one reason
+    # build_usage_set writes; a diagnostics entry names a kept or dropped query, once, with at least one
+    # identifier and none twice; analyze writes an empty identifier (for SELECT "") and case variants, so
+    # they pass
     assert usage_set((ok,), catalog, dropped=(dropped,), diagnostics=({**diagnostic, "query_id": "q9"},))
     assert usage_set((ok,), catalog, diagnostics=({**diagnostic, "unknown_identifiers": ["", "zz", "ZZ"]},))
     unnamed = {**dropped, "query_id": ""}
@@ -344,6 +345,8 @@ def test_usage_set_refuses_repeated_ids_and_report_entries_build_usage_set_never
         ((dropped,), (diagnostic, diagnostic), "duplicate diagnostics query id 'q0'"),
         ((), ({**diagnostic, "unknown_identifiers": []},), "diagnostics entry for query 'q0' lists no unknown identifiers"),
         ((unnamed,), (), f"dropped entry {unnamed!r} has an empty query id"),
+        (({**dropped, "reason": "anything at all"},), (),
+         "dropped query 'q9' has reason 'anything at all', not 'empty attribute set after filtering'"),
         ((), ({**diagnostic, "unknown_identifiers": ["x", "x"]},),
          "diagnostics entry for query 'q0' repeats an unknown identifier"),
     ):
