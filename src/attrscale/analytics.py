@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AttrScaleError, DiagonalPairError, UnknownAttributeError
+from .cells import run_starts
 from .pipeline import ScaleBundle
 
 RANK_KEYS = ("nnsm-min", "nnsm-row")
@@ -88,32 +89,50 @@ class BundleDiff:
 def rank_pairs(bundle: ScaleBundle, key: str = "nnsm-min") -> AffinityRanking:
     """Rank defined cells ascending: the strongest dependencies come first.
 
-    nnsm-min scores each unordered pair once by the smaller of its two
-    directed values, or by its one defined value, and names it in that
-    direction; nnsm-row lists directed cells as-is. Ties break
-    lexicographically by attribute-name pair, so output is total and stable.
-    This is the one place that orders pairs.
+    Reads the NNSM's cells, never its n×n grids. nnsm-min scores each
+    unordered pair once by the smaller of its two directed values, or by its
+    one defined value, and names it in that direction; nnsm-row lists
+    directed cells as-is. Ties break lexicographically by attribute-name
+    pair, so output is total and stable. This is the one place that orders
+    pairs.
     """
     if key not in RANK_KEYS:
         raise AttrScaleError(f"unknown ranking key {key!r}")
-    nnsm = bundle.nnsm
+    cells = bundle.nnsm.cells  # the diagonal is never a cell
+    n, k = cells.n, cells.cols
     if key == "nnsm-row":
-        a, b = np.nonzero(nnsm.defined)  # the diagonal is never defined
-        score = nnsm.values[a, b]
+        a, b, score = cells.rows(), k, cells.values
     else:
-        h, k = np.nonzero(np.triu(nnsm.defined | nnsm.defined.T, 1))  # a replayed ADM may define one direction
-        filled = np.where(nnsm.defined, nnsm.values, np.inf)  # an undefined direction never wins
-        ab, ba = filled[h, k], filled[k, h]
-        keep = ab <= ba  # the pair is named in the direction of its smaller cell
-        a, b = np.where(keep, h, k), np.where(keep, k, h)
-        score = np.where(ba < ab, ba, ab)  # Python min(ab, ba)
+        h = cells.rows()
+        upper = h < k
+        code = np.minimum(h, k)  # each cell's unordered pair lo·n + hi
+        code *= n
+        code += np.maximum(h, k)
+        del h
+        # each pair once (a replayed ADM may define one direction only), and each cell's pair: a sort
+        # and a search hold less than matrices._distinct's argsort, and this is a query command's peak
+        pairs = np.sort(code)
+        pairs = pairs[run_starts(pairs)]
+        at = np.searchsorted(pairs, code)
+        del code
+        score, ba = np.full(len(pairs), np.inf), np.full(len(pairs), np.inf)  # an undefined direction never wins
+        score[at[upper]] = cells.values[upper]
+        ba[at[~upper]] = cells.values[~upper]
+        del at, upper
+        a, b = np.divmod(pairs, n)
+        del pairs
+        swap = ba < score  # the pair is named in the direction of its smaller cell, and scored by it
+        a[swap], b[swap] = b[swap], a[swap]
+        score[swap] = ba[swap]  # Python min(ab, ba)
+        del ba, swap
     # Python sorts the names: numpy string sorts drop trailing NULs
     name_rank = {name: pos for pos, name in enumerate(sorted(bundle.attributes))}
     rank = np.array([name_rank[name] for name in bundle.attributes], dtype=np.int64)
     order = np.lexsort((rank[b], rank[a], score))
-    return AffinityRanking(
-        key=key, attributes=bundle.attributes, entries=np.column_stack((a[order], b[order])), nnsm=score[order]
-    )
+    entries = np.empty((len(order), 2), dtype=np.int64)
+    np.take(a, order, out=entries[:, 0])
+    np.take(b, order, out=entries[:, 1])
+    return AffinityRanking(key=key, attributes=bundle.attributes, entries=entries, nnsm=score[order])
 
 
 def _cohesion(bundle: ScaleBundle, members: list[int]) -> float:
@@ -170,8 +189,8 @@ def suggest_groups(bundle: ScaleBundle, cutoff: float, max_size: int) -> list[At
 
 
 def explain_pair(bundle: ScaleBundle, a: str, b: str) -> PairExplanation:
-    """Trace one pair through every stage; numeric fields are copied from the bundle. Names resolve
-    case-insensitively through the QAUM's catalog, which indexes bundle.attributes."""
+    """Trace one pair through every stage; numeric fields are copied from the bundle's cells. Names
+    resolve case-insensitively through the QAUM's catalog, which indexes bundle.attributes."""
     qaum = bundle.qaum
     h, k = qaum.catalog.index_of(a), qaum.catalog.index_of(b)
     if h is None or k is None:
@@ -187,7 +206,7 @@ def explain_pair(bundle: ScaleBundle, a: str, b: str) -> PairExplanation:
         a=bundle.attributes[h],
         b=bundle.attributes[k],
         co_occurring_queries=co_ids,
-        adm=int(bundle.adm.counts[h, k]),
+        adm=int(bundle.adm.cells.lookup(h, k, 0)),
         total_measure_a=int(bundle.adm.total_measure[h]),
         total_measure_b=int(bundle.adm.total_measure[k]),
         pdm_ab=bundle.pdm.cell(h, k),

@@ -5,9 +5,10 @@ pipeline, rank_pairs, explain_pair, diff_rankings) and only formats what it
 returns. rank and diff receive numpy columns and write their rows through
 _write_rows, a block of rows per sys.stdout.write, with each score column of
 a block rounded by one matrices._float_texts call, so no command holds its
-whole report. rank gathers the NSM and ADM cells of only the rows it shows,
-from the bundle. diff ranks the old snapshot's bundle and frees it before
-the new snapshot's pipeline runs, so it holds one bundle at a time. explain
+whole report. rank looks up the NSM and ADM cells of only the rows it shows
+in the bundle's cells, so no query command builds an n×n grid. diff ranks
+the old snapshot's bundle and frees it before the new snapshot's pipeline
+runs, so it holds one bundle at a time. explain
 rounds its few values one at a time with matrices.format_value, which
 _float_texts agrees with.
 
@@ -150,8 +151,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
             np.arange(1, len(shown) + 1),
             shown,
             ranking.nnsm[: args.top],
-            bundle.nsm.values[a, b],
-            bundle.adm.counts[a, b],
+            bundle.nsm.cells.lookup(a, b, np.nan),
+            bundle.adm.cells.lookup(a, b, 0),
         )
     if not len(ranking.entries):
         print("warning: every scale cell is undefined; nothing to rank", file=sys.stderr)

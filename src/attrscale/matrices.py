@@ -19,7 +19,7 @@ joined with str.join. The QAUM's cells are single digits, so every row of
 its files has a fixed width: a block's rows are cut from one uint8 byte
 template of zeros, its ones written by one scatter from the block's slice of
 the usage set's CSR arrays. Every other
-block formats each distinct defined value once (np.unique over the float64
+block formats each distinct defined value once (_distinct over the float64
 bit pattern, so -0.0 and 0.0 stay apart): integers through str, floats
 through "%.{p}f" (or repr at full precision), and format_value, the one
 definition of the rounding, redoes only the values where its Decimal text
@@ -29,6 +29,14 @@ one constant text. Every cell is fixed-point at every precision. A JSON
 file is an object of the matrix's kind, labels and grids (nested lists,
 null at undefined cells) as json.dumps(indent=2, ensure_ascii=True) writes
 it, then a newline. No Python object form of a file is built.
+
+The ADM, PDM, NSM and NNSM store only their defined cells (cells.Cells:
+row offsets, columns and values, row by row), since the scale is defined
+only where two attributes co-occur. A dense grid given to a constructor
+becomes cells at intake; the pipeline builds cells directly. The n×n grids
+(counts, values, defined) are read-only views built on first read, for the
+callers that want a grid; the files scatter each block of rows from the
+cells.
 
 _frozen is the one intake path from caller input to stored arrays: every
 constructor hands it each array to convert, shape-check and freeze.
@@ -42,11 +50,13 @@ import warnings
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Context, Decimal
+from functools import cached_property
 from itertools import chain, islice, repeat
 from types import SimpleNamespace
 
 import numpy as np
 
+from .cells import Cells, run_starts
 from .errors import AttrScaleError
 
 UNDEFINED_CSV = "#"
@@ -120,16 +130,28 @@ def _float_texts(values: np.ndarray, precision: int | None) -> list[str]:
     return texts
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(values, return_inverse=True) of a 1-D array, by its method (an argsort, then each run's
+    rank scattered back), without the numpy.ma import (about 1 MB resident) that np.unique makes: the
+    distinct entries, ascending, and each entry's position among them."""
+    order = np.argsort(values)
+    keys = values[order]
+    first = run_starts(keys)
+    inverse = np.empty(len(values), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return keys[first], inverse
+
+
 def _cell_texts(values: np.ndarray, defined: np.ndarray, undefined: str, precision: int | None = None) -> list:
     """The cell texts of a grid, or of a block of its rows, as nested lists: each distinct defined
     value formatted once (integers through str, floats as format_value renders them at precision),
     undefined at undefined cells."""
     shown = values[defined]
     if values.dtype.kind == "f":
-        keys, inverse = np.unique(shown.view(np.int64), return_inverse=True)  # -0.0 and 0.0 render apart
+        keys, inverse = _distinct(shown.view(np.int64))  # -0.0 and 0.0 render apart
         texts = _float_texts(keys.view(np.float64), precision)
     else:
-        keys, inverse = np.unique(shown, return_inverse=True)
+        keys, inverse = _distinct(shown)
         texts = list(map(str, keys.tolist()))
     index = np.full(values.shape, len(texts))  # the position of undefined in the text table
     index[defined] = inverse
@@ -246,34 +268,54 @@ def qaum_json_pieces(usage) -> Iterator[str]:
     })
 
 
-@dataclass(frozen=True, eq=False)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class DependencyMatrix:
     """n×n co-occurrence counts with per-row Total Measure.
 
-    The diagonal is semantically undefined; it is stored as 0 and rendered
-    as undefined. total_measure is not an input: the constructor derives it
-    as the row sums of counts (the diagonal adds nothing), stored read-only.
+    The stored form is cells: the positive counts. The diagonal is
+    semantically undefined and never a cell; counts, the n×n grid with 0 at
+    every other cell, is a read-only view built on first read. total_measure
+    is not an input: it is the row sums of the counts, stored read-only.
     build_adm output is symmetric by construction; the constructor itself
     accepts asymmetric counts so externally published tables (which may
     carry printing errors) can be replayed through the later stages as-is.
     """
 
     attributes: tuple[str, ...]
-    counts: np.ndarray  # int64, shape (n, n), diagonal 0
-    total_measure: np.ndarray = field(init=False)  # int64, shape (n,): the row sums
+    cells: Cells  # int64: the positive counts
+    total_measure: np.ndarray  # int64, shape (n,): the row sums
 
-    def __post_init__(self):
-        n = len(self.attributes)
-        counts = _frozen(self.counts, np.int64, (n, n))
+    def __init__(self, attributes: tuple[str, ...], counts):
+        n = len(attributes)
+        counts = _frozen(counts, np.int64, (n, n))
         if counts.size:
             if counts.min() < 0:
                 raise AttrScaleError("dependency counts must be non-negative")
             if np.any(np.diagonal(counts) != 0):
                 raise AttrScaleError("dependency matrix diagonal must stay undefined")
-        tm = counts.sum(axis=1)
-        tm.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total_measure", tm)
+        self._store(attributes, Cells.of_grid(counts, counts > 0))
+
+    @classmethod
+    def _of_cells(cls, attributes: tuple[str, ...], cells: Cells) -> DependencyMatrix:
+        """The matrix of positive int64 counts off the diagonal, given as cells (as build_adm makes them)."""
+        adm = cls.__new__(cls)
+        adm._store(attributes, cells)
+        return adm
+
+    def _store(self, attributes: tuple[str, ...], cells: Cells) -> None:
+        object.__setattr__(self, "attributes", attributes)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "total_measure", _read_only(cells.reduce_rows(np.add, cells.values, 0)))
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """int64, shape (n, n), diagonal 0: the counts as a grid, built on first read."""
+        return _read_only(self.cells.grid(0))
 
     def _off_diagonal(self, rows: slice, width: int) -> np.ndarray:
         """Which of the first width columns of these rows are off the diagonal (column n, the total, is)."""
@@ -284,7 +326,8 @@ class DependencyMatrix:
         n = len(self.attributes)
 
         def block(rows: slice) -> tuple[np.ndarray, np.ndarray]:
-            return np.column_stack([self.counts[rows], self.total_measure[rows]]), self._off_diagonal(rows, n + 1)
+            counts = np.column_stack([self.cells.grid(0, rows), self.total_measure[rows]])
+            return counts, self._off_diagonal(rows, n + 1)
 
         header = ["attribute", *self.attributes, "total_measure"]
         return _csv_pieces(header, self.attributes, _grid_rows(block, (n, n + 1), UNDEFINED_CSV, _CSV_ROW))
@@ -292,7 +335,10 @@ class DependencyMatrix:
     def json_pieces(self) -> Iterator[str]:
         n = len(self.attributes)
         total = _cell_texts(self.total_measure, np.ones(n, dtype=bool), "null")
-        counts = _grid_rows(lambda rows: (self.counts[rows], self._off_diagonal(rows, n)), (n, n), "null", _JSON_ROW)
+        def block(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+            return self.cells.grid(0, rows), self._off_diagonal(rows, n)
+
+        counts = _grid_rows(block, (n, n), "null", _JSON_ROW)
         return _json_object({
             "kind": '"ADM"',
             "attributes": json_text(self.attributes, 1),
@@ -301,40 +347,71 @@ class DependencyMatrix:
         })
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MaskedRealMatrix:
-    """n×n real matrix where each cell is either defined or undefined (NaN in storage)."""
+    """n×n real matrix where each cell is either defined or undefined.
+
+    The stored form is cells: the defined ones, with finite float64 values.
+    values (NaN at undefined cells) and defined (bool) are the n×n grids,
+    read-only views built on first read.
+    """
 
     kind: str  # PDM | NSM | NNSM
     attributes: tuple[str, ...]
-    values: np.ndarray  # float64; NaN at undefined cells
-    defined: np.ndarray  # bool
+    cells: Cells  # float64: the defined cells
 
-    def __post_init__(self):
-        if self.kind not in SCALE_KINDS:
-            raise AttrScaleError(f"unknown matrix kind {self.kind!r}")
-        shape = (len(self.attributes),) * 2
-        defined = _frozen(self.defined, bool, shape)
+    def __init__(self, kind: str, attributes: tuple[str, ...], values, defined):
+        if kind not in SCALE_KINDS:
+            raise AttrScaleError(f"unknown matrix kind {kind!r}")
+        shape = (len(attributes),) * 2
+        defined = _frozen(defined, bool, shape)
         if np.any(np.diagonal(defined)):
             raise AttrScaleError("diagonal cells must stay undefined")
-        object.__setattr__(self, "values", _frozen(self.values, np.float64, shape, defined))
-        object.__setattr__(self, "defined", defined)
+        self._store(kind, attributes, Cells.of_grid(_frozen(values, np.float64, shape, defined), defined))
+
+    @classmethod
+    def _of_cells(cls, kind: str, attributes: tuple[str, ...], cells: Cells) -> MaskedRealMatrix:
+        """The matrix of these finite float64 cells off the diagonal (as the pipeline's stages make them)."""
+        matrix = cls.__new__(cls)
+        matrix._store(kind, attributes, cells)
+        return matrix
+
+    def _store(self, kind: str, attributes: tuple[str, ...], cells: Cells) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "attributes", attributes)
+        object.__setattr__(self, "cells", cells)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """float64, shape (n, n), NaN at undefined cells: the values as a grid, built on first read."""
+        return _read_only(self.cells.grid(np.nan))
+
+    @cached_property
+    def defined(self) -> np.ndarray:
+        """bool, shape (n, n): which cells are defined, built on first read."""
+        return _read_only(self.cells.grid(False, value=True))
 
     def cell(self, h: int, k: int) -> float | None:
-        return float(self.values[h, k]) if self.defined[h, k] else None
+        value = float(self.cells.lookup(h, k, np.nan))
+        return None if np.isnan(value) else value
 
     def _block(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        return self.values[rows], self.defined[rows]
+        values = self.cells.grid(np.nan, rows)
+        return values, ~np.isnan(values)  # a defined cell is finite
+
+    def _rows(self, undefined: str, layout: _Layout, precision: int | None = None) -> Iterator[list[str]]:
+        """The grid's rows through _grid_rows, each block scattered from the cells."""
+        return _grid_rows(self._block, (len(self.attributes),) * 2, undefined, layout, precision)
 
     def csv_pieces(self, precision: int | None = None) -> Iterator[str]:
-        rows = _grid_rows(self._block, self.values.shape, UNDEFINED_CSV, _CSV_ROW, precision)
+        rows = self._rows(UNDEFINED_CSV, _CSV_ROW, precision)
         return _csv_pieces(["attribute", *self.attributes], self.attributes, rows)
 
     def json_pieces(self) -> Iterator[str]:
         return _json_object({
             "kind": json.dumps(self.kind),
             "attributes": json_text(self.attributes, 1),
-            "values": _joined_pieces(_grid_rows(self._block, self.values.shape, "null", _JSON_ROW), _JSON_LIST),
+            "values": _joined_pieces(self._rows("null", _JSON_ROW), _JSON_LIST),
         })
 
 

@@ -8,8 +8,12 @@ stronger inter-attribute dependence; each row's weakest partner maps to 10.
 
 The QAUM is the usage set itself: its CSR arrays are the matrix's rows, so
 run_pipeline keeps it as the bundle's qaum, neither copied nor checked again.
-All arithmetic runs at full double precision; counts are exact int64,
-tallied from pair codes, and no stage builds a dense m×n array. Undefined
+Every later stage is defined only where a count is positive, so each one
+computes over the defined cells (cells.Cells) and none builds an n×n or
+an m×n array. Counts are exact int64, tallied from pair codes; the MVSD
+comes from each row's exact integer moments, so no result depends on the
+order of the catalog; every other value is one IEEE operation per cell at
+full double precision, the same a dense grid would take. Undefined
 cells propagate forward: a cell with no probability has no scale value.
 Every stage is a pure function of its inputs; a bundle derives its
 warnings from its own matrices.
@@ -23,6 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AttrScaleError
+from .cells import Cells, run_starts
 from .matrices import DependencyMatrix, MaskedRealMatrix, StatsTable
 from .workload import UsageSet
 
@@ -46,12 +51,12 @@ class ScaleBundle:
     def warnings(self) -> tuple[dict, ...]:
         """The facts the matrices imply, each kind in catalog order: isolated attributes
         (total measure 0), then degenerate ties (NSM rows with defined cells, none positive)."""
-        names, nsm = self.attributes, self.nsm
-        positive = np.where(nsm.defined, nsm.values, 0.0) > 0.0
+        names, nsm = self.attributes, self.nsm.cells
+        peak = nsm.reduce_rows(np.maximum, nsm.values, -np.inf)  # -inf only in a row with no cell
         kinds = (
             ("isolated_attribute", self.adm.total_measure == 0,
              "attribute {!r} never co-occurs (total measure 0); its scale rows are undefined"),
-            ("degenerate_tie", nsm.defined.any(axis=1) & ~positive.any(axis=1),
+            ("degenerate_tie", (peak > -np.inf) & ~(peak > 0.0),
              "all defined scale cells of {!r} are zero; row normalized to zeros"),
         )
         return tuple(
@@ -83,71 +88,107 @@ def _pair_codes(bounds: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
     return codes
 
 
-_TILE = 256  # the side of the square tiles build_adm mirrors its counts in
+def _merged(codes: np.ndarray, counts: np.ndarray, more: np.ndarray, more_counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The union of two ascending arrays of distinct codes, each code's counts summed."""
+    at = np.searchsorted(codes, more)
+    seen = np.zeros(len(more), dtype=bool)
+    inside = np.flatnonzero(at < len(codes))
+    seen[inside] = codes[at[inside]] == more[inside]
+    counts[at[seen]] += more_counts[seen]
+    new = ~seen
+    return np.insert(codes, at[new], more[new]), np.insert(counts, at[new], more_counts[new])
 
 
 def build_adm(usage: UsageSet) -> DependencyMatrix:
     """Count, for every attribute pair, the kept queries of a usage set (the QAUM's rows) using both.
 
-    np.bincount counts the pair codes h·n + k (h < k) of every query in exact
-    int64 arithmetic, over chunks of consecutive queries whose codes and
-    indices fit a budget of max(n², 2¹⁶), so the temporaries stay within
-    O(max(n², 2¹⁶)) however large m grows; the counts are then mirrored, so
-    they are symmetric by construction. The diagonal is never counted and
-    stays 0 (undefined), and Total Measure is the row sum.
+    Each query's pairs give the cell codes h·n + k of both directions. They
+    are counted in exact int64 arithmetic by sorting, over chunks of
+    consecutive queries whose codes and indices fit a budget of
+    max(min(n², 2²²), 2¹⁶) (a query past it is a chunk of its own), and each
+    chunk's distinct codes merge into the running ones, so the temporaries
+    stay within O(budget + defined cells) however large m grows. The sorted
+    codes are the cells row by row. Both directions of a pair count the same
+    queries, so the counts are symmetric by construction. The diagonal is
+    never counted and stays undefined, and Total Measure is the row sum.
     """
     n, m = len(usage.catalog), len(usage.query_ids)
     cost = np.diff(usage.indptr)
-    cost *= cost + 1
-    cost //= 2  # a query's L(L-1)/2 codes and its L indices
+    cost *= cost  # a query's L(L-1) codes and its L indices
     before = np.concatenate(([0], np.cumsum(cost)))  # the cost of the queries before each one
-    # a query costs at most n(n+1)/2, under the budget, so every chunk takes at least one query
-    budget = max(n * n, 1 << 16)
+    budget = max(min(n * n, 1 << 22), 1 << 16)
 
-    def tally(start: int) -> tuple[np.ndarray, int]:
-        """The counts of the codes of the queries from start on that fit the budget, and where they stop."""
-        stop = int(np.searchsorted(before, before[start] + budget, side="right")) - 1
-        return np.bincount(_pair_codes(usage.indptr[start : stop + 1], usage.indices, n), minlength=n * n), stop
+    def tally(start: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """The distinct cell codes, ascending, and their counts, of the queries from start on that fit the
+        budget (one query at least), and where they stop."""
+        stop = max(int(np.searchsorted(before, before[start] + budget, side="right")) - 1, min(start + 1, m))
+        upper = _pair_codes(usage.indptr[start : stop + 1], usage.indices, n)
+        # each pair h < k gives the cells h·n + k and k·n + h, the second built in place from h and k
+        codes = np.empty(2 * len(upper), dtype=np.int64)
+        codes[: len(upper)] = upper
+        lower = codes[len(upper) :]
+        np.floor_divide(upper, n, out=lower)  # h
+        upper -= lower * n  # k
+        upper *= n
+        lower += upper
+        del upper
+        codes.sort()
+        starts = np.flatnonzero(run_starts(codes))
+        return codes[starts], np.diff(starts, append=len(codes)), stop
 
-    counts, stop = tally(0)  # a first chunk even when m = 0 gives counts its size
+    codes, counts, stop = tally(0)  # a first chunk even when m = 0 gives the codes their type
     while stop < m:
-        chunk, stop = tally(stop)
-        counts += chunk
-    counts = counts.reshape(n, n)
-    # mirror the upper triangle onto the lower, whose cells are 0, a pair of tiles at a time: a
-    # transposed read of the whole array strides across memory and grows faster than n²
-    for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            counts[j : j + _TILE, i : i + _TILE] += counts[i : i + _TILE, j : j + _TILE].T
-    return DependencyMatrix(attributes=usage.catalog.attributes, counts=counts)
+        more, more_counts, stop = tally(stop)
+        codes, counts = _merged(codes, counts, more, more_counts)
+    indptr = np.searchsorted(codes, np.arange(n + 1, dtype=np.int64) * n)  # codes ascend row by row
+    np.remainder(codes, n, out=codes)  # the columns
+    return DependencyMatrix._of_cells(usage.catalog.attributes, Cells(indptr, codes, counts))
 
 
 def build_pdm(adm: DependencyMatrix) -> MaskedRealMatrix:
     """Row-normalize counts into probabilities: PDM[h,k] = ADM[h,k] / TM[h].
 
-    Diagonal and zero-count cells are undefined. A row with total measure 0
-    (isolated attribute) is fully undefined.
+    Defined at the ADM's cells (a positive count), so the diagonal and
+    zero-count cells are undefined. A row with total measure 0 (isolated
+    attribute) has no cell and is fully undefined.
     """
-    tm = adm.total_measure.astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = adm.counts.astype(np.float64) / tm[:, None]
-    # DependencyMatrix keeps the diagonal 0 and total measure as the row sum: a positive count is the whole mask
-    return MaskedRealMatrix(kind="PDM", attributes=adm.attributes, values=values, defined=adm.counts > 0)
+    cells = adm.cells
+    values = cells.values.astype(np.float64)
+    values /= cells.per_cell(adm.total_measure.astype(np.float64))
+    return MaskedRealMatrix._of_cells("PDM", adm.attributes, Cells(cells.indptr, cells.cols, values))
+
+
+_EXACT_CUBES = 2.0**62  # a row's Σx³ below this (with room for a float estimate's error) fits int64
 
 
 def compute_mvsd(adm: DependencyMatrix) -> StatsTable:
     """Mean, variance, SD of each attribute's co-occurrence distribution, from the ADM alone.
 
-    Over row h, with x the counts and p = x / TM[h] their probabilities (the
-    PDM's defined cells; the diagonal and zero counts add nothing): mean =
-    Σ p·x, variance = Σ p·(x - mean)², and StatsTable derives SD = √var. A
-    row with total measure 0 (isolated attribute) has undefined statistics.
+    Over row h, with x the counts (the ADM's cells) and p = x / TM[h] their
+    probabilities, mean = Σ p·x and variance = Σ p·(x - mean)². Both are
+    ratios of the row's integer moments T = Σx (the total measure), S2 = Σx²
+    and S3 = Σx³: mean = S2/T and variance = (T·S3 - S2²)/T², each one
+    correctly rounded division of exact integers (int64 sums while Σx³ fits,
+    Python integers past it). So the result is exact to the last bit and
+    does not depend on the order of the row's cells. StatsTable derives
+    SD = √var. A row with total measure 0 (isolated attribute) has undefined
+    statistics.
     """
-    x = adm.counts.astype(np.float64)
-    with np.errstate(invalid="ignore"):  # 0/0 only in rows of total measure 0, stored as undefined
-        p = x / adm.total_measure[:, None]
-    mean = (p * x).sum(axis=1)
-    variance = (p * (x - mean[:, None]) ** 2).sum(axis=1)
+    cells = adm.cells
+    x = cells.values
+    power = x * x
+    moments = [adm.total_measure.tolist(), cells.reduce_rows(np.add, power, 0).tolist()]
+    power *= x  # wraps in a row past _EXACT_CUBES, whose moments are redone below
+    moments.append(cells.reduce_rows(np.add, power, 0).tolist())
+    del power
+    # Σx³ <= Σx · max(x)², estimated in floats: a row this bound keeps below _EXACT_CUBES fits int64
+    bound = cells.reduce_rows(np.maximum, x, 0).astype(np.float64) ** 2 * adm.total_measure
+    for h in np.flatnonzero(bound >= _EXACT_CUBES).tolist():
+        row = x[cells.indptr[h] : cells.indptr[h + 1]].tolist()
+        for p, moment in enumerate(moments, start=1):
+            moment[h] = sum(v**p for v in row)
+    mean = [s2 / t if t else 0.0 for t, s2, _ in zip(*moments)]
+    variance = [(t * s3 - s2 * s2) / (t * t) if t else 0.0 for t, s2, s3 in zip(*moments)]
     return StatsTable(attributes=adm.attributes, mean=mean, variance=variance, defined=adm.total_measure > 0)
 
 
@@ -157,28 +198,35 @@ def compute_nsm(adm: DependencyMatrix, stats: StatsTable) -> MaskedRealMatrix:
     Defined exactly where the probability matrix is defined (off-diagonal,
     positive count, both row statistics available). Lower = stronger.
     """
-    defined = (adm.counts > 0) & stats.defined[:, None] & stats.defined[None, :]
-    gap = np.abs(stats.sd[:, None] - stats.sd[None, :])  # NaN only at cells left undefined
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = gap / adm.counts.astype(np.float64)
-    return MaskedRealMatrix(kind="NSM", attributes=adm.attributes, values=values, defined=defined)
+    cells = adm.cells
+    keep = cells.per_cell(stats.defined)
+    keep &= stats.defined[cells.cols]
+    values = cells.per_cell(stats.sd)  # NaN in the cells of an undefined row, which keep drops
+    values -= stats.sd[cells.cols]
+    np.abs(values, out=values)
+    values /= cells.values
+    return MaskedRealMatrix._of_cells("NSM", adm.attributes, cells.where(keep, values))
 
 
 def compute_nnsm(nsm: MaskedRealMatrix) -> MaskedRealMatrix:
     """Scale each row so its maximum maps to 10.
 
     Rows whose defined cells are all zero (a degenerate tie: every partner
-    equally strong) map to all zeros; fully undefined rows stay undefined, as
-    the constructor stores NaN there. Uses full-precision inputs, never displayed values.
+    equally strong) map to all zeros; fully undefined rows have no cell and
+    stay undefined. Uses full-precision inputs, never displayed values.
     """
     if nsm.kind != "NSM":
         raise AttrScaleError("compute_nnsm expects an NSM matrix")
-    row_max = np.where(nsm.defined, nsm.values, -np.inf).max(axis=1, initial=-np.inf)
+    cells = nsm.cells
+    row_max = cells.reduce_rows(np.maximum, cells.values, -np.inf)
+    values = cells.per_cell(row_max)
     with np.errstate(divide="ignore", invalid="ignore"):
         # divide before scaling: v/max <= 1 exactly, so cells never exceed 10
-        scaled = (nsm.values / row_max[:, None]) * 10.0
-    values = np.where((row_max > 0.0)[:, None], scaled, 0.0)
-    return MaskedRealMatrix(kind="NNSM", attributes=nsm.attributes, values=values, defined=nsm.defined)
+        np.divide(cells.values, values, out=values)
+    values *= 10.0
+    for h in np.flatnonzero((row_max > -np.inf) & ~(row_max > 0.0)).tolist():  # degenerate ties
+        values[cells.indptr[h] : cells.indptr[h + 1]] = 0.0
+    return MaskedRealMatrix._of_cells("NNSM", nsm.attributes, Cells(cells.indptr, cells.cols, values))
 
 
 def run_pipeline(usage: UsageSet) -> ScaleBundle:

@@ -33,7 +33,7 @@ import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -176,13 +176,30 @@ def _field(parent: dict, name: str, kind: type):
 
 def _csr(rows: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     """indptr and indices of a snapshot's rows of attribute indices, each row's in its own order. Only a
-    Python int within [0, n) is an index: any other JSON value (a bool, a float, a string, 2**70) is
-    stored as -1, so the usage set names its query, and no array is built from what it cannot hold."""
+    Python int within [0, n) is an index; the first other JSON value (a bool, a float, a string, 2**70)
+    and every entry after it are stored as -1, so the usage set names the query that holds it, and no
+    array is built from what it cannot hold. The first fault is found with whole-array operations: a
+    type other than int by one pass over the types (and its first entry by a second, only when there is
+    one), then an int outside [0, n) before it by numpy."""
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     indptr[1:] = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     np.cumsum(indptr, out=indptr)
-    flat = [i if type(i) is int and 0 <= i < n else -1 for i in chain.from_iterable(rows)]
-    return indptr, np.array(flat, dtype=np.int64)
+    size = first = int(indptr[-1])
+    others = set(map(type, chain.from_iterable(rows))) - {int}
+    if others:
+        types = list(map(type, chain.from_iterable(rows)))
+        first = min(map(types.index, others))
+        del types
+    try:
+        ints = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=first)
+    except OverflowError:  # an int past int64 lies outside [0, n) too: compare the ints exactly, as objects
+        ints = np.array(list(islice(chain.from_iterable(rows), first)), dtype=object)
+    outside = (ints < 0) | (ints >= n)
+    if outside.any():
+        first = int(outside.argmax())
+    if first < size:
+        ints = np.concatenate((ints[:first], np.full(size - first, -1)))
+    return indptr, ints.astype(np.int64, copy=False)
 
 
 def _file_digest(data: bytes, stored_hash: str) -> str | None:

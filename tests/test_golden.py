@@ -22,11 +22,11 @@ GOLDEN_SHA256 = {
     "adm.json": "1dbabe620e99b275c5a47aad41bc21cafe0d1efc3eacec5be468d8fd3499be53",
     "diagnostics.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "mvsd.csv": "2c994286990bad27afa89cabcd2ae1923aa71d6420443544494de1eab86e8e87",
-    "mvsd.json": "5c638ad70211dc02fb146d07ca6143c2dc929a8ac4eccae1dffaf23a852f85cd",
+    "mvsd.json": "0b73ce51af534d734eed31493cafaa6b561f0654c61b0066695da485359c04dd",
     "nnsm.csv": "8a787731c4dceff1eb449a866575ec3569aef7db8c490e876980fe92c891dc90",
-    "nnsm.json": "5e39ba477258809975634693e278315e615ff75f9e167304f968142a6dc39457",
+    "nnsm.json": "c7b9c21c148ced5645f4b04d71f6fdfb6da7fcb6e22c92f4a3901a38a1edae0f",
     "nsm.csv": "80b750a0aeb3cf806b476d9234514ef977c1fab34bad3589970eb70cf06bf181",
-    "nsm.json": "12f0e0759cc5dd15e2fecbb66e5a52f9d07980a6ff4932a633711a57b6ab3102",
+    "nsm.json": "a2369efb4982b557eec93cd8b4406c02b0f64317052e6039b21399ecd8ea8365",
     "pdm.csv": "5d2e8a3379d53eb6a16b1949533e1d7d17bba40e335a2da868e6b3712f4157d1",
     "pdm.json": "87dbddb553969da68f63b80fd46786a1825f0e978ae3b40634e9481b76ddc0e1",
     "qaum.csv": "2f0cd6c804f561fe7b02dc2ada2adcbcfdafdfc75ff493c9a52184aca91e174f",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -221,31 +222,71 @@ def test_single_query_workload_runs_end_to_end():
     assert {w["code"] for w in bundle.warnings} == {"degenerate_tie"}
 
 
-def mvsd_through_the_pdm(adm):
-    """The MVSD computed from the PDM's defined cells, as compute_mvsd once took it: mean, variance and
-    SD rows, NaN where undefined, and the defined mask."""
-    pdm = build_pdm(adm)
-    x = adm.counts.astype(np.float64)
-    p = np.where(pdm.defined, pdm.values, 0.0)
-    mean = (p * x).sum(axis=1)
-    variance = (p * (x - mean[:, None]) ** 2).sum(axis=1)
-    defined = pdm.defined.any(axis=1)
-    return *(np.where(defined, row, np.nan) for row in (mean, variance, np.sqrt(variance))), defined
+def exact_mvsd(row: list[int]) -> tuple[float, float, float] | None:
+    """A row's mean, variance and SD by exact rationals: the floats nearest S2/T and (T·S3 - S2²)/T²,
+    and the square root of that variance; None for a row of total measure 0."""
+    t, s2, s3 = (sum(x**power for x in row) for power in (1, 2, 3))
+    if not t:
+        return None
+    variance = float(Fraction(t * s3 - s2 * s2, t * t))
+    return float(Fraction(s2, t)), variance, math.sqrt(variance)
 
 
-def test_compute_mvsd_from_the_adm_alone_equals_the_pdm_route_bit_for_bit():
+def test_compute_mvsd_equals_the_exact_moments_bit_for_bit():
     rng = np.random.default_rng(30)
+    cases = []
     for _ in range(300):
         n = int(rng.integers(1, 16))
         counts = rng.integers(1, 6, (n, n)) * (rng.random((n, n)) < rng.random())  # asymmetric, as replayed
         counts[rng.random(n) < 0.2] = 0  # isolated rows: total measure 0
+        cases.append(counts)
+    # a planted row whose counts are near 2**21: its Σx³ passes 2**63, so int64 cannot hold it
+    planted = rng.integers(0, 4, (6, 6))
+    planted[2] = [2**21 - 1, 2**21, 0, 2**21 + 5, 3, 1]
+    assert sum(x**3 for x in planted[2].tolist()) >= 2**63
+    cases.append(planted)
+    for counts in cases:
         np.fill_diagonal(counts, 0)
-        adm = DependencyMatrix(tuple(f"c{i}" for i in range(n)), counts)
+        mvsd = compute_mvsd(DependencyMatrix(tuple(f"c{i}" for i in range(len(counts))), counts))
+        for h, row in enumerate(counts.tolist()):
+            exact = exact_mvsd(row)
+            assert bool(mvsd.defined[h]) == (exact is not None)
+            got = (float(mvsd.mean[h]), float(mvsd.variance[h]), float(mvsd.sd[h]))
+            assert exact is None or list(map(float.hex, got)) == list(map(float.hex, exact))
+
+
+def dense_scale(counts: np.ndarray, sd: np.ndarray, sd_defined: np.ndarray) -> dict[str, np.ndarray]:
+    """PDM, NSM and NNSM values over whole n×n grids, NaN where undefined: the reference for the
+    stages' cells, one IEEE operation per cell as the cells take it."""
+    x = counts.astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pdm = np.where(counts > 0, x / x.sum(axis=1)[:, None], np.nan)
+        defined = (counts > 0) & sd_defined[:, None] & sd_defined[None, :]
+        nsm = np.where(defined, np.abs(sd[:, None] - sd[None, :]) / x, np.nan)
+        row_max = np.where(defined, nsm, -np.inf).max(axis=1, initial=-np.inf)
+        nnsm = np.where(defined, np.where((row_max > 0.0)[:, None], (nsm / row_max[:, None]) * 10.0, 0.0), np.nan)
+    return {"pdm": pdm, "nsm": nsm, "nnsm": nnsm}
+
+
+def test_every_scale_cell_equals_a_dense_recomputation_bit_for_bit():
+    rng = np.random.default_rng(31)
+    adms = []
+    for _ in range(200):  # asymmetric replayed counts with isolated rows: NSM drops the cells of undefined SDs
+        n = int(rng.integers(1, 14))
+        counts = rng.integers(1, 9, (n, n)) * (rng.random((n, n)) < rng.random())
+        counts[rng.random(n) < 0.2] = 0
+        np.fill_diagonal(counts, 0)
+        adms.append(DependencyMatrix(tuple(f"c{i}" for i in range(n)), counts))
+    for seed in (7, 8):
+        names, rows = seeded_log(200, 2000, seed)
+        adms.append(run_rows(rows, names).adm)
+    for adm in adms:
         mvsd = compute_mvsd(adm)
-        mean, variance, sd, defined = mvsd_through_the_pdm(adm)
-        assert np.array_equal(mvsd.defined, defined)
-        for got, expected in ((mvsd.mean, mean), (mvsd.variance, variance), (mvsd.sd, sd)):
-            assert got.tobytes() == expected.tobytes()
+        nsm = compute_nsm(adm, mvsd)
+        stages = {"pdm": build_pdm(adm), "nsm": nsm, "nnsm": compute_nnsm(nsm)}
+        for name, want in dense_scale(np.asarray(adm.counts), mvsd.sd, mvsd.defined).items():
+            assert np.array_equal(stages[name].defined, ~np.isnan(want)), name
+            assert stages[name].values.tobytes() == want.tobytes(), name
 
 
 def test_derived_fields_are_not_inputs_and_stay_read_only(reference_bundle):
@@ -306,13 +347,14 @@ def run_rows(rows, names):
     return run_pipeline(oracles.usage_set(rows, AttributeCatalog(tuple(names))))
 
 
-def stage_bytes(bundle, stages=tuple(STAGE_ARRAYS), n=None):
-    """Every stored array of the stages as bytes, cut to the first n attributes when n is given."""
+def stage_bytes(bundle, stages=tuple(STAGE_ARRAYS), at=None):
+    """Every stored array of the stages as bytes; given at, only the rows and columns of those
+    attributes, in at's order."""
     out = {}
     for stage in stages:
         for name in STAGE_ARRAYS[stage]:
             arr = getattr(getattr(bundle, stage), name)
-            out[f"{stage}.{name}"] = arr[(slice(n),) * arr.ndim].tobytes()
+            out[f"{stage}.{name}"] = (arr if at is None else arr[np.ix_(*(at,) * arr.ndim)]).tobytes()
     return out
 
 
@@ -344,26 +386,31 @@ def test_an_unused_attribute_adds_one_undefined_row_and_changes_no_other_cell(se
     n = len(names)
     base = run_rows(rows, names)
     grown = run_rows(rows, names + ("unused",))
-    assert stage_bytes(grown, n=n) == stage_bytes(base)
+    assert stage_bytes(grown, at=np.arange(n)) == stage_bytes(base)
     assert not grown.mvsd.defined[n]
     for matrix in (grown.pdm, grown.nsm, grown.nnsm):
         assert not matrix.defined[n].any() and not matrix.defined[:, n].any()
     assert [w for w in grown.warnings if w["attribute"] != "unused"] == list(base.warnings)
     assert [w["code"] for w in grown.warnings if w["attribute"] == "unused"] == ["isolated_attribute"]
 
-    # Inserted mid-catalog instead, the attribute moves the later columns, so
-    # compute_mvsd's row sums add the same terms in another order and may move
-    # a last bit. Whether catalog order may do that is still open (ROADMAP
-    # item 2), so only the exact parts are asserted: counts, PDM and the masks.
+    # inserted mid-catalog instead, the attribute moves the later columns and changes no other cell
     mid = n // 2
     moved = [(qid, frozenset(k + (k >= mid) for k in used)) for qid, used in rows]
     inserted = run_rows(moved, names[:mid] + ("unused",) + names[mid:])
-    others = np.delete(np.arange(n + 1), mid)
-    keep = np.ix_(others, others)
-    assert np.array_equal(inserted.adm.counts[keep], base.adm.counts)
-    assert inserted.pdm.values[keep].tobytes() == base.pdm.values.tobytes()
-    for stage in ("pdm", "nsm", "nnsm"):
-        assert np.array_equal(getattr(inserted, stage).defined[keep], getattr(base, stage).defined)
+    assert stage_bytes(inserted, at=np.delete(np.arange(n + 1), mid)) == stage_bytes(base)
+    assert not inserted.mvsd.defined[mid]
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_permuting_the_catalog_leaves_every_stage_bit_identical_once_unpermuted(seed):
+    names, rows = seeded_log(200, 2000, seed)
+    base = run_rows(rows, names)
+    order = np.random.default_rng(seed).permutation(len(names))  # position i holds attribute order[i]
+    at = np.argsort(order)  # attribute k's position
+    position = at.tolist()
+    permuted = run_rows([(qid, frozenset(position[k] for k in used)) for qid, used in rows], [names[k] for k in order])
+    assert stage_bytes(permuted, at=at) == stage_bytes(base)
+    assert sorted(map(str, permuted.warnings)) == sorted(map(str, base.warnings))
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])

@@ -343,7 +343,7 @@ def test_resealed_edits_raise_only_snapshot_error(snap, tmp_path):
         write_outputs(loaded, tmp_path / "export")  # an edit that loads must also export
 
 
-@pytest.mark.parametrize("index", [0.5, 1.0, True, "1", 2**70, -1, "len(catalog)"])
+@pytest.mark.parametrize("index", [0.5, 1.0, True, "1", 2**70, -1, "len(catalog)", 2**63, -(2**70), None])
 def test_resealed_non_catalog_index_raises_snapshot_error(snap, tmp_path, index):
     # json.loads gives back 1.0 as a float and true as a bool; neither may pass as an index
     obj = snapshot_obj(snap)
@@ -354,6 +354,22 @@ def test_resealed_non_catalog_index_raises_snapshot_error(snap, tmp_path, index)
     path = tmp_path / "snapshot.json"
     path.write_text(json.dumps(obj))
     with pytest.raises(SnapshotError, match=f"malformed: query '{qid}' has an attribute index outside the catalog$"):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize("first, later", [(True, 99), (99, True), (2**70, "1"), ("1", -1), (-1, 0.5), (0.5, 2**70)])
+def test_resealed_faults_name_the_query_holding_the_first(snap, tmp_path, first, later):
+    # _csr finds a non-int type and an out-of-range int by separate array passes; the first entry of
+    # either kind names its query, whichever kind comes later
+    obj = snapshot_obj(snap)
+    del obj["content_hash"]
+    queries = obj["usage"]["queries"]
+    queries[3][1].append(first)
+    queries[6][1].insert(0, later)
+    obj["content_hash"] = _content_hash(obj)
+    path = tmp_path / "snapshot.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SnapshotError, match=f"query '{queries[3][0]}' has an attribute index outside the catalog$"):
         load_snapshot(path)
 
 
